@@ -68,6 +68,20 @@ def _parse_ntcf(text: str) -> tuple:
     return int(parts[0]), int(parts[1])
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return int(text)
+
+
+def _config_number(path: str, key: str, value, integer: bool = False):
+    """value itself when it is a JSON number (an integer if asked)."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        what = "an integer" if integer else "a number"
+        raise InputError(f"{path}: {key} must be {what}, not {json.dumps(value)}")
+    return value
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -81,15 +95,21 @@ def _load_config_file(path: str) -> dict:
     unknown = sorted(set(doc) - set(CONFIG_KEYS))
     if unknown:
         raise InputError(f"{path}: unknown config keys {unknown}; allowed: {list(CONFIG_KEYS)}")
+    if doc.get("st") is not None:
+        _config_number(path, "st", doc["st"])
+    if "seed" in doc:
+        _config_number(path, "seed", doc["seed"], integer=True)
     if "weights" in doc:
         if not isinstance(doc["weights"], dict):
             raise InputError(f"{path}: weights must be an object of attr -> number")
-        doc["weights"] = {k: float(v) for k, v in doc["weights"].items()}
+        doc["weights"] = {
+            k: float(_config_number(path, f"weights.{k}", v)) for k, v in doc["weights"].items()
+        }
     if "ntcf" in doc:
         pair = doc["ntcf"]
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InputError(f"{path}: ntcf must be a two-element list")
-        doc["ntcf"] = (int(pair[0]), int(pair[1]))
+        doc["ntcf"] = tuple(_config_number(path, "ntcf", v, integer=True) for v in pair)
     return doc
 
 
@@ -196,7 +216,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_features(args) -> int:
     settings = _settings(args)
     policy = load_policy(args.policy)
-    entitlements = load_entitlements(args.entitlements)
+    entitlements = load_entitlements(args.entitlements, policy.model)
     clustering = cluster_objects(policy.model, _clustering_config(settings, ClusteringConfig().threshold))
     if args.user not in policy.model.users:
         raise InputError(f"unknown user {args.user!r}")
@@ -236,7 +256,7 @@ def _cmd_features(args) -> int:
 def _cmd_predict(args) -> int:
     settings = _settings(args)
     policy = load_policy(args.policy)
-    entitlements = load_entitlements(args.entitlements)
+    entitlements = load_entitlements(args.entitlements, policy.model)
     clustering = cluster_objects(policy.model, _clustering_config(settings, ClusteringConfig().threshold))
     predictions = predict_missing(
         policy.model, clustering, entitlements, _prediction_config(settings), FeatureConfig()
@@ -265,13 +285,13 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _matrix_csv(template, scales, percents, matrix, policies, timing: bool) -> str:
+def _matrix_csv(template, scales, percents, matrix, timing: bool) -> str:
     header = ["dataset", "objects", "attributes", "entitlements", "accuracy"]
     header += [f"cov{p:g}" for p in percents]
     header += ["time_s"]
     lines = [",".join(header)]
     for scale in scales:
-        policy, ents = policies[scale]
+        policy, ents = matrix.policies[scale]
         om = policy.model
         rows = [r for r in matrix.runs if r.scale == scale]
         predicted = sum(r.predicted for r in rows)
@@ -358,10 +378,6 @@ def _cmd_evaluate(args) -> int:
         prediction=_prediction_config(settings),
         subset_ok=subset_ok,
     )
-    policies = {}
-    for scale in scales:
-        policy = generate(GeneratorConfig(template=args.template, scale=scale, seed=settings["seed"] + scale))
-        policies[scale] = (policy, reference_entitlements(policy))
     matrix = evaluate_matrix(
         args.template,
         scales,
@@ -369,10 +385,9 @@ def _cmd_evaluate(args) -> int:
         args.runs,
         base_seed=settings["seed"],
         config=harness_config,
-        generate_policy=lambda s: policies[s][0],
         jobs=args.jobs,
     )
-    csv_text = _matrix_csv(args.template, scales, percents, matrix, policies, args.timing)
+    csv_text = _matrix_csv(args.template, scales, percents, matrix, args.timing)
     if args.csv:
         _emit(csv_text, args.csv)
     if args.json:
@@ -450,14 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", default="1", metavar="1,2,3", help="comma-separated scales (default 1)")
     p.add_argument("--percents", default="3,6,9", metavar="3,6,9",
                    help="removal percentages (default 3,6,9)")
-    p.add_argument("--runs", type=int, default=5, help="runs per setting (default 5)")
+    p.add_argument("--runs", type=_positive_int, default=5, help="runs per setting (default 5)")
     p.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     _add_settings_flags(p, "similarity threshold (default 0.1 for removal sweeps)")
     p.add_argument("--ntcf", type=_parse_ntcf, default=None, metavar="H,M",
                    help="confidence rank gates (default 3,5)")
     p.add_argument("--exact-multi", action="store_true",
                    help="score multi-valued predictions by set equality instead of subset")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                    help="concurrent runs (default: CPU count)")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock columns (breaks byte-for-byte reproducibility)")

@@ -77,7 +77,8 @@ def value_similarity(a, b) -> float:
 
 
 def object_similarity(o1: Obj, o2: Obj, config: ClusteringConfig) -> float:
-    attrs = active_attributes(o1) | active_attributes(o2)
+    # sorted, so the float sum does not depend on set iteration order
+    attrs = sorted(active_attributes(o1) | active_attributes(o2))
     total = 0.0
     score = 0.0
     for name in attrs:

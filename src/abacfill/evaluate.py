@@ -86,17 +86,6 @@ def eval_constraint(user: Obj, res: Obj, cons) -> Tri:
     return tri_all(eval_atomic_constraint(user, res, c) for c in cons)
 
 
-def eval_rule_pair(rule: Rule, user: Obj, res: Obj) -> Tri:
-    r = eval_condition(user, rule.user_conds)
-    if r is Tri.FALSE:
-        return Tri.FALSE
-    r2 = eval_condition(res, rule.res_conds)
-    if r2 is Tri.FALSE:
-        return Tri.FALSE
-    r3 = eval_constraint(user, res, rule.constraints)
-    return tri_all((r, r2, r3))
-
-
 def rule_meaning(rule: Rule, om: ObjectModel):
     """Entitlements the rule grants, plus the count of unknown (user, resource) pairs."""
     granted = set()

@@ -26,7 +26,7 @@ cross-side link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .model import (
     AbacError,
     AtomicCondition,
     AtomicConstraint,
-    AttrKind,
     ConfigError,
     Entitlement,
     InsufficientDataError,
@@ -253,20 +252,6 @@ class RankedFeature:
     characterizing: bool
 
 
-@dataclass
-class RankedFeatures:
-    """Features ordered most-informative first; rank is position + 1."""
-
-    entries: tuple
-    intercept: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def _extent_supports(members, cond: AtomicCondition) -> bool:
     """At least two members have a known value satisfying the condition and
     no member has a known value (or an inapplicable cell) conflicting."""
@@ -286,8 +271,9 @@ def _extent_supports(members, cond: AtomicCondition) -> bool:
 
 def rank_features(
     om, user_group, res_group, data: LearningData, config: FeatureConfig = None
-) -> RankedFeatures:
-    """Order the candidate features for one group pair and action.
+) -> tuple:
+    """Order the candidate features for one group pair and action, most
+    informative first: a tuple of RankedFeature, rank is position + 1.
 
     Characterizing features come first in canonical order, then the rest by
     descending coefficient, floored.  Raises InsufficientDataError when the
@@ -305,7 +291,7 @@ def rank_features(
         raise InsufficientDataError(
             f"no granted pairs between groups {user_group.gid} and {res_group.gid}"
         )
-    intercept, coefs = fit_least_squares(data.matrix, data.labels, ridge=config.ridge)
+    _, coefs = fit_least_squares(data.matrix, data.labels, ridge=config.ridge)
 
     const_true = data.matrix.min(axis=0) > 0.5
 
@@ -356,8 +342,7 @@ def rank_features(
         ),
     )
 
-    entries = tuple(
+    return tuple(
         RankedFeature(data.features[j], float(coefs[j]), j in characterizing)
         for j in tier_a + tier_b
     )
-    return RankedFeatures(entries=entries, intercept=intercept)

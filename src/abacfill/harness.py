@@ -1,9 +1,10 @@
 """Evaluation harness: hide known cells, predict them back, score the result.
 
 A removal run marks a seeded sample of eligible cells unknown (anything
-known and applicable except ids), runs the full pipeline on the damaged
-model against the reference entitlements of the intact one, and scores
-each hidden cell.  A single-valued prediction must match exactly; a
+known and applicable except ids) in a private copy of the model, so runs
+never modify the policy they start from.  It runs the full pipeline on the
+damaged copy against the reference entitlements of the intact policy and
+scores each hidden cell.  A single-valued prediction must match exactly; a
 multi-valued one counts as correct when it is a non-empty subset of the
 true set (exact equality when subset scoring is off).  Unpredicted cells
 lower coverage but not accuracy.
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from . import generator
 from .clustering import ClusteringConfig, cluster_objects
 from .features import FeatureConfig
 from .model import MISSING, NULL, AttrKind, ConfigError, ObjectModel, Policy, Side
@@ -54,8 +57,8 @@ def removal_count(eligible: int, fraction: float) -> int:
 
 
 def remove_cells(om: ObjectModel, fraction: float, rng: random.Random) -> list:
-    """Hide a seeded sample of eligible cells.  Returns (side, id, attr,
-    original value) tuples; apply restore_cells to undo."""
+    """Hide a seeded sample of eligible cells in place.  Returns (side, id,
+    attr, original value) tuples; apply restore_cells to undo."""
     cells = eligible_cells(om)
     picked = rng.sample(cells, removal_count(len(cells), fraction))
     removed = []
@@ -144,30 +147,26 @@ def evaluate_run(
     run_index: int = 0,
     config: HarnessConfig = None,
 ) -> RunResult:
-    """One removal run on the policy's model.  The model is restored
-    afterwards even if prediction fails."""
+    """One removal run.  Cells are hidden in a private copy of the policy's
+    model, so the policy itself is never modified."""
     config = config or HarnessConfig()
-    om = policy.model
-    rng = random.Random(seed)
     start = time.perf_counter()
-    removed = remove_cells(om, fraction, rng)
-    try:
-        clustering = cluster_objects(om, config.clustering)
-        predictions = predict_missing(
-            om, clustering, entitlements, config.prediction, config.features
-        )
-        by_cell = {(p.side, p.object_id, p.attr): p for p in predictions}
-        outcomes = []
-        for side, oid, attr, truth in removed:
-            p = by_cell[(side, oid, attr)]
-            if p.predicted:
-                kind = om.schema.kind(side, attr)
-                ok = score_prediction(kind, p.value, truth, config.subset_ok)
-            else:
-                ok = None
-            outcomes.append(CellOutcome(side, oid, attr, truth, p.value, p.confidence, ok))
-    finally:
-        restore_cells(om, removed)
+    om = policy.model.copy()
+    removed = remove_cells(om, fraction, random.Random(seed))
+    clustering = cluster_objects(om, config.clustering)
+    predictions = predict_missing(
+        om, clustering, entitlements, config.prediction, config.features
+    )
+    by_cell = {(p.side, p.object_id, p.attr): p for p in predictions}
+    outcomes = []
+    for side, oid, attr, truth in removed:
+        p = by_cell[(side, oid, attr)]
+        if p.predicted:
+            kind = om.schema.kind(side, attr)
+            ok = score_prediction(kind, p.value, truth, config.subset_ok)
+        else:
+            ok = None
+        outcomes.append(CellOutcome(side, oid, attr, truth, p.value, p.confidence, ok))
     elapsed = time.perf_counter() - start
     return RunResult(scale, fraction, run_index, seed, outcomes, elapsed)
 
@@ -176,6 +175,7 @@ def evaluate_run(
 class MatrixResult:
     template: str
     runs: list
+    policies: dict  # scale -> (policy, reference entitlements)
 
     def pooled(self, scale: int, fraction: float):
         """(coverage, accuracy) over all runs of one (scale, fraction)."""
@@ -208,55 +208,29 @@ def evaluate_matrix(
     runs: int,
     base_seed: int = 0,
     config: HarnessConfig = None,
-    generate_policy=None,
     jobs: int = 1,
 ) -> MatrixResult:
     """Removal sweep over scales x fractions x run indices.
 
-    generate_policy(scale) may be supplied to evaluate custom models; by
-    default the named template is generated per scale with a seed derived
-    from base_seed.  With jobs > 1 runs execute concurrently, each on a
-    private copy of the model; results are merged in grid order either way.
+    Each scale's policy is generated from the named template with seed
+    base_seed + scale, and its reference entitlements are computed once.
+    Runs never modify the policy, so up to `jobs` of them run at a time on
+    threads; results come back in grid order whatever `jobs` is.
     """
-    from .generator import GeneratorConfig, generate
-
-    if generate_policy is None:
-        def generate_policy(scale):
-            return generate(GeneratorConfig(template=template, scale=scale, seed=base_seed + scale))
-
-    results = []
+    policies = {}
     for scale in scales:
-        policy = generate_policy(scale)
-        ents = _entitlements_of(policy)
-        tasks = [
-            (fraction, run_index, run_seed(base_seed, scale, fraction, run_index))
-            for fraction in fractions
-            for run_index in range(runs)
-        ]
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
+        policy = generator.generate(
+            generator.GeneratorConfig(template=template, scale=scale, seed=base_seed + scale)
+        )
+        policies[scale] = (policy, generator.reference_entitlements(policy))
 
-            from .policy_io import policy_from_dict, policy_to_dict
+    def one(task):
+        scale, fraction, run_index = task
+        policy, ents = policies[scale]
+        seed = run_seed(base_seed, scale, fraction, run_index)
+        return evaluate_run(policy, ents, fraction, seed, scale, run_index, config)
 
-            doc = policy_to_dict(policy)
-
-            def one(task):
-                fraction, run_index, seed = task
-                # private model: evaluate_run mutates cells in place
-                own = policy_from_dict(doc)
-                return evaluate_run(own, ents, fraction, seed, scale, run_index, config)
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results.extend(pool.map(one, tasks))
-        else:
-            for fraction, run_index, seed in tasks:
-                results.append(
-                    evaluate_run(policy, ents, fraction, seed, scale, run_index, config)
-                )
-    return MatrixResult(template=template, runs=results)
-
-
-def _entitlements_of(policy: Policy):
-    from .generator import reference_entitlements
-
-    return reference_entitlements(policy)
+    tasks = [(s, f, i) for s in scales for f in fractions for i in range(runs)]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(one, tasks))
+    return MatrixResult(template=template, runs=results, policies=policies)

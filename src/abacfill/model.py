@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 
 class AbacError(Exception):
@@ -220,6 +220,15 @@ class ObjectModel:
     def side_objects(self, side: Side) -> dict:
         return self.users if side is Side.USER else self.resources
 
+    def copy(self) -> "ObjectModel":
+        """A model whose cells can be rewritten without touching this one.
+        Only the cell dicts are mutable: schema and values are shared."""
+
+        def fresh(table):
+            return {oid: Obj(o.id, o.side, dict(o.attrs)) for oid, o in table.items()}
+
+        return ObjectModel(self.schema, fresh(self.users), fresh(self.resources), self.actions)
+
     def validate(self) -> None:
         for side, table in ((Side.USER, self.users), (Side.RESOURCE, self.resources)):
             declared = {a.name: a for a in self.schema.for_side(side)}
@@ -299,7 +308,3 @@ def _check_constraint(schema: Schema, con: AtomicConstraint) -> None:
         or schema.kind(Side.RESOURCE, con.res_attr) is not want_r
     ):
         raise SchemaError(f"constraint kind mismatch: {con.render()}")
-
-
-def make_multi(values: Iterable) -> frozenset:
-    return frozenset(str(v) for v in values)

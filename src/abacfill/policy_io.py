@@ -231,7 +231,9 @@ def save_entitlements(ents, path: str) -> None:
         fh.write(entitlements_to_csv(ents))
 
 
-def load_entitlements(path: str):
+def load_entitlements(path: str, model: ObjectModel = None):
+    """Entitlement rows of a CSV file.  Given a model, every row must name
+    one of its users, resources and actions."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -245,5 +247,14 @@ def load_entitlements(path: str):
             continue
         if len(row) != 3:
             raise InputError(f"{path}:{i}: expected 3 columns")
-        out.add(Entitlement(row[0], row[1], row[2]))
+        ent = Entitlement(row[0], row[1], row[2])
+        if model is not None:
+            for what, name, known in (
+                ("user", ent.user, model.users),
+                ("resource", ent.resource, model.resources),
+                ("action", ent.action, model.actions),
+            ):
+                if name not in known:
+                    raise InputError(f"{path}:{i}: unknown {what} {name!r}")
+        out.add(ent)
     return out

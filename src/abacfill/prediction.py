@@ -22,16 +22,10 @@ as its weakest one.  No candidates at all means no prediction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .clustering import Clustering, Group
-from .features import (
-    FeatureConfig,
-    LearningData,
-    RankedFeatures,
-    build_learning_data,
-    rank_features,
-)
+from .features import FeatureConfig, build_learning_data, rank_features
 from .model import (
     MISSING,
     NULL,
@@ -102,7 +96,7 @@ class TripleCache:
         self._store = {}
 
     def ranked(self, gu: Group, gr: Group, action: str):
-        """RankedFeatures for the triple, or None when it has no usable rows."""
+        """RankedFeature tuple for the triple, or None when it has no usable rows."""
         key = (gu.gid, gr.gid, action)
         if key not in self._store:
             data = build_learning_data(self.om, gu, gr, action, self.entitlements)

@@ -150,13 +150,24 @@ def test_evaluate_outputs_are_byte_identical(tmp_path, capsys):
 
 
 def test_evaluate_jobs_do_not_change_output(tmp_path, capsys):
-    texts = []
-    for jobs in ("1", "4"):
-        csv_path = tmp_path / f"j{jobs}.csv"
-        assert run(capsys, "evaluate", "--template", "university", "--scales", "1",
-                   "--runs", "2", "--jobs", jobs, "--csv", str(csv_path))[0] == 0
-        texts.append(csv_path.read_text())
-    assert texts[0] == texts[1]
+    for template in ("university", "project"):
+        outs = []
+        for jobs in ("1", "4"):
+            csv_path = tmp_path / f"{template}-j{jobs}.csv"
+            json_path = tmp_path / f"{template}-j{jobs}.json"
+            assert run(capsys, "evaluate", "--template", template, "--scales", "1",
+                       "--runs", "2", "--jobs", jobs,
+                       "--csv", str(csv_path), "--json", str(json_path))[0] == 0
+            outs.append((csv_path.read_bytes(), json_path.read_bytes()))
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--runs"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_evaluate_rejects_counts_below_one(capsys, flag, value):
+    code, _, err = run(capsys, "evaluate", "--template", "university", flag, value)
+    assert code == 1
+    assert flag in err and "positive integer" in err
 
 
 def test_evaluate_timing_fills_the_time_column(tmp_path, capsys):
@@ -193,6 +204,46 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(capsys, "cluster", "--policy", CAMPUS, "--config", str(cfg))
     assert code == 1
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("cluster", {"st": "high"}, "st"),
+        ("cluster", {"weights": {"position": "x"}}, "weights.position"),
+        ("cluster", {"weights": {"position": None}}, "weights.position"),
+        ("predict", {"ntcf": ["a", 5]}, "ntcf"),
+        ("evaluate", {"seed": "abc"}, "seed"),
+    ],
+)
+def test_config_file_rejects_wrong_types(tmp_path, capsys, command, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    args = {
+        "cluster": ["--policy", CAMPUS],
+        "predict": ["--policy", CAMPUS, "--entitlements", CAMPUS_ENTS],
+        "evaluate": ["--template", "university", "--runs", "1", "--percents", "3"],
+    }[command]
+    code, _, err = run(capsys, command, *args, "--config", str(cfg))
+    assert code == 1
+    assert f"{key} must be" in err
+
+
+@pytest.mark.parametrize("row, what", [
+    ("nobody,cs101gb,modify", "user 'nobody'"),
+    ("csFac1,nothing,modify", "resource 'nothing'"),
+    ("csFac1,cs101gb,fly", "action 'fly'"),
+])
+def test_entitlement_rows_must_name_known_objects(tmp_path, capsys, row, what):
+    ents = tmp_path / "ents.csv"
+    lines = pathlib.Path(CAMPUS_ENTS).read_text().splitlines()
+    ents.write_text("\n".join(lines + [row]) + "\n")
+    where = f"{ents}:{len(lines) + 1}: unknown {what}"
+    code, _, err = run(capsys, "predict", "--policy", CAMPUS, "--entitlements", str(ents))
+    assert code == 1 and where in err
+    code, _, err = run(capsys, "features", "--policy", CAMPUS, "--entitlements", str(ents),
+                       "--user", "csFac1", "--resource", "cs101gb", "--action", "modify")
+    assert code == 1 and where in err
 
 
 def test_missing_file_is_an_input_error(capsys):

@@ -211,7 +211,7 @@ def test_campus_ranking(campus_groups, campus_entitlements):
         "coursesTaught contains course",
     ]
     assert [rf.characterizing for rf in ranked] == [True, True, False]
-    assert ranked.entries[2].coefficient == pytest.approx(1.0, abs=1e-6)
+    assert ranked[2].coefficient == pytest.approx(1.0, abs=1e-6)
     # nothing ranked mentions the user's department
     assert not any(rf.feature.mentions(Side.USER, "department") for rf in ranked)
 
@@ -300,7 +300,7 @@ def test_characterizing_constraint_subsumes_one_sided_constants():
     ranked = rank_features(om, gu, gr, data)
     rendered = [rf.feature.render() for rf in ranked]
     assert rendered == ["dept equal dept"]
-    assert ranked.entries[0].characterizing
+    assert ranked[0].characterizing
 
 
 def test_characterizing_constraint_allowed_with_single_row():

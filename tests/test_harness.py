@@ -174,6 +174,16 @@ def test_evaluate_matrix_shape_and_pooling():
     assert acc == 1.0
 
 
+def test_evaluate_matrix_builds_each_scale_once():
+    result = evaluate_matrix("university", scales=(1, 2), fractions=(0.03,), runs=2, base_seed=5)
+    assert sorted(result.policies) == [1, 2]
+    for scale, (policy, ents) in result.policies.items():
+        want = generate(GeneratorConfig(template="university", scale=scale, seed=5 + scale))
+        assert policy_to_dict(policy) == policy_to_dict(want)
+        assert ents == reference_entitlements(want)
+        assert not policy.model.missing_cells()  # runs never touch the policy
+
+
 def test_harness_config_defaults():
     cfg = HarnessConfig()
     assert cfg.clustering.threshold == 0.1

@@ -148,6 +148,17 @@ def test_missing_cells_enumeration(campus_policy):
     ]
 
 
+def test_model_copy_is_independent(campus_policy):
+    om = campus_policy.model
+    own = om.copy()
+    assert own.schema is om.schema and own.actions == om.actions
+    assert list(own.users) == list(om.users) and list(own.resources) == list(om.resources)
+    for oid, obj in om.users.items():
+        assert own.users[oid] is not obj and own.users[oid].attrs == obj.attrs
+    own.users["csFac1"].attrs["position"] = MISSING
+    assert om.users["csFac1"].attrs["position"] is not MISSING
+
+
 def test_rule_render_mentions_every_part():
     r = Rule(
         (AtomicCondition("dept", "in", frozenset({"cs", "ee"})),),

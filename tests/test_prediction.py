@@ -5,7 +5,7 @@ the taught-course constraint sits at rank 3 in that triple's ranking."""
 import pytest
 
 from abacfill.clustering import ClusteringConfig, Group, cluster_objects
-from abacfill.features import Feature, RankedFeature, RankedFeatures
+from abacfill.features import Feature, RankedFeature
 from abacfill.model import (
     MISSING,
     NULL,
@@ -204,9 +204,9 @@ def test_multi_cell_takes_all_values_at_weakest_confidence():
         return RankedFeature(f, 0.9, False)
 
     rankings = {
-        (g_u.gid, g_r1.gid, "read"): RankedFeatures(entries=(entry(filler), entry(wants))),
-        (g_u.gid, g_r2.gid, "read"): RankedFeatures(
-            entries=(entry(filler), entry(filler), entry(filler), entry(covers))
+        (g_u.gid, g_r1.gid, "read"): (entry(filler), entry(wants)),
+        (g_u.gid, g_r2.gid, "read"): (
+            entry(filler), entry(filler), entry(filler), entry(covers)
         ),
     }
     cache = _FixedCache(ents, rankings)
