@@ -13,6 +13,7 @@ are refined again until stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .model import MISSING, NULL, ConfigError, Obj, ObjectModel, Side
@@ -30,8 +31,8 @@ class ClusteringConfig:
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"similarity threshold must be in [0, 1]: {self.threshold}")
         for name, w in self.weights.items():
-            if w <= 0:
-                raise ConfigError(f"attribute weight must be positive: {name}={w}")
+            if not (math.isfinite(w) and w > 0):
+                raise ConfigError(f"attribute weight must be finite and positive: {name}={w}")
 
     def weight(self, attr: str) -> float:
         return self.weights.get(attr, 1.0)

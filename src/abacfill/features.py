@@ -10,8 +10,17 @@ For a pair of groups and one action, the candidate features are:
 
 Rows are the (user, resource) pairs whose objects have no unknown cells;
 the label says whether that pair holds the action in the reference
-entitlement set.  A least-squares fit scores the features, and the ranking
-puts structurally certain features ahead of fitted ones:
+entitlement set.  A least-squares fit scores the features.  The fit needs
+only the design's sufficient statistics (row count, column sums, X'X, X'y
+and the positives count), and those are computed per side without building
+the pair x feature design: a condition column depends on one side only, so
+its blocks follow from that side's 0/1 member x condition matrix scaled by
+the other side's size, and condition x condition blocks across the sides
+are outer products of column sums.  Only constraint columns are evaluated
+per pair, as users x resources boolean matrices over integer-coded values.
+The statistics are integers, so the fit centers them exactly.
+
+The ranking puts structurally certain features ahead of fitted ones:
 
 * characterizing features hold on every row; conditions additionally need
   at least two members with a known supporting value and none with a
@@ -30,18 +39,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import Tri, eval_atomic_condition, eval_atomic_constraint
 from .model import (
     CONSTRAINT_KINDS,
     MISSING,
     NULL,
-    AbacError,
     AtomicCondition,
     AtomicConstraint,
     ConfigError,
-    Entitlement,
+    EntitlementIndex,
     InsufficientDataError,
     ObjectModel,
+    SchemaError,
     Side,
 )
 
@@ -85,12 +93,6 @@ class Feature:
                 return self.constraint.user_attr == attr
             return self.constraint.res_attr == attr
         return self.side is side and self.condition.attr == attr
-
-    def evaluate(self, user, res) -> Tri:
-        if self.constraint is not None:
-            return eval_atomic_constraint(user, res, self.constraint)
-        obj = user if self.side is Side.USER else res
-        return eval_atomic_condition(obj, self.condition)
 
     def sort_key(self):
         if self.condition is not None:
@@ -169,79 +171,193 @@ def is_untainted(obj) -> bool:
 
 @dataclass
 class LearningData:
-    """Design matrix for one (user group, resource group, action) triple."""
+    """Sufficient statistics of one (user group, resource group, action)
+    triple's least-squares fit.  The design they summarize has one 0/1 row
+    per untainted (user, resource) member pair and one column per feature;
+    it is never built."""
 
     features: tuple
-    matrix: np.ndarray  # (rows, features) of 0.0/1.0
-    labels: np.ndarray  # (rows,) of 0.0/1.0
-    pairs: tuple  # (user id, resource id) per row
+    row_count: int
+    positives: int  # rows whose pair holds the action
+    sums: np.ndarray  # (features,) column sums of the design
+    gram: np.ndarray  # (features, features) design' design
+    xty: np.ndarray  # (features,) design' labels
+    all_true: np.ndarray  # (features,) bool: true on every row
 
-    @property
-    def row_count(self) -> int:
-        return int(self.matrix.shape[0])
+
+def _elements(v):
+    """A cell's values as an iterable: the set itself, or a one-value tuple."""
+    return v if isinstance(v, frozenset) else (v,)
+
+
+def _condition_matrix(objs, conds) -> np.ndarray:
+    """0/1 objects x conditions.  Every condition tests one value: 'in' a
+    singleton set, or 'contains' one element; NULL cells match nothing."""
+    column = {
+        (c.attr, next(iter(c.val)) if c.op == "in" else c.val): j for j, c in enumerate(conds)
+    }
+    rows, cols = [], []
+    for i, obj in enumerate(objs):
+        for name, v in obj.attrs.items():
+            if v is NULL:
+                continue
+            for e in _elements(v):
+                j = column.get((name, e))
+                if j is not None:
+                    rows.append(i)
+                    cols.append(j)
+    A = np.zeros((len(objs), len(conds)), dtype=np.int64)
+    A[rows, cols] = 1
+    return A
+
+
+def _vocabulary(values) -> dict:
+    """Code per distinct element of the known cells."""
+    vocab = {}
+    for v in values:
+        if v is not NULL:
+            for e in _elements(v):
+                vocab.setdefault(e, len(vocab))
+    return vocab
+
+
+def _codes(values, vocab, absent: int) -> np.ndarray:
+    """Code of each single-valued cell; absent for NULL and unseen values."""
+    return np.array([vocab.get(v, absent) for v in values], dtype=np.intp)
+
+
+def _indicator(values, vocab) -> np.ndarray:
+    """objects x (vocabulary + 1) bool: the object's cell holds the element.
+    The extra last column is all false, so code -1 looks up false."""
+    rows, cols = [], []
+    for i, v in enumerate(values):
+        if v is not NULL:
+            for e in v:
+                j = vocab.get(e)
+                if j is not None:
+                    rows.append(i)
+                    cols.append(j)
+    M = np.zeros((len(values), len(vocab) + 1), dtype=bool)
+    M[rows, cols] = True
+    return M
+
+
+def constraint_matrix(con: AtomicConstraint, users, resources) -> np.ndarray:
+    """users x resources bool truth of the constraint over known cells, by
+    integer codes per distinct value.  NULL on either side gives false."""
+    uvals = [u.value(con.user_attr) for u in users]
+    rvals = [r.value(con.res_attr) for r in resources]
+    if con.op == "equal":
+        vocab = _vocabulary(uvals)
+        return _codes(uvals, vocab, -1)[:, None] == _codes(rvals, vocab, -2)[None, :]
+    if con.op == "in":
+        vocab = _vocabulary(uvals)
+        return _indicator(rvals, vocab)[:, _codes(uvals, vocab, -1)].T
+    if con.op == "contains":
+        vocab = _vocabulary(rvals)
+        return _indicator(uvals, vocab)[:, _codes(rvals, vocab, -1)]
+    if con.op == "supseteq":
+        # the user lacks none of the resource's elements
+        vocab = _vocabulary(rvals)
+        lacks = (~_indicator(uvals, vocab)[:, :-1]).astype(float)
+        lacked = lacks @ _indicator(rvals, vocab)[:, :-1].T.astype(float)
+        known_u = np.array([v is not NULL for v in uvals], dtype=bool)
+        known_r = np.array([v is not NULL for v in rvals], dtype=bool)
+        return (lacked == 0) & known_u[:, None] & known_r[None, :]
+    raise SchemaError(f"unknown constraint operator: {con.op}")
+
+
+def _int_product(a, b) -> np.ndarray:
+    """a @ b of 0/1 or count matrices, through BLAS; exact below 2**53."""
+    return (np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)).astype(np.int64)
 
 
 def build_learning_data(om, user_group, res_group, action, entitlements) -> LearningData:
-    """Rows over untainted member pairs; features enumerated from all members.
+    """Fit statistics over untainted member pairs; features enumerated from
+    all members.
 
     An object with any unknown cell is left out of the rows: its feature
     columns could not be evaluated definitely.  Its known values still feed
-    feature enumeration.
+    feature enumeration.  Condition columns depend on one side only, so
+    their blocks of the statistics come from per-side 0/1 matrices; only
+    the constraint columns are evaluated per pair.
     """
     user_members = [om.users[i] for i in user_group.members]
     res_members = [om.resources[i] for i in res_group.members]
     features = enumerate_features(om, user_members, res_members)
+    users = [u for u in user_members if is_untainted(u)]
+    resources = [r for r in res_members if is_untainted(r)]
+    nu, nr = len(users), len(resources)
 
-    rows = []
-    labels = []
-    pairs = []
-    for u in user_members:
-        if not is_untainted(u):
-            continue
-        for r in res_members:
-            if not is_untainted(r):
-                continue
-            vec = []
-            for f in features:
-                v = f.evaluate(u, r)
-                if v is Tri.UNKNOWN:
-                    raise AbacError(f"unknown feature value on untainted pair {u.id}, {r.id}")
-                vec.append(1.0 if v is Tri.TRUE else 0.0)
-            rows.append(vec)
-            labels.append(1.0 if Entitlement(u.id, r.id, action) in entitlements else 0.0)
-            pairs.append((u.id, r.id))
+    # canonical order puts user conditions, resource conditions and
+    # constraints in three runs: the blocks of the statistics
+    ucond = [f.condition for f in features if f.condition is not None and f.side is Side.USER]
+    rcond = [f.condition for f in features if f.condition is not None and f.side is Side.RESOURCE]
+    cons = [f.constraint for f in features if f.is_constraint]
+    Au = _condition_matrix(users, ucond)
+    Ar = _condition_matrix(resources, rcond)
+    C = np.zeros((len(cons), nu, nr), dtype=bool)
+    for k, con in enumerate(cons):
+        C[k] = constraint_matrix(con, users, resources)
 
-    matrix = np.array(rows, dtype=float) if rows else np.zeros((0, len(features)))
+    index = EntitlementIndex.of(entitlements)
+    column = {r.id: j for j, r in enumerate(resources)}
+    Y = np.zeros((nu, nr), dtype=np.int64)
+    for i, u in enumerate(users):
+        for rid in index.resources(u.id, action):
+            j = column.get(rid)
+            if j is not None:
+                Y[i, j] = 1
+
+    # a condition column repeats its side's value across the other side, so
+    # its cross terms with a constraint need only the constraint's per-side sums
+    su, sr = Au.sum(0), Ar.sum(0)
+    Cflat = C.reshape(len(cons), nu * nr)
+    uc = _int_product(Au.T, C.sum(axis=2).T)
+    rc = _int_product(Ar.T, C.sum(axis=1).T)
+    ur = np.outer(su, sr)
+    gram = np.block(
+        [
+            [_int_product(Au.T, Au) * nr, ur, uc],
+            [ur.T, _int_product(Ar.T, Ar) * nu, rc],
+            [uc.T, rc.T, _int_product(Cflat, Cflat.T)],
+        ]
+    )
+    sums = np.concatenate([su * nr, sr * nu, Cflat.sum(1)])
+    xty = np.concatenate([Au.T @ Y.sum(1), Ar.T @ Y.sum(0), _int_product(Cflat, Y.reshape(-1))])
+    all_true = np.concatenate([Au.all(0), Ar.all(0), Cflat.all(1)]) | (nu * nr == 0)
     return LearningData(
         features=tuple(features),
-        matrix=matrix,
-        labels=np.array(labels, dtype=float),
-        pairs=tuple(pairs),
+        row_count=nu * nr,
+        positives=int(Y.sum()),
+        sums=sums,
+        gram=gram,
+        xty=xty,
+        all_true=all_true,
     )
 
 
-def fit_least_squares(X, y, ridge: float = 1e-8):
-    """Least squares with an intercept, solved on centered data with a tiny
-    ridge term for numerical stability.
+def fit_least_squares(n, sums, gram, xty, ysum, ridge: float = 1e-8):
+    """Least squares with an intercept from the fit's sufficient statistics:
+    row count n, column sums, gram = X'X, xty = X'y and ysum = sum of y.
+    Returns (intercept, coefficients).
 
-    Centering makes constant columns exactly inert: their centered column
-    is zero, so they get coefficient zero rather than sharing weight with
-    the intercept.  Returns (intercept, coefficients).
+    The data are centered: the centered gram is (n*gram - sums sums')/n,
+    and a tiny ridge term keeps the solve stable.  Both sides are scaled by
+    n, so integer statistics are centered exactly.  Centering makes constant
+    columns exactly inert: their centered column is zero, so they get
+    coefficient zero rather than sharing weight with the intercept.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, d = X.shape
     if n == 0:
         raise InsufficientDataError("cannot fit with zero rows")
+    sums = np.asarray(sums)
+    d = len(sums)
     if d == 0:
-        return float(y.mean()), np.zeros(0)
-    xm = X.mean(axis=0)
-    ym = y.mean()
-    Xc = X - xm
-    yc = y - ym
-    gram = Xc.T @ Xc + ridge * np.eye(d)
-    coefs = np.linalg.solve(gram, Xc.T @ yc)
-    intercept = ym - float(coefs @ xm)
+        return ysum / n, np.zeros(0)
+    centered_gram = n * np.asarray(gram) - np.outer(sums, sums)
+    centered_xty = n * np.asarray(xty) - sums * ysum
+    coefs = np.linalg.solve(centered_gram + n * ridge * np.eye(d), centered_xty.astype(float))
+    intercept = (ysum - float(coefs @ sums)) / n
     return intercept, coefs
 
 
@@ -269,6 +385,10 @@ def _extent_supports(members, cond: AtomicCondition) -> bool:
     return supporting >= 2
 
 
+#: fitted coefficients closer than this to their neighbour in rank tie
+TIE_TOLERANCE = 1e-6
+
+
 def rank_features(
     om, user_group, res_group, data: LearningData, config: FeatureConfig = None
 ) -> tuple:
@@ -285,19 +405,19 @@ def rank_features(
         raise InsufficientDataError(
             f"no fully known member pairs for groups {user_group.gid} and {res_group.gid}"
         )
-    if not any(data.labels):
+    if data.positives == 0:
         # every observable pair is denied: there is no access pattern to
         # learn, only coincidental constants, so refuse rather than guess
         raise InsufficientDataError(
             f"no granted pairs between groups {user_group.gid} and {res_group.gid}"
         )
-    _, coefs = fit_least_squares(data.matrix, data.labels, ridge=config.ridge)
-
-    const_true = data.matrix.min(axis=0) > 0.5
+    _, coefs = fit_least_squares(
+        data.row_count, data.sums, data.gram, data.xty, data.positives, ridge=config.ridge
+    )
 
     characterizing = set()
     for j, f in enumerate(data.features):
-        if not const_true[j]:
+        if not data.all_true[j]:
             continue
         if f.is_constraint:
             characterizing.add(j)
@@ -332,15 +452,20 @@ def rank_features(
     # collinear columns share one signal evenly, so a cross-side link and
     # the per-value conditions shadowing it tie; the link carries strictly
     # more information and must not be gated out by its own shadows.
-    # Coefficients are quantized so solver noise cannot mask such a tie.
-    tier_b = sorted(
-        rest,
-        key=lambda j: (
-            -round(float(coefs[j]), 6),
-            0 if data.features[j].is_constraint else 1,
-            data.features[j].sort_key(),
-        ),
-    )
+    # Coefficients within TIE_TOLERANCE of their neighbour in descending
+    # order form one tie, so solver noise, which can reach 1e-8 in
+    # ill-conditioned triples, neither splits a tie nor orders inside one.
+    def within_tie(j):
+        f = data.features[j]
+        return (0 if f.is_constraint else 1, f.sort_key())
+
+    tier_b, tie = [], []
+    for j in sorted(rest, key=lambda j: -coefs[j]):
+        if tie and coefs[tie[-1]] - coefs[j] > TIE_TOLERANCE:
+            tier_b += sorted(tie, key=within_tie)
+            tie = []
+        tie.append(j)
+    tier_b += sorted(tie, key=within_tie)
 
     return tuple(
         RankedFeature(data.features[j], float(coefs[j]), j in characterizing)

@@ -142,6 +142,35 @@ class Entitlement(NamedTuple):
     action: str
 
 
+class EntitlementIndex:
+    """Entitlements by object: the resources of a (user, action), the users
+    of a (resource, action), and each object's own entitlements."""
+
+    def __init__(self, entitlements):
+        self._resources = {}  # (user, action) -> set of resource ids
+        self._users = {}  # (resource, action) -> set of user ids
+        self._own = {}  # (Side, id) -> [Entitlement]
+        for e in entitlements:
+            self._resources.setdefault((e.user, e.action), set()).add(e.resource)
+            self._users.setdefault((e.resource, e.action), set()).add(e.user)
+            self._own.setdefault((Side.USER, e.user), []).append(e)
+            self._own.setdefault((Side.RESOURCE, e.resource), []).append(e)
+
+    @classmethod
+    def of(cls, entitlements) -> "EntitlementIndex":
+        """The index itself, or a new index over a collection of Entitlements."""
+        return entitlements if isinstance(entitlements, cls) else cls(entitlements)
+
+    def resources(self, user: str, action: str):
+        return self._resources.get((user, action), frozenset())
+
+    def users(self, resource: str, action: str):
+        return self._users.get((resource, action), frozenset())
+
+    def own(self, side: Side, oid: str) -> list:
+        return self._own.get((side, oid), [])
+
+
 class AtomicCondition(NamedTuple):
     """Test of one object attribute.
 

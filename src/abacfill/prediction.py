@@ -31,7 +31,7 @@ from .model import (
     NULL,
     AttrKind,
     ConfigError,
-    Entitlement,
+    EntitlementIndex,
     InsufficientDataError,
     ObjectModel,
     Side,
@@ -87,11 +87,12 @@ class CellPrediction:
 
 
 class TripleCache:
-    """Memoizes learned rankings per (user group, resource group, action)."""
+    """Memoizes learned rankings per (user group, resource group, action).
+    Holds the one entitlement index that learning and lookup share."""
 
     def __init__(self, om: ObjectModel, entitlements, feature_config: FeatureConfig = None):
         self.om = om
-        self.entitlements = entitlements
+        self.entitlements = EntitlementIndex.of(entitlements)
         self.feature_config = feature_config or FeatureConfig()
         self._store = {}
 
@@ -108,13 +109,13 @@ class TripleCache:
         return self._store[key]
 
 
-def relevant_group_triples(clustering: Clustering, entitlements, side: Side, oid: str):
+def relevant_group_triples(
+    clustering: Clustering, entitlements: EntitlementIndex, side: Side, oid: str
+):
     """Distinct (user group, resource group, action) triples from the
     object's own entitlements, in a stable order."""
     triples = {}
-    for e in entitlements:
-        if (side is Side.USER and e.user != oid) or (side is Side.RESOURCE and e.resource != oid):
-            continue
+    for e in entitlements.own(side, oid):
         gu = clustering.group_of(Side.USER, e.user)
         gr = clustering.group_of(Side.RESOURCE, e.resource)
         triples[(gu.gid, gr.gid, e.action)] = (gu, gr, e.action)
@@ -129,10 +130,12 @@ def _gather_constraint_values(om, entitlements, side, oid, gu, gr, action, const
     every element, single-valued ones their value.
     """
     if side is Side.USER:
-        counterpart_ids = [r for r in gr.members if Entitlement(oid, r, action) in entitlements]
+        linked = entitlements.resources(oid, action)
+        counterpart_ids = [r for r in gr.members if r in linked]
         table, other_attr = om.resources, constraint.res_attr
     else:
-        counterpart_ids = [u for u in gu.members if Entitlement(u, oid, action) in entitlements]
+        linked = entitlements.users(oid, action)
+        counterpart_ids = [u for u in gu.members if u in linked]
         table, other_attr = om.users, constraint.user_attr
     values = []
     for cid in counterpart_ids:

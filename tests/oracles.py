@@ -1,12 +1,25 @@
 """Independent reference implementations used to check the package.
 
-Everything here works directly on the raw JSON document shape and plain
-Python values, sharing no code with the package under test.
+The policy and solver oracles work directly on the raw JSON document shape
+and plain Python values, sharing no code with the package under test.  The
+dense learning reference is the slow path that factorized learning
+replaced: it builds the whole pair x feature design matrix with the
+package's three-valued evaluator and features, so that it checks only the
+factorization and the fit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
+
+from abacfill import features as features_module
+from abacfill.evaluate import Tri, eval_atomic_condition, eval_atomic_constraint
+from abacfill.features import FeatureConfig, LearningData, enumerate_features, is_untainted
+from abacfill.model import AbacError, Entitlement, Side
 
 T, F, U = "T", "F", "U"
 
@@ -170,3 +183,130 @@ def random_small_policy(rng, max_side=4):
         "resources": resources,
         "rules": rules,
     }
+
+
+# --- dense learning reference ---
+
+
+@dataclass
+class DenseLearningData:
+    """Design matrix for one (user group, resource group, action) triple."""
+
+    features: tuple
+    matrix: np.ndarray  # (rows, features) of 0.0/1.0
+    labels: np.ndarray  # (rows,) of 0.0/1.0
+    pairs: tuple  # (user id, resource id) per row
+
+    @property
+    def row_count(self) -> int:
+        return int(self.matrix.shape[0])
+
+
+def _evaluate(feature, user, res):
+    if feature.constraint is not None:
+        return eval_atomic_constraint(user, res, feature.constraint)
+    obj = user if feature.side is Side.USER else res
+    return eval_atomic_condition(obj, feature.condition)
+
+
+def dense_learning_data(om, user_group, res_group, action, entitlements) -> DenseLearningData:
+    """One row per untainted member pair, one evaluator call per cell."""
+    user_members = [om.users[i] for i in user_group.members]
+    res_members = [om.resources[i] for i in res_group.members]
+    features = enumerate_features(om, user_members, res_members)
+    entitlements = set(entitlements)
+
+    rows, labels, pairs = [], [], []
+    for u in user_members:
+        if not is_untainted(u):
+            continue
+        for r in res_members:
+            if not is_untainted(r):
+                continue
+            vec = []
+            for f in features:
+                v = _evaluate(f, u, r)
+                if v is Tri.UNKNOWN:
+                    raise AbacError(f"unknown feature value on untainted pair {u.id}, {r.id}")
+                vec.append(1.0 if v is Tri.TRUE else 0.0)
+            rows.append(vec)
+            labels.append(1.0 if Entitlement(u.id, r.id, action) in entitlements else 0.0)
+            pairs.append((u.id, r.id))
+
+    matrix = np.array(rows, dtype=float) if rows else np.zeros((0, len(features)))
+    return DenseLearningData(tuple(features), matrix, np.array(labels, dtype=float), tuple(pairs))
+
+
+def design_statistics(X, y, features=()) -> LearningData:
+    """The fit statistics of an explicit design: integer when X and y are."""
+    X = np.asarray(X)
+    y = np.asarray(y)
+    if np.array_equal(X, X.round()) and np.array_equal(y, y.round()):
+        X, y = X.astype(np.int64), y.astype(np.int64)
+    return LearningData(
+        features=tuple(features),
+        row_count=X.shape[0],
+        positives=y.sum(),
+        sums=X.sum(axis=0),
+        gram=X.T @ X,
+        xty=X.T @ y,
+        all_true=(X > 0.5).all(axis=0),
+    )
+
+
+def fit_design(X, y, ridge: float = 1e-8):
+    """The package's fit, reached from an explicit design through its statistics."""
+    s = design_statistics(X, y)
+    return features_module.fit_least_squares(
+        s.row_count, s.sums, s.gram, s.xty, s.positives, ridge=ridge
+    )
+
+
+def dense_fit(X, y, ridge: float = 1e-8):
+    """Centered ridge least squares on the explicit design, in floating point."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xm = X.mean(axis=0)
+    ym = y.mean()
+    Xc = X - xm
+    coefs = np.linalg.solve(Xc.T @ Xc + ridge * np.eye(X.shape[1]), Xc.T @ (y - ym))
+    return ym - float(coefs @ xm), coefs
+
+
+def exact_ridge_fit(X, y, ridge: float = 1e-8):
+    """Coefficients of the centered ridge fit of an integer design, solved in
+    rational arithmetic: the value both floating-point fits approximate."""
+    X = np.asarray(X).astype(np.int64)
+    y = np.asarray(y).astype(np.int64)
+    n, d = X.shape
+    sums = X.sum(axis=0)
+    gram = n * (X.T @ X) - np.outer(sums, sums)
+    rhs = n * (X.T @ y) - sums * int(y.sum())
+    shift = n * Fraction(ridge)
+    rows = [
+        [Fraction(int(gram[i, j])) + (shift if i == j else 0) for j in range(d)]
+        + [Fraction(int(rhs[i]))]
+        for i in range(d)
+    ]
+    # Gauss-Jordan elimination; the matrix is positive definite, so every
+    # pivot is non-zero
+    for c in range(d):
+        pivot = rows[c]
+        for r in range(d):
+            factor = rows[r][c] / pivot[c]
+            if r != c and factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], pivot)]
+    return np.array([float(rows[i][d] / rows[i][i]) for i in range(d)])
+
+
+def dense_ranking(om, user_group, res_group, dense: DenseLearningData, config=None):
+    """The package's ranking fed by the dense path: every-row-true read off
+    the matrix and coefficients from the floating-point dense fit."""
+    config = config or FeatureConfig()
+
+    def fit(*_args, **_kwargs):
+        return dense_fit(dense.matrix, dense.labels, config.ridge)
+
+    data = design_statistics(dense.matrix, dense.labels, dense.features)
+    with mock.patch.object(features_module, "fit_least_squares", fit):
+        return features_module.rank_features(om, user_group, res_group, data, config)

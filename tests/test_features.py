@@ -11,15 +11,15 @@ import random
 import numpy as np
 import pytest
 
-from oracles import pinv_fit
+from oracles import dense_learning_data, fit_design, pinv_fit
 
+from abacfill import features as features_module
 from abacfill.clustering import ClusteringConfig, cluster_objects
 from abacfill.features import (
     Feature,
     FeatureConfig,
     build_learning_data,
     enumerate_features,
-    fit_least_squares,
     is_untainted,
     rank_features,
 )
@@ -122,21 +122,25 @@ def test_untainted_filter(campus_policy):
 
 def test_learning_rows_exclude_tainted_members(campus_groups, campus_entitlements):
     om, clustering = campus_groups
-    data = build_learning_data(
-        om, _group(clustering, 1), _group(clustering, 3), "modify", campus_entitlements
-    )
-    assert data.row_count == 15  # 3 untainted faculty x 5 gradebooks
-    assert all(uid != "csFac1" for uid, _ in data.pairs)
-    positives = {p for p, y in zip(data.pairs, data.labels) if y == 1.0}
+    args = (om, _group(clustering, 1), _group(clustering, 3), "modify", campus_entitlements)
+    dense = dense_learning_data(*args)
+    assert dense.row_count == 15  # 3 untainted faculty x 5 gradebooks
+    assert all(uid != "csFac1" for uid, _ in dense.pairs)
+    positives = {p for p, y in zip(dense.pairs, dense.labels) if y == 1.0}
     assert positives == {("csFac2", "cs601gb"), ("eeFac1", "ee101gb"), ("eeFac2", "ee601gb")}
+    data = build_learning_data(*args)
+    assert data.row_count == 15
+    assert data.positives == 3
 
 
 def test_learning_matrix_is_binary(campus_groups, campus_entitlements):
     om, clustering = campus_groups
-    data = build_learning_data(
-        om, _group(clustering, 1), _group(clustering, 3), "modify", campus_entitlements
-    )
-    assert set(np.unique(data.matrix)) <= {0.0, 1.0}
+    args = (om, _group(clustering, 1), _group(clustering, 3), "modify", campus_entitlements)
+    assert set(np.unique(dense_learning_data(*args).matrix)) <= {0.0, 1.0}
+    # a column is 0/1 exactly when its sum of squares equals its sum
+    data = build_learning_data(*args)
+    assert np.array_equal(np.diag(data.gram), data.sums)
+    assert ((data.sums >= 0) & (data.sums <= data.row_count)).all()
 
 
 # --- least squares ---
@@ -154,7 +158,7 @@ def test_fit_matches_pseudoinverse_oracle_on_random_instances():
             continue  # oracle comparison only meaningful at full column rank
         y = np.array([rng.random() for _ in range(n)])
         want_int, want_coefs = pinv_fit(X, y)
-        got_int, got_coefs = fit_least_squares(X, y)
+        got_int, got_coefs = fit_design(X, y)
         assert abs(got_int - want_int) <= 1e-6
         assert np.abs(got_coefs - want_coefs).max() <= 1e-6
         checked += 1
@@ -163,7 +167,7 @@ def test_fit_matches_pseudoinverse_oracle_on_random_instances():
 def test_fit_exact_when_labels_in_span():
     X = np.array([[1, 0], [0, 1], [1, 1], [0, 0]], dtype=float)
     y = 2.0 * X[:, 0] - 1.0 * X[:, 1] + 0.5
-    intercept, coefs = fit_least_squares(X, y)
+    intercept, coefs = fit_design(X, y)
     resid = np.abs(intercept + X @ coefs - y).max()
     assert resid <= 1e-6
 
@@ -171,7 +175,7 @@ def test_fit_exact_when_labels_in_span():
 def test_fit_gives_constant_column_zero_weight():
     X = np.array([[1, 1], [1, 0], [1, 1], [1, 0]], dtype=float)
     y = np.array([1.0, 0.0, 1.0, 0.0])
-    intercept, coefs = fit_least_squares(X, y)
+    intercept, coefs = fit_design(X, y)
     assert abs(coefs[0]) <= 1e-6
     assert coefs[1] == pytest.approx(1.0, abs=1e-6)
     assert intercept == pytest.approx(0.0, abs=1e-6)
@@ -182,16 +186,16 @@ def test_fit_is_permutation_invariant():
     X = np.array([[rng.randint(0, 1) for _ in range(5)] for _ in range(12)], dtype=float)
     y = np.array([rng.random() for _ in range(12)])
     perm = [3, 0, 4, 1, 2]
-    i1, c1 = fit_least_squares(X, y)
-    i2, c2 = fit_least_squares(X[:, perm], y)
+    i1, c1 = fit_design(X, y)
+    i2, c2 = fit_design(X[:, perm], y)
     assert abs(i1 - i2) <= 1e-9
     assert np.abs(c1[perm] - c2).max() <= 1e-9
 
 
 def test_fit_edge_shapes():
     with pytest.raises(InsufficientDataError):
-        fit_least_squares(np.zeros((0, 2)), np.zeros(0))
-    intercept, coefs = fit_least_squares(np.zeros((3, 0)), np.array([1.0, 2.0, 3.0]))
+        fit_design(np.zeros((0, 2)), np.zeros(0))
+    intercept, coefs = fit_design(np.zeros((3, 0)), np.array([1.0, 2.0, 3.0]))
     assert intercept == pytest.approx(2.0)
     assert coefs.shape == (0,)
 
@@ -326,6 +330,25 @@ def test_coefficient_floor_excludes_noise(campus_groups, campus_entitlements):
     assert len(ranked) == 3  # the taught-course link is far above any floor
     strict = rank_features(om, gu, gr, data, FeatureConfig(coefficient_floor=1.5))
     assert len(strict) == 2  # only the characterizing pair survives
+
+
+def test_solver_noise_does_not_split_a_tie(campus_groups, campus_entitlements, monkeypatch):
+    om, clustering = campus_groups
+    gu, gr = _group(clustering, 1), _group(clustering, 3)
+    data = build_learning_data(om, gu, gr, "modify", campus_entitlements)
+    first, second = (
+        j for j, f in enumerate(data.features)
+        if f.render() in ("user.department in {cs}", "user.department in {ee}")
+    )
+    # two equal coefficients, nudged by noise to either side of 0.1015625,
+    # a midpoint of the 6-decimal grid
+    coefs = np.zeros(len(data.features))
+    coefs[first], coefs[second] = 0.1015625 - 1e-9, 0.1015625 + 1e-9
+    monkeypatch.setattr(features_module, "fit_least_squares", lambda *a, **k: (0.0, coefs))
+    ranked = rank_features(om, gu, gr, data)
+    fitted = [rf.feature.render() for rf in ranked if not rf.characterizing]
+    # a tie keeps canonical order
+    assert fitted == ["user.department in {cs}", "user.department in {ee}"]
 
 
 def test_feature_config_validation():

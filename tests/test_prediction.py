@@ -15,6 +15,7 @@ from abacfill.model import (
     AttrSchema,
     ConfigError,
     Entitlement,
+    EntitlementIndex,
     Obj,
     ObjectModel,
     Schema,
@@ -171,7 +172,7 @@ class _FixedCache:
     """Cache stub returning a preset ranking per (gu, gr, action) key."""
 
     def __init__(self, entitlements, rankings):
-        self.entitlements = entitlements
+        self.entitlements = EntitlementIndex(entitlements)
         self._rankings = rankings
 
     def ranked(self, gu, gr, action):
