@@ -125,10 +125,13 @@ def _settings(args) -> dict:
     return merged
 
 
-def _clustering_config(settings, default_st: float) -> ClusteringConfig:
+def _clustering_config(
+    settings, schema, default_st: float = ClusteringConfig().threshold
+) -> ClusteringConfig:
     st = settings["st"] if settings["st"] is not None else default_st
     cfg = ClusteringConfig(threshold=st, weights=settings["weights"])
     cfg.validate()
+    cfg.check_weight_names(schema)
     return cfg
 
 
@@ -187,7 +190,7 @@ def _cmd_entitlements(args) -> int:
 def _cmd_cluster(args) -> int:
     settings = _settings(args)
     policy = load_policy(args.policy)
-    config = _clustering_config(settings, default_st=ClusteringConfig().threshold)
+    config = _clustering_config(settings, policy.model.schema)
     clustering = cluster_objects(policy.model, config)
     groups = []
     for g in clustering.groups:
@@ -217,7 +220,7 @@ def _cmd_features(args) -> int:
     settings = _settings(args)
     policy = load_policy(args.policy)
     entitlements = load_entitlements(args.entitlements, policy.model)
-    clustering = cluster_objects(policy.model, _clustering_config(settings, ClusteringConfig().threshold))
+    clustering = cluster_objects(policy.model, _clustering_config(settings, policy.model.schema))
     if args.user not in policy.model.users:
         raise InputError(f"unknown user {args.user!r}")
     if args.resource not in policy.model.resources:
@@ -257,7 +260,7 @@ def _cmd_predict(args) -> int:
     settings = _settings(args)
     policy = load_policy(args.policy)
     entitlements = load_entitlements(args.entitlements, policy.model)
-    clustering = cluster_objects(policy.model, _clustering_config(settings, ClusteringConfig().threshold))
+    clustering = cluster_objects(policy.model, _clustering_config(settings, policy.model.schema))
     predictions = predict_missing(
         policy.model, clustering, entitlements, _prediction_config(settings), FeatureConfig()
     )
@@ -373,8 +376,9 @@ def _cmd_evaluate(args) -> int:
     if any(not 0 <= p <= 100 for p in percents):
         raise InputError(f"percents must lie in [0, 100]: {percents}")
     subset_ok = not args.exact_multi
+    schema = generate(GeneratorConfig(template=args.template)).model.schema
     harness_config = HarnessConfig(
-        clustering=_clustering_config(settings, HarnessConfig().clustering.threshold),
+        clustering=_clustering_config(settings, schema, HarnessConfig().clustering.threshold),
         prediction=_prediction_config(settings),
         subset_ok=subset_ok,
     )

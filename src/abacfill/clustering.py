@@ -9,20 +9,33 @@ either cell is unknown.  Buckets are then refined: every member whose mean
 similarity to its current group falls below the threshold is moved, and the
 movers form one new group together rather than one group each.  Both halves
 are refined again until stable.
+
+Members of a bucket share their applicable attributes, so refinement never
+compares two members: each member's summed similarity to the others is one
+sum per attribute, read off the bucket's value counts (and, for sets, an
+element index over its distinct sets).  A refinement pass costs
+O(members x attributes + set overlaps), where set overlaps counts the pairs
+of distinct sets in an attribute that share an element.  The threshold
+comparison is exact, in rational arithmetic on the weights and threshold as
+written in decimal, so a member whose mean equals the threshold stays.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .model import MISSING, NULL, ConfigError, Obj, ObjectModel, Side
+from .model import MISSING, NULL, ConfigError, Obj, ObjectModel, Schema, Side
 
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    """threshold: move members with mean similarity strictly below this.
-    weights: per-attribute weight for the similarity mean; default 1.0."""
+    """threshold: move members with mean similarity strictly below this;
+    the comparison is exact, so a mean equal to the threshold stays.
+    weights: per-attribute weight for the similarity mean; default 1.0.
+    Both are read as the decimals they print as: 0.1 is exactly 1/10."""
 
     threshold: float = 0.25
     weights: dict = field(default_factory=dict)
@@ -33,6 +46,13 @@ class ClusteringConfig:
         for name, w in self.weights.items():
             if not (math.isfinite(w) and w > 0):
                 raise ConfigError(f"attribute weight must be finite and positive: {name}={w}")
+
+    def check_weight_names(self, schema: Schema) -> None:
+        """Reject a weight for an attribute that neither side declares."""
+        declared = {name for _, name in schema.attrs}
+        for name in self.weights:
+            if name not in declared:
+                raise ConfigError(f"weight for an attribute the schema does not declare: {name}")
 
     def weight(self, attr: str) -> float:
         return self.weights.get(attr, 1.0)
@@ -102,31 +122,92 @@ def partition_by_signature(objects) -> list:
     return list(buckets.values())
 
 
-def _mean_similarity(obj: Obj, others, config: ClusteringConfig) -> float:
-    if not others:
-        return 1.0
-    return sum(object_similarity(obj, o, config) for o in others) / len(others)
+def _summed_similarity(values: list):
+    """One attribute's similarity of each member to all the others, summed.
+
+    Returns (keys, sums): keys[i] indexes the exact sum of member i in
+    sums.  A MISSING cell scores 1/2 against everyone.  Otherwise a string
+    matches the strings equal to it, and a set scores the Jaccard overlap
+    against each set it shares an element with, computed once per distinct
+    set through an element index; two empty sets score 1.
+    """
+    half_missing = Fraction(sum(1 for v in values if v is MISSING), 2)
+    present = [v for v in values if v is not MISSING]
+    sums = {MISSING: Fraction(len(values) - 1, 2)}
+    if all(isinstance(v, str) for v in present):
+        # a single value's sum depends only on how many members share it
+        counts = Counter(present)
+        keys = [v if v is MISSING else counts[v] for v in values]
+        for c in set(counts.values()):
+            sums[c] = c - 1 + half_missing
+        return keys, sums
+    keys = [v if v is MISSING else frozenset({v}) if isinstance(v, str) else v for v in values]
+    sets = Counter(k for k in keys if k is not MISSING)
+    holders = {}  # element -> distinct sets holding it
+    for d in sets:
+        for e in d:
+            holders.setdefault(e, []).append(d)
+    for x in sets:
+        if not x:
+            sums[x] = sets[x] - 1 + half_missing
+            continue
+        shared = Counter()  # distinct set -> |x & set|
+        for e in x:
+            shared.update(holders[e])
+        by_union = Counter()  # |x | set| -> summed intersection sizes
+        for d, i in shared.items():
+            by_union[len(x) + len(d) - i] += sets[d] * i
+        sums[x] = sum(Fraction(n, u) for u, n in by_union.items()) - 1 + half_missing
+    return keys, sums
+
+
+def _as_written(x) -> Fraction:
+    """The number as the decimal it prints as.  The binary float nearest
+    0.1 lies above 1/10, so a mean of exactly 1/10 would fall below it."""
+    return Fraction(str(float(x)))
+
+
+def _split(members: list, config: ClusteringConfig) -> tuple:
+    """(stay, movers): a member moves when its mean similarity to the
+    others is below the threshold, decided in exact rational arithmetic."""
+    totals = [0] * len(members)
+    weighted = []
+    weight_sum = Fraction(0)
+    for name in sorted(active_attributes(members[0])):
+        w = _as_written(config.weight(name))
+        weight_sum += w
+        keys, sums = _summed_similarity([o.value(name) for o in members])
+        weighted.append((keys, {k: w * s for k, s in sums.items()}))
+    # scale every weighted sum to one integer denominator, then add members up
+    scale = math.lcm(*(f.denominator for _, sums in weighted for f in sums.values()))
+    for keys, sums in weighted:
+        ints = {k: f.numerator * (scale // f.denominator) for k, f in sums.items()}
+        totals = [t + ints[k] for t, k in zip(totals, keys)]
+    # mean < threshold  <=>  sum of weighted sums < threshold * total weight * (n - 1)
+    bar = math.ceil(_as_written(config.threshold) * weight_sum * (len(members) - 1) * scale)
+    stay, movers = [], []
+    for obj, t in zip(members, totals):
+        (movers if t < bar else stay).append(obj)
+    return stay, movers
 
 
 def refine_group(members: list, config: ClusteringConfig) -> list:
-    """Split out poorly matching members, recursively, until stable.
+    """Split out poorly matching members until stable.
 
-    All members below the threshold leave together as one new group.  A
-    split that would move nobody or everybody is a fixed point.
+    All members below the threshold leave together as one new group, and
+    both halves are refined again, the stayers first.  A split that would
+    move nobody or everybody is a fixed point.
     """
-    if len(members) <= 1:
-        return [members]
-    movers = []
-    stay = []
-    for obj in members:
-        rest = [o for o in members if o is not obj]
-        if _mean_similarity(obj, rest, config) < config.threshold:
-            movers.append(obj)
+    out = []
+    work = [members]
+    while work:
+        group = work.pop()
+        stay, movers = _split(group, config) if len(group) > 1 else (group, [])
+        if not movers or not stay:
+            out.append(group)
         else:
-            stay.append(obj)
-    if not movers or not stay:
-        return [members]
-    return refine_group(stay, config) + refine_group(movers, config)
+            work += [movers, stay]  # stay pops first: its subtree ends before movers
+    return out
 
 
 def cluster_objects(om: ObjectModel, config: ClusteringConfig = None) -> Clustering:

@@ -2,7 +2,9 @@
 
 The policy and solver oracles work directly on the raw JSON document shape
 and plain Python values, sharing no code with the package under test.  The
-dense learning reference is the slow path that factorized learning
+pairwise clustering reference is the quadratic refinement that per-attribute
+counting replaced, with every sum kept as an exact fraction.  The dense
+learning reference is the slow path that factorized learning
 replaced: it builds the whole pair x feature design matrix with the
 package's three-valued evaluator and features, so that it checks only the
 factorization and the fit.
@@ -19,7 +21,7 @@ import numpy as np
 from abacfill import features as features_module
 from abacfill.evaluate import Tri, eval_atomic_condition, eval_atomic_constraint
 from abacfill.features import FeatureConfig, LearningData, enumerate_features, is_untainted
-from abacfill.model import AbacError, Entitlement, Side
+from abacfill.model import MISSING, NULL, AbacError, Entitlement, Side
 
 T, F, U = "T", "F", "U"
 
@@ -183,6 +185,84 @@ def random_small_policy(rng, max_side=4):
         "resources": resources,
         "rules": rules,
     }
+
+
+# --- pairwise clustering reference ---
+
+
+def _as_written(x) -> Fraction:
+    """A threshold or weight as the decimal it prints as (0.1 is 1/10)."""
+    return Fraction(str(float(x)))
+
+
+def _exact_value_similarity(a, b) -> Fraction:
+    if a is MISSING or b is MISSING:
+        return Fraction(1, 2)
+    sa = {a} if isinstance(a, str) else set(a)
+    sb = {b} if isinstance(b, str) else set(b)
+    union = len(sa | sb)
+    return Fraction(1) if union == 0 else Fraction(len(sa & sb), union)
+
+
+def _applicable(obj) -> frozenset:
+    return frozenset(name for name, v in obj.attrs.items() if v is not NULL)
+
+
+def exact_similarity(o1, o2, weights) -> Fraction:
+    """Weighted mean per-attribute overlap of two objects, as a fraction."""
+    total = score = Fraction(0)
+    for name in _applicable(o1) | _applicable(o2):
+        w = _as_written(weights.get(name, 1.0))
+        total += w
+        v1, v2 = o1.attrs.get(name, NULL), o2.attrs.get(name, NULL)
+        if v1 is not NULL and v2 is not NULL:
+            score += w * _exact_value_similarity(v1, v2)
+    return Fraction(1) if total == 0 else score / total
+
+
+class PairwiseReference:
+    """Signature buckets refined by each member's mean exact similarity to
+    every other member.  The pairwise similarities are computed once, so
+    one model can be grouped at several thresholds."""
+
+    def __init__(self, om, weights=None):
+        weights = weights or {}
+        self.buckets = []  # (member ids, pairwise similarities), users first
+        for table in (om.users, om.resources):
+            by_signature = {}
+            for obj in table.values():
+                by_signature.setdefault(_applicable(obj), []).append(obj.id)
+            for ids in by_signature.values():
+                sim = {
+                    (a, b): exact_similarity(table[a], table[b], weights)
+                    for a in ids
+                    for b in ids
+                    if a != b
+                }
+                self.buckets.append((ids, sim))
+
+    def groups(self, threshold) -> list:
+        """Member id tuples of every group, users first."""
+        return [
+            tuple(part)
+            for ids, sim in self.buckets
+            for part in pairwise_refine(ids, _as_written(threshold), sim)
+        ]
+
+
+def pairwise_refine(members, threshold: Fraction, sim) -> list:
+    """Members strictly below the threshold in mean similarity to the
+    others leave together; both halves are refined again, stayers first,
+    until nobody or everybody would leave."""
+    if len(members) <= 1:
+        return [members]
+    stay, movers = [], []
+    for a in members:
+        mean = sum((sim[a, b] for b in members if b != a), Fraction(0)) / (len(members) - 1)
+        (movers if mean < threshold else stay).append(a)
+    if not movers or not stay:
+        return [members]
+    return pairwise_refine(stay, threshold, sim) + pairwise_refine(movers, threshold, sim)
 
 
 # --- dense learning reference ---

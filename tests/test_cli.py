@@ -303,3 +303,28 @@ def test_weights_flag_parsing(capsys):
     code, _, err = run(capsys, "cluster", "--policy", CAMPUS, "--weights", "position")
     assert code == 1
     assert "attr=1.5" in err
+
+
+WEIGHTED_COMMANDS = {
+    "cluster": ["--policy", CAMPUS],
+    "features": ["--policy", CAMPUS, "--entitlements", CAMPUS_ENTS,
+                 "--user", "csFac1", "--resource", "cs101gb", "--action", "modify"],
+    "predict": ["--policy", CAMPUS, "--entitlements", CAMPUS_ENTS],
+    # checked against the template's schema: vendor is a project attribute
+    "evaluate": ["--template", "university", "--scales", "1", "--percents", "6", "--runs", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WEIGHTED_COMMANDS))
+@pytest.mark.parametrize("name", ["nosuch", "vendor"])
+def test_weights_must_name_a_declared_attribute(tmp_path, capsys, command, name):
+    argv = [command, *WEIGHTED_COMMANDS[command]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"weights": {"%s": 2}}' % name)
+    for extra in (["--weights", f"{name}=2"], ["--config", str(cfg)]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (1, "")
+        assert f"does not declare: {name}" in err
+    # a resource attribute names a weight as well as a user attribute does
+    code, _, err = run(capsys, *argv, "--weights", "position=2,course=0.5")
+    assert (code, err) == (0, "")

@@ -138,6 +138,21 @@ def test_mover_set_is_refined_again():
     assert [g.members for g in clustering.groups] == [("a", "b"), ("d", "e"), ("c",)]
 
 
+def test_threshold_and_weights_are_read_as_written():
+    # c shares one of five attributes with a and none with b, so its mean
+    # is exactly 1/10; the binary float nearest 0.1 lies just above that
+    om = _tag_model(("a", "x", "p", "q", "r"), ("b", "y", "p", "q", "r"), ("c", "x", "s", "t", "u"))
+    groups = lambda threshold, weights=None: [
+        g.members for g in cluster_objects(om, ClusteringConfig(threshold, weights or {})).groups
+    ]
+    assert groups(0.1) == [("a", "b", "c")]
+    assert groups(0.1000001) == [("a", "b"), ("c",)]
+    # weights 0.3, 0.3 and 0.2 are exactly 3:3:2, which puts c's mean at 1/8
+    assert groups(0.125, {"id": 0.3, "tag1": 0.3, "tag2": 0.2, "tag3": 0.2, "tag4": 0.2}) == [
+        ("a", "b", "c")
+    ]
+
+
 def test_attribute_weights_shift_similarity():
     om = _tag_model(("a", "x", "p"), ("b", "x", "q"))
     a, b = om.users["a"], om.users["b"]
