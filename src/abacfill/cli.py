@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -476,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confidence rank gates (default 3,5)")
     p.add_argument("--exact-multi", action="store_true",
                    help="score multi-valued predictions by set equality instead of subset")
-    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
-                   help="concurrent runs (default: CPU count)")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="concurrent runs on threads (default 1)")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock columns (breaks byte-for-byte reproducibility)")
     p.add_argument("--csv", metavar="FILE", help="summary CSV path (default: stdout)")

@@ -4,6 +4,17 @@ A cell that is NULL makes any test on it false; a cell that is MISSING makes
 the test unknown.  NULL is checked before MISSING on constraints so that a
 definite inapplicability on either side wins.  Conjunction: any false makes
 the whole rule false, otherwise any unknown makes it unknown.
+
+A rule's meaning is computed without walking users x resources.  Each
+object's conditions are evaluated once; objects whose conditions are false
+drop out.  A survivor is definite when its conditions are true and no
+constraint cell it is tested on is MISSING, and uncertain otherwise.
+Definite pairs are found by a hash join on the rule's first constraint (an
+index over the resources' values or set elements) and checked on the other
+constraints; a pair with an uncertain object can never be granted and goes
+through the three-valued path only to count it as unknown.  A rule costs
+O(users + resources + set elements + joined pairs + uncertain objects x
+the other side); a complete model has no uncertain objects.
 """
 
 from __future__ import annotations
@@ -11,10 +22,12 @@ from __future__ import annotations
 import enum
 
 from .model import (
+    CONSTRAINT_KINDS,
     MISSING,
     NULL,
     AtomicCondition,
     AtomicConstraint,
+    AttrKind,
     Entitlement,
     Obj,
     ObjectModel,
@@ -86,24 +99,94 @@ def eval_constraint(user: Obj, res: Obj, cons) -> Tri:
     return tri_all(eval_atomic_constraint(user, res, c) for c in cons)
 
 
-def rule_meaning(rule: Rule, om: ObjectModel):
-    """Entitlements the rule grants, plus the count of unknown (user, resource) pairs."""
-    granted = set()
-    unknown_pairs = 0
-    for user in om.users.values():
-        uc = eval_condition(user, rule.user_conds)
-        if uc is Tri.FALSE:
+def _survivors(objects, conds, attrs):
+    """Objects whose conditions are not false, split into definite ones and
+    (object, condition verdict) pairs for the uncertain ones."""
+    definite, uncertain = [], []
+    for obj in objects:
+        verdict = eval_condition(obj, conds)
+        if verdict is Tri.FALSE:
             continue
-        for res in om.resources.values():
-            rc = eval_condition(res, rule.res_conds)
-            if rc is Tri.FALSE:
-                continue
-            cc = eval_constraint(user, res, rule.constraints)
-            verdict = tri_all((uc, rc, cc))
-            if verdict is Tri.TRUE:
-                for a in sorted(rule.actions):
-                    granted.add(Entitlement(user.id, res.id, a))
-            elif verdict is Tri.UNKNOWN:
+        if verdict is Tri.TRUE and all(obj.value(a) is not MISSING for a in attrs):
+            definite.append(obj)
+        else:
+            uncertain.append((obj, verdict))
+    return definite, uncertain
+
+
+def _join(users, resources, con: AtomicConstraint):
+    """(user, resource) pairs of definite objects that satisfy con.
+
+    Resources are indexed by their value, or by each element of their set.
+    A user's value (or each element of its set) probes the index and counts
+    hits per resource; a resource matches once its hits reach what it needs:
+    one hit, or for supseteq every element of its set, so an empty set
+    matches every user.  NULL matches nothing.
+    """
+    if con.op not in CONSTRAINT_KINDS:
+        raise SchemaError(f"unknown constraint operator: {con.op}")
+    user_set, res_set = (k is AttrKind.MULTI for k in CONSTRAINT_KINDS[con.op])
+    index, need, always = {}, {}, []
+    for i, res in enumerate(resources):
+        vr = res.value(con.res_attr)
+        if vr is NULL:
+            continue
+        need[i] = len(vr) if con.op == "supseteq" else 1
+        if not need[i]:
+            always.append(res)
+        for key in vr if res_set else (vr,):
+            index.setdefault(key, []).append(i)
+    for user in users:
+        vu = user.value(con.user_attr)
+        if vu is NULL:
+            continue
+        hits = {}
+        for key in vu if user_set else (vu,):
+            for i in index.get(key, ()):
+                hits[i] = hits.get(i, 0) + 1
+        for res in always:
+            yield user, res
+        for i, n in hits.items():
+            if n == need[i]:
+                yield user, resources[i]
+
+
+def rule_meaning(rule: Rule, om: ObjectModel):
+    """Entitlements the rule grants, plus the count of unknown (user, resource)
+    pairs.
+
+    Definite pairs come from a hash join on the first constraint (every
+    definite user with every definite resource when there is none), checked
+    on the rest.  A pair with an uncertain object has an unknown condition
+    or a MISSING constraint cell, so it is never granted: it is unknown
+    unless one of its tests is false.  Cost: O(users + resources + set
+    elements + joined pairs + uncertain objects x the other side).
+    """
+    cons = rule.constraints
+    users, uncertain_users = _survivors(
+        om.users.values(), rule.user_conds, [c.user_attr for c in cons]
+    )
+    if not users and not uncertain_users:
+        return set(), 0
+    resources, uncertain_res = _survivors(
+        om.resources.values(), rule.res_conds, [c.res_attr for c in cons]
+    )
+    if cons:
+        pairs = _join(users, resources, cons[0])
+    else:
+        pairs = ((user, res) for user in users for res in resources)
+    granted = set()
+    for user, res in pairs:
+        if all(eval_atomic_constraint(user, res, c) is Tri.TRUE for c in cons[1:]):
+            for a in rule.actions:
+                granted.add(Entitlement(user.id, res.id, a))
+    everyone = [(res, Tri.TRUE) for res in resources] + uncertain_res
+    checks = [(user, uc, everyone) for user, uc in uncertain_users]
+    checks += [(user, Tri.TRUE, uncertain_res) for user in users]
+    unknown_pairs = 0
+    for user, uc, others in checks:
+        for res, rc in others:
+            if tri_all((uc, rc, eval_constraint(user, res, cons))) is Tri.UNKNOWN:
                 unknown_pairs += 1
     return granted, unknown_pairs
 

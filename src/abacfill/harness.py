@@ -57,8 +57,9 @@ def removal_count(eligible: int, fraction: float) -> int:
 
 
 def remove_cells(om: ObjectModel, fraction: float, rng: random.Random) -> list:
-    """Hide a seeded sample of eligible cells in place.  Returns (side, id,
-    attr, original value) tuples; apply restore_cells to undo."""
+    """Hide a seeded sample of eligible cells in om itself (a removal run
+    passes its own model copy).  Returns (side, id, attr, original value)
+    tuples, which restore_cells writes back."""
     cells = eligible_cells(om)
     picked = rng.sample(cells, removal_count(len(cells), fraction))
     removed = []

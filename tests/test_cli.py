@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from abacfill.cli import main
+from abacfill.cli import build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 CAMPUS = str(DATA / "campus.json")
@@ -160,6 +160,11 @@ def test_evaluate_jobs_do_not_change_output(tmp_path, capsys):
                        "--csv", str(csv_path), "--json", str(json_path))[0] == 0
             outs.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert outs[0] == outs[1]
+
+
+def test_evaluate_jobs_default_to_one():
+    args = build_parser().parse_args(["evaluate", "--template", "university"])
+    assert args.jobs == 1
 
 
 @pytest.mark.parametrize("flag", ["--jobs", "--runs"])

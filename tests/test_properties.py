@@ -211,14 +211,17 @@ def test_removal_round_trip(seed):
         before = _snapshot(om)
         eligible = eligible_cells(om)
 
-        removed = remove_cells(om, fraction, random.Random(rng.randrange(1 << 16)))
+        damaged = om.copy()
+        removed = remove_cells(damaged, fraction, random.Random(rng.randrange(1 << 16)))
+        assert _snapshot(om) == before
         assert len(removed) == removal_count(len(eligible), fraction)
         cells = [(s, o, a) for s, o, a, _ in removed]
         assert len(set(cells)) == len(cells)
         for side, oid, attr, original in removed:
             assert (side, oid, attr) in eligible
-            assert om.side_objects(side)[oid].attrs[attr] is MISSING
+            assert damaged.side_objects(side)[oid].attrs[attr] is MISSING
             assert original is not MISSING and original is not NULL
+            assert om.side_objects(side)[oid].attrs[attr] == original
 
-        restore_cells(om, removed)
-        assert _snapshot(om) == before
+        restore_cells(damaged, removed)
+        assert _snapshot(damaged) == before
