@@ -15,6 +15,9 @@ constraints; a pair with an uncertain object can never be granted and goes
 through the three-valued path only to count it as unknown.  A rule costs
 O(users + resources + set elements + joined pairs + uncertain objects x
 the other side); a complete model has no uncertain objects.
+
+That join, `matches`, is the one implementation of constraint truth on
+known cells: feature learning takes its constraint columns from it too.
 """
 
 from __future__ import annotations
@@ -114,41 +117,52 @@ def _survivors(objects, conds, attrs):
     return definite, uncertain
 
 
-def _join(users, resources, con: AtomicConstraint):
-    """(user, resource) pairs of definite objects that satisfy con.
+def matches(con: AtomicConstraint, users, resources):
+    """Yields (u, [r, ...]) for each user index u with a match: the indices r
+    of the resources for which con is true on (users[u], resources[r]).
+    Callers must not modify the lists.
 
-    Resources are indexed by their value, or by each element of their set.
-    A user's value (or each element of its set) probes the index and counts
-    hits per resource; a resource matches once its hits reach what it needs:
-    one hit, or for supseteq every element of its set, so an empty set
-    matches every user.  NULL matches nothing.
+    Precondition: no cell con tests is MISSING.  rule_meaning passes
+    definite survivors, and learning passes untainted members.
+
+    Resources are indexed by their value, or by each element of their set,
+    and a user probes with its value or each element of its set.  For
+    equal, in and contains a resource is reached by at most one probe, so
+    every hit is a match; supseteq counts hits against the size of the
+    resource's set, so an empty set matches every user.  NULL matches
+    nothing.  Cost: O(users + resources + set elements + matches).
     """
     if con.op not in CONSTRAINT_KINDS:
         raise SchemaError(f"unknown constraint operator: {con.op}")
     user_set, res_set = (k is AttrKind.MULTI for k in CONSTRAINT_KINDS[con.op])
-    index, need, always = {}, {}, []
-    for i, res in enumerate(resources):
+    counted = con.op == "supseteq"
+    index, size, empty = {}, {}, []
+    for r, res in enumerate(resources):
         vr = res.value(con.res_attr)
         if vr is NULL:
             continue
-        need[i] = len(vr) if con.op == "supseteq" else 1
-        if not need[i]:
-            always.append(res)
+        if counted:
+            size[r] = len(vr)
+            if not vr:
+                empty.append(r)
         for key in vr if res_set else (vr,):
-            index.setdefault(key, []).append(i)
-    for user in users:
+            index.setdefault(key, []).append(r)
+    for u, user in enumerate(users):
         vu = user.value(con.user_attr)
         if vu is NULL:
             continue
-        hits = {}
-        for key in vu if user_set else (vu,):
-            for i in index.get(key, ()):
-                hits[i] = hits.get(i, 0) + 1
-        for res in always:
-            yield user, res
-        for i, n in hits.items():
-            if n == need[i]:
-                yield user, resources[i]
+        if counted:
+            hits = {}
+            for key in vu:
+                for r in index.get(key, ()):
+                    hits[r] = hits.get(r, 0) + 1
+            found = empty + [r for r, n in hits.items() if n == size[r]]
+        elif user_set:
+            found = [r for key in vu for r in index.get(key, ())]
+        else:
+            found = index.get(vu, ())
+        if found:
+            yield u, found
 
 
 def rule_meaning(rule: Rule, om: ObjectModel):
@@ -172,7 +186,9 @@ def rule_meaning(rule: Rule, om: ObjectModel):
         om.resources.values(), rule.res_conds, [c.res_attr for c in cons]
     )
     if cons:
-        pairs = _join(users, resources, cons[0])
+        pairs = (
+            (users[u], resources[r]) for u, hits in matches(cons[0], users, resources) for r in hits
+        )
     else:
         pairs = ((user, res) for user in users for res in resources)
     granted = set()

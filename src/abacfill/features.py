@@ -17,8 +17,9 @@ the pair x feature design: a condition column depends on one side only, so
 its blocks follow from that side's 0/1 member x condition matrix scaled by
 the other side's size, and condition x condition blocks across the sides
 are outer products of column sums.  Only constraint columns are evaluated
-per pair, as users x resources boolean matrices over integer-coded values.
-The statistics are integers, so the fit centers them exactly.
+per pair, as users x resources boolean matrices filled from
+`evaluate.matches`, the join that also decides which pairs a policy's rules
+grant.  The statistics are integers, so the fit centers them exactly.
 
 The ranking puts structurally certain features ahead of fitted ones:
 
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evaluate import Tri, eval_atomic_condition, matches
 from .model import (
     CONSTRAINT_KINDS,
     MISSING,
@@ -49,7 +51,6 @@ from .model import (
     EntitlementIndex,
     InsufficientDataError,
     ObjectModel,
-    SchemaError,
     Side,
 )
 
@@ -191,11 +192,10 @@ def _elements(v):
 
 
 def _condition_matrix(objs, conds) -> np.ndarray:
-    """0/1 objects x conditions.  Every condition tests one value: 'in' a
-    singleton set, or 'contains' one element; NULL cells match nothing."""
-    column = {
-        (c.attr, next(iter(c.val)) if c.op == "in" else c.val): j for j, c in enumerate(conds)
-    }
+    """0/1 objects x conditions.  Every condition tests one value, the
+    element of its 'in' singleton set or its 'contains' element, so a cell
+    holding that value matches; NULL cells match nothing."""
+    column = {(c.attr, e): j for j, c in enumerate(conds) for e in _elements(c.val)}
     rows, cols = [], []
     for i, obj in enumerate(objs):
         for name, v in obj.attrs.items():
@@ -211,60 +211,13 @@ def _condition_matrix(objs, conds) -> np.ndarray:
     return A
 
 
-def _vocabulary(values) -> dict:
-    """Code per distinct element of the known cells."""
-    vocab = {}
-    for v in values:
-        if v is not NULL:
-            for e in _elements(v):
-                vocab.setdefault(e, len(vocab))
-    return vocab
-
-
-def _codes(values, vocab, absent: int) -> np.ndarray:
-    """Code of each single-valued cell; absent for NULL and unseen values."""
-    return np.array([vocab.get(v, absent) for v in values], dtype=np.intp)
-
-
-def _indicator(values, vocab) -> np.ndarray:
-    """objects x (vocabulary + 1) bool: the object's cell holds the element.
-    The extra last column is all false, so code -1 looks up false."""
-    rows, cols = [], []
-    for i, v in enumerate(values):
-        if v is not NULL:
-            for e in v:
-                j = vocab.get(e)
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-    M = np.zeros((len(values), len(vocab) + 1), dtype=bool)
-    M[rows, cols] = True
-    return M
-
-
 def constraint_matrix(con: AtomicConstraint, users, resources) -> np.ndarray:
-    """users x resources bool truth of the constraint over known cells, by
-    integer codes per distinct value.  NULL on either side gives false."""
-    uvals = [u.value(con.user_attr) for u in users]
-    rvals = [r.value(con.res_attr) for r in resources]
-    if con.op == "equal":
-        vocab = _vocabulary(uvals)
-        return _codes(uvals, vocab, -1)[:, None] == _codes(rvals, vocab, -2)[None, :]
-    if con.op == "in":
-        vocab = _vocabulary(uvals)
-        return _indicator(rvals, vocab)[:, _codes(uvals, vocab, -1)].T
-    if con.op == "contains":
-        vocab = _vocabulary(rvals)
-        return _indicator(uvals, vocab)[:, _codes(rvals, vocab, -1)]
-    if con.op == "supseteq":
-        # the user lacks none of the resource's elements
-        vocab = _vocabulary(rvals)
-        lacks = (~_indicator(uvals, vocab)[:, :-1]).astype(float)
-        lacked = lacks @ _indicator(rvals, vocab)[:, :-1].T.astype(float)
-        known_u = np.array([v is not NULL for v in uvals], dtype=bool)
-        known_r = np.array([v is not NULL for v in rvals], dtype=bool)
-        return (lacked == 0) & known_u[:, None] & known_r[None, :]
-    raise SchemaError(f"unknown constraint operator: {con.op}")
+    """users x resources bool truth of the constraint over known cells, as
+    `evaluate.matches` finds it.  NULL on either side gives false."""
+    M = np.zeros((len(users), len(resources)), dtype=bool)
+    for u, hits in matches(con, users, resources):
+        M[u, hits] = True
+    return M
 
 
 def _int_product(a, b) -> np.ndarray:
@@ -371,18 +324,8 @@ class RankedFeature:
 def _extent_supports(members, cond: AtomicCondition) -> bool:
     """At least two members have a known value satisfying the condition and
     no member has a known value (or an inapplicable cell) conflicting."""
-    supporting = 0
-    for m in members:
-        v = m.value(cond.attr)
-        if v is MISSING:
-            continue
-        if v is NULL:
-            return False
-        ok = (v in cond.val) if cond.op == "in" else (cond.val in v)
-        if not ok:
-            return False
-        supporting += 1
-    return supporting >= 2
+    verdicts = [eval_atomic_condition(m, cond) for m in members]
+    return Tri.FALSE not in verdicts and verdicts.count(Tri.TRUE) >= 2
 
 
 #: fitted coefficients closer than this to their neighbour in rank tie

@@ -20,7 +20,16 @@ from dataclasses import dataclass, field
 from . import generator
 from .clustering import ClusteringConfig, cluster_objects
 from .features import FeatureConfig
-from .model import MISSING, NULL, AttrKind, ConfigError, ObjectModel, Policy, Side
+from .model import (
+    MISSING,
+    NULL,
+    AttrKind,
+    ConfigError,
+    EntitlementIndex,
+    ObjectModel,
+    Policy,
+    Side,
+)
 from .prediction import Confidence, PredictionConfig, predict_missing
 
 
@@ -149,7 +158,8 @@ def evaluate_run(
     config: HarnessConfig = None,
 ) -> RunResult:
     """One removal run.  Cells are hidden in a private copy of the policy's
-    model, so the policy itself is never modified."""
+    model, so the policy itself is never modified.  entitlements are the
+    intact policy's reference entitlements, or an EntitlementIndex of them."""
     config = config or HarnessConfig()
     start = time.perf_counter()
     om = policy.model.copy()
@@ -214,22 +224,25 @@ def evaluate_matrix(
     """Removal sweep over scales x fractions x run indices.
 
     Each scale's policy is generated from the named template with seed
-    base_seed + scale, and its reference entitlements are computed once.
-    Runs never modify the policy, so up to `jobs` of them run at a time on
-    threads; results come back in grid order whatever `jobs` is.
+    base_seed + scale, and its reference entitlements and their index are
+    built once and shared by the scale's runs.  Runs never modify the
+    policy, so up to `jobs` of them run at a time on threads; results come
+    back in grid order whatever `jobs` is.
     """
-    policies = {}
+    policies, indexes = {}, {}
     for scale in scales:
         policy = generator.generate(
             generator.GeneratorConfig(template=template, scale=scale, seed=base_seed + scale)
         )
-        policies[scale] = (policy, generator.reference_entitlements(policy))
+        ents = generator.reference_entitlements(policy)
+        policies[scale] = (policy, ents)
+        indexes[scale] = EntitlementIndex(ents)
 
     def one(task):
         scale, fraction, run_index = task
-        policy, ents = policies[scale]
         seed = run_seed(base_seed, scale, fraction, run_index)
-        return evaluate_run(policy, ents, fraction, seed, scale, run_index, config)
+        policy = policies[scale][0]
+        return evaluate_run(policy, indexes[scale], fraction, seed, scale, run_index, config)
 
     tasks = [(s, f, i) for s in scales for f in fractions for i in range(runs)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -93,6 +93,14 @@ def _parse_constraint(raw, where: str) -> AtomicConstraint:
     return AtomicConstraint(str(ua), str(op), str(ra))
 
 
+def _array(entry: dict, key: str, where: str) -> list:
+    """entry[key], which must be a JSON array; an absent key reads as []."""
+    value = entry.get(key, [])
+    if not isinstance(value, list):
+        raise InputError(f"{where}: {key} must be an array")
+    return value
+
+
 def policy_from_dict(doc: dict) -> Policy:
     if not isinstance(doc, dict):
         raise InputError("policy document must be a JSON object")
@@ -101,7 +109,7 @@ def policy_from_dict(doc: dict) -> Policy:
             raise InputError(f"policy document lacks '{key}'")
 
     schema = Schema()
-    for i, item in enumerate(doc["schema"]):
+    for i, item in enumerate(_array(doc, "schema", "policy")):
         try:
             kind = AttrKind(item["kind"])
             side = Side(item["appliesTo"])
@@ -113,14 +121,14 @@ def policy_from_dict(doc: dict) -> Policy:
         except SchemaError as e:
             raise InputError(str(e)) from None
 
-    actions = tuple(str(a) for a in doc["actions"])
+    actions = tuple(str(a) for a in _array(doc, "actions", "policy"))
     if len(set(actions)) != len(actions):
         raise InputError("duplicate action names")
 
     om = ObjectModel(schema=schema, actions=actions)
     for side, key in ((Side.USER, "users"), (Side.RESOURCE, "resources")):
         declared = {a.name: a for a in schema.for_side(side)}
-        for i, entry in enumerate(doc[key]):
+        for i, entry in enumerate(_array(doc, key, "policy")):
             where = f"{key}[{i}]"
             if not isinstance(entry, dict) or "id" not in entry:
                 raise InputError(f"{where}: needs an 'id'")
@@ -140,14 +148,14 @@ def policy_from_dict(doc: dict) -> Policy:
             om.add(Obj(id=oid, side=side, attrs=attrs))
 
     rules = []
-    for i, entry in enumerate(doc.get("rules", [])):
+    for i, entry in enumerate(_array(doc, "rules", "policy")):
         where = f"rules[{i}]"
         if not isinstance(entry, dict):
             raise InputError(f"{where}: must be an object")
-        uc = tuple(_parse_condition(c, where) for c in entry.get("uc", []))
-        rc = tuple(_parse_condition(c, where) for c in entry.get("rc", []))
-        cc = tuple(_parse_constraint(c, where) for c in entry.get("c", []))
-        acts = entry.get("actions", [])
+        uc = tuple(_parse_condition(c, where) for c in _array(entry, "uc", where))
+        rc = tuple(_parse_condition(c, where) for c in _array(entry, "rc", where))
+        cc = tuple(_parse_constraint(c, where) for c in _array(entry, "c", where))
+        acts = _array(entry, "actions", where)
         rules.append(Rule(uc, rc, cc, frozenset(str(a) for a in acts)))
 
     policy = Policy(model=om, rules=tuple(rules))

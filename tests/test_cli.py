@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -333,3 +334,98 @@ def test_weights_must_name_a_declared_attribute(tmp_path, capsys, command, name)
     # a resource attribute names a weight as well as a user attribute does
     code, _, err = run(capsys, *argv, "--weights", "position=2,course=0.5")
     assert (code, err) == (0, "")
+
+
+# --- malformed input never reaches the internal-error exit ---
+
+FUZZ_CONFIG = {"st": 0.3, "weights": {"position": 2}, "ntcf": [3, 5], "seed": 1}
+WRONG_TYPES = [7, None, "read", {"k": 1}]
+# the fields the policy loader iterates; each once broke it with a TypeError
+ARRAY_FIELDS = [
+    ("schema",), ("actions",), ("users",), ("resources",), ("rules",),
+    ("rules", 0, "uc"), ("rules", 0, "rc"), ("rules", 0, "c"), ("rules", 0, "actions"),
+]
+
+
+def _json_paths(doc, prefix=()):
+    if prefix:
+        yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, value in children:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutated(doc, op, path, value=None):
+    """A deep copy of doc with the value at path replaced, its key dropped,
+    or (for a user or resource entry) the entry appended again."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "set":
+        parent[path[-1]] = value
+    elif op == "drop":
+        del parent[path[-1]]
+    else:
+        parent.append(parent[path[-1]])
+    return doc
+
+
+def _mutations(doc):
+    out = []
+    for path in _json_paths(doc):
+        out += [("set", path, value) for value in WRONG_TYPES]
+        if isinstance(path[-1], str):
+            out.append(("drop", path, None))
+    for key in ("users", "resources"):
+        out += [("dup", (key, i), None) for i in range(len(doc.get(key, ())))]
+    return out
+
+
+def _fuzz_cases():
+    """Seeded sample of mutations of the campus fixture and of a config
+    file, plus every wrong type on every field the loader iterates."""
+    campus = json.loads(pathlib.Path(CAMPUS).read_text())
+    rng = random.Random(2025)
+    cases = [("policy", m) for m in rng.sample(_mutations(campus), 60)]
+    cases += [("config", m) for m in rng.sample(_mutations(FUZZ_CONFIG), 12)]
+    cases += [("policy", ("set", path, value)) for path in ARRAY_FIELDS for value in WRONG_TYPES]
+    return campus, cases
+
+
+def test_fuzzed_inputs_never_exit_two(tmp_path, capsys):
+    campus, cases = _fuzz_cases()
+    pol, cfg = tmp_path / "p.json", tmp_path / "cfg.json"
+    for target, mutation in cases:
+        policy_doc = _mutated(campus, *mutation) if target == "policy" else campus
+        config_doc = _mutated(FUZZ_CONFIG, *mutation) if target == "config" else FUZZ_CONFIG
+        pol.write_text(json.dumps(policy_doc))
+        cfg.write_text(json.dumps(config_doc))
+        for argv in (
+            ["entitlements", "--policy", str(pol)],
+            ["cluster", "--policy", str(pol), "--config", str(cfg)],
+            ["predict", "--policy", str(pol), "--entitlements", CAMPUS_ENTS,
+             "--config", str(cfg)],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code != 2, (target, mutation, argv[0], err)
+
+
+@pytest.mark.parametrize("path", ARRAY_FIELDS, ids=lambda p: ".".join(map(str, p)))
+@pytest.mark.parametrize("value", [5, None, "read"])
+def test_policy_arrays_must_be_arrays(tmp_path, capsys, path, value):
+    campus = json.loads(pathlib.Path(CAMPUS).read_text())
+    pol = tmp_path / "p.json"
+    pol.write_text(json.dumps(_mutated(campus, "set", path, value)))
+    where = "policy" if len(path) == 1 else "rules[0]"
+    for argv in (["entitlements", "--policy", str(pol)],
+                 ["cluster", "--policy", str(pol)],
+                 ["predict", "--policy", str(pol), "--entitlements", CAMPUS_ENTS]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"{where}: {path[-1]} must be an array" in err

@@ -24,7 +24,7 @@ from abacfill.harness import (
     run_seed,
     score_prediction,
 )
-from abacfill.model import MISSING, NULL, AttrKind, ConfigError, Side
+from abacfill.model import MISSING, NULL, AttrKind, ConfigError, EntitlementIndex, Side
 from abacfill.policy_io import policy_to_dict
 
 
@@ -182,6 +182,22 @@ def test_evaluate_matrix_builds_each_scale_once():
         assert policy_to_dict(policy) == policy_to_dict(want)
         assert ents == reference_entitlements(want)
         assert not policy.model.missing_cells()  # runs never touch the policy
+
+
+def test_evaluate_matrix_indexes_each_scale_once(monkeypatch):
+    built = []
+    init = EntitlementIndex.__init__
+
+    def counting_init(self, entitlements):
+        built.append(len(entitlements))
+        init(self, entitlements)
+
+    monkeypatch.setattr(EntitlementIndex, "__init__", counting_init)
+    result = evaluate_matrix(
+        "university", scales=(1, 2, 3), fractions=(0.03, 0.06), runs=2, base_seed=5
+    )
+    assert len(result.runs) == 12
+    assert built == [len(result.policies[scale][1]) for scale in (1, 2, 3)]
 
 
 def test_harness_config_defaults():
