@@ -9,15 +9,17 @@ A rule's meaning is computed without walking users x resources.  Each
 object's conditions are evaluated once; objects whose conditions are false
 drop out.  A survivor is definite when its conditions are true and no
 constraint cell it is tested on is MISSING, and uncertain otherwise.
-Definite pairs are found by a hash join on the rule's first constraint (an
-index over the resources' values or set elements) and checked on the other
-constraints; a pair with an uncertain object can never be granted and goes
-through the three-valued path only to count it as unknown.  A rule costs
+Definite pairs are found by a hash join on the rule's first constraint (a
+`ValueIndex` over the resources' values or set elements) and checked on
+the other constraints; a pair with an uncertain object can never be
+granted and goes through the three-valued path only to count it as
+unknown.  A rule costs
 O(users + resources + set elements + joined pairs + uncertain objects x
 the other side); a complete model has no uncertain objects.
 
 That join, `matches`, is the one implementation of constraint truth on
-known cells: feature learning takes its constraint columns from it too.
+known cells: feature learning takes its constraint columns from it too,
+probing one `ValueIndex` per resource group and attribute.
 """
 
 from __future__ import annotations
@@ -117,50 +119,60 @@ def _survivors(objects, conds, attrs):
     return definite, uncertain
 
 
-def matches(con: AtomicConstraint, users, resources):
-    """Yields (u, [r, ...]) for each user index u with a match: the indices r
-    of the resources for which con is true on (users[u], resources[r]).
-    Callers must not modify the lists.
+class ValueIndex:
+    """Positions of objects by their value of one attribute, or by each
+    element of their set; NULL cells are left out.  For set cells it also
+    keeps each set's size and the positions of the empty ones, which
+    supseteq needs."""
 
-    Precondition: no cell con tests is MISSING.  rule_meaning passes
-    definite survivors, and learning passes untainted members.
+    def __init__(self, objs, attr: str):
+        self.count = len(objs)
+        self.rows, self.size, self.empty = {}, {}, []
+        for r, obj in enumerate(objs):
+            v = obj.value(attr)
+            if v is NULL:
+                continue
+            if isinstance(v, frozenset):
+                self.size[r] = len(v)
+                if not v:
+                    self.empty.append(r)
+            for key in v if isinstance(v, frozenset) else (v,):
+                self.rows.setdefault(key, []).append(r)
 
-    Resources are indexed by their value, or by each element of their set,
-    and a user probes with its value or each element of its set.  For
-    equal, in and contains a resource is reached by at most one probe, so
-    every hit is a match; supseteq counts hits against the size of the
+
+def matches(con: AtomicConstraint, users, resources: ValueIndex):
+    """Yields (u, [r, ...]) for each user index u with a match: the
+    positions r in the resource index for which con is true on users[u]
+    and that resource.  Callers must not modify the lists.
+
+    Precondition: no cell con tests is MISSING, and resources indexes the
+    resources by con.res_attr.  rule_meaning passes definite survivors,
+    and learning passes untainted members.
+
+    A user probes the index with its value or each element of its set.
+    For equal, in and contains a resource is reached by at most one probe,
+    so every hit is a match; supseteq counts hits against the size of the
     resource's set, so an empty set matches every user.  NULL matches
-    nothing.  Cost: O(users + resources + set elements + matches).
+    nothing.  Cost: O(users + user set elements + matches).
     """
     if con.op not in CONSTRAINT_KINDS:
         raise SchemaError(f"unknown constraint operator: {con.op}")
-    user_set, res_set = (k is AttrKind.MULTI for k in CONSTRAINT_KINDS[con.op])
-    counted = con.op == "supseteq"
-    index, size, empty = {}, {}, []
-    for r, res in enumerate(resources):
-        vr = res.value(con.res_attr)
-        if vr is NULL:
-            continue
-        if counted:
-            size[r] = len(vr)
-            if not vr:
-                empty.append(r)
-        for key in vr if res_set else (vr,):
-            index.setdefault(key, []).append(r)
+    user_set = CONSTRAINT_KINDS[con.op][0] is AttrKind.MULTI
+    rows = resources.rows
     for u, user in enumerate(users):
         vu = user.value(con.user_attr)
         if vu is NULL:
             continue
-        if counted:
+        if con.op == "supseteq":
             hits = {}
             for key in vu:
-                for r in index.get(key, ()):
+                for r in rows.get(key, ()):
                     hits[r] = hits.get(r, 0) + 1
-            found = empty + [r for r, n in hits.items() if n == size[r]]
+            found = resources.empty + [r for r, n in hits.items() if n == resources.size[r]]
         elif user_set:
-            found = [r for key in vu for r in index.get(key, ())]
+            found = [r for key in vu for r in rows.get(key, ())]
         else:
-            found = index.get(vu, ())
+            found = rows.get(vu, ())
         if found:
             yield u, found
 
@@ -186,9 +198,8 @@ def rule_meaning(rule: Rule, om: ObjectModel):
         om.resources.values(), rule.res_conds, [c.res_attr for c in cons]
     )
     if cons:
-        pairs = (
-            (users[u], resources[r]) for u, hits in matches(cons[0], users, resources) for r in hits
-        )
+        joined = matches(cons[0], users, ValueIndex(resources, cons[0].res_attr))
+        pairs = ((users[u], resources[r]) for u, hits in joined for r in hits)
     else:
         pairs = ((user, res) for user in users for res in resources)
     granted = set()

@@ -21,6 +21,16 @@ per pair, as users x resources boolean matrices filled from
 `evaluate.matches`, the join that also decides which pairs a policy's rules
 grant.  The statistics are integers, so the fit centers them exactly.
 
+A triple's data splits into per-group pieces: `side_summary` holds what
+depends on one group only (its conditions, rows, condition matrix with its
+gram, sums and all-true columns, and a value index per resource attribute,
+built on first use), `labels` the triple's pair labels, and `assemble` the
+statistics from two summaries, the constraint features and the labels.
+`build_learning_data` runs the three for one triple; prediction's
+`TripleCache` builds each group's summary and value indexes once per
+cache, and settles a triple with no rows or no granted pair from its
+labels, before anything else of it is built.
+
 The ranking puts structurally certain features ahead of fitted ones:
 
 * characterizing features hold on every row; conditions additionally need
@@ -36,17 +46,18 @@ cross-side link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import Tri, eval_atomic_condition, matches
+from .evaluate import Tri, ValueIndex, eval_atomic_condition, matches
 from .model import (
     CONSTRAINT_KINDS,
     MISSING,
     NULL,
     AtomicCondition,
     AtomicConstraint,
+    AttrKind,
     ConfigError,
     EntitlementIndex,
     InsufficientDataError,
@@ -111,7 +122,7 @@ class Feature:
         return f"{self.side.value}.{self.condition.render()}"
 
 
-def _conditions_for(side: Side, members) -> list:
+def _conditions_for(schema, side: Side, members) -> list:
     """One condition per distinct known value among the members.
 
     Unknown cells contribute nothing; id never yields conditions because a
@@ -122,19 +133,10 @@ def _conditions_for(side: Side, members) -> list:
         for name, v in obj.attrs.items():
             if name == "id" or v is NULL or v is MISSING:
                 continue
-            pool = by_attr.setdefault(name, set())
-            if isinstance(v, frozenset):
-                pool |= v
-            else:
-                pool.add(v)
+            by_attr.setdefault(name, set()).update(_elements(v))
     feats = []
     for name in sorted(by_attr):
-        sample = next(
-            obj.value(name)
-            for obj in members
-            if obj.value(name) is not NULL and obj.value(name) is not MISSING
-        )
-        multi = isinstance(sample, frozenset)
+        multi = schema.kind(side, name) is AttrKind.MULTI
         for v in sorted(by_attr[name]):
             if multi:
                 feats.append(Feature.cond(side, AtomicCondition(name, "contains", v)))
@@ -146,22 +148,24 @@ def _conditions_for(side: Side, members) -> list:
 _OP_FOR_KINDS = {kinds: op for op, kinds in CONSTRAINT_KINDS.items()}
 
 
-def _constraints_for(om: ObjectModel) -> list:
+def constraint_features(om: ObjectModel) -> tuple:
+    """One constraint per kind-compatible (user attribute, resource
+    attribute) pair, in canonical order."""
     feats = []
     for ua in om.schema.for_side(Side.USER):
         for ra in om.schema.for_side(Side.RESOURCE):
             op = _OP_FOR_KINDS[(ua.kind, ra.kind)]
             feats.append(Feature.con(AtomicConstraint(ua.name, op, ra.name)))
-    return feats
+    return tuple(sorted(feats, key=Feature.sort_key))
 
 
 def enumerate_features(om: ObjectModel, user_members, res_members) -> list:
     """Candidate features for one group pair, in canonical order: user
     conditions, resource conditions, then constraints, each sorted."""
     feats = (
-        _conditions_for(Side.USER, user_members)
-        + _conditions_for(Side.RESOURCE, res_members)
-        + _constraints_for(om)
+        _conditions_for(om.schema, Side.USER, user_members)
+        + _conditions_for(om.schema, Side.RESOURCE, res_members)
+        + list(constraint_features(om))
     )
     return sorted(feats, key=Feature.sort_key)
 
@@ -211,10 +215,10 @@ def _condition_matrix(objs, conds) -> np.ndarray:
     return A
 
 
-def constraint_matrix(con: AtomicConstraint, users, resources) -> np.ndarray:
-    """users x resources bool truth of the constraint over known cells, as
-    `evaluate.matches` finds it.  NULL on either side gives false."""
-    M = np.zeros((len(users), len(resources)), dtype=bool)
+def constraint_matrix(con: AtomicConstraint, users, resources: ValueIndex) -> np.ndarray:
+    """users x indexed resources bool truth of the constraint over known
+    cells, as `evaluate.matches` finds it.  NULL on either side gives false."""
+    M = np.zeros((len(users), resources.count), dtype=bool)
     for u, hits in matches(con, users, resources):
         M[u, hits] = True
     return M
@@ -225,62 +229,82 @@ def _int_product(a, b) -> np.ndarray:
     return (np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)).astype(np.int64)
 
 
-def build_learning_data(om, user_group, res_group, action, entitlements) -> LearningData:
-    """Fit statistics over untainted member pairs; features enumerated from
-    all members.
+@dataclass
+class SideSummary:
+    """What every triple of one group needs from that group's side."""
 
-    An object with any unknown cell is left out of the rows: its feature
-    columns could not be evaluated definitely.  Its known values still feed
-    feature enumeration.  Condition columns depend on one side only, so
-    their blocks of the statistics come from per-side 0/1 matrices; only
-    the constraint columns are evaluated per pair.
-    """
-    user_members = [om.users[i] for i in user_group.members]
-    res_members = [om.resources[i] for i in res_group.members]
-    features = enumerate_features(om, user_members, res_members)
-    users = [u for u in user_members if is_untainted(u)]
-    resources = [r for r in res_members if is_untainted(r)]
-    nu, nr = len(users), len(resources)
+    conditions: tuple  # condition features, in canonical order
+    rows: list  # untainted members
+    A: np.ndarray  # (rows, conditions) 0/1
+    gram: np.ndarray  # A'A
+    sums: np.ndarray  # column sums of A
+    all_true: np.ndarray  # (conditions,) bool: true on every row
+    indexes: dict = field(default_factory=dict)  # attribute -> ValueIndex over the rows
 
-    # canonical order puts user conditions, resource conditions and
-    # constraints in three runs: the blocks of the statistics
-    ucond = [f.condition for f in features if f.condition is not None and f.side is Side.USER]
-    rcond = [f.condition for f in features if f.condition is not None and f.side is Side.RESOURCE]
-    cons = [f.constraint for f in features if f.is_constraint]
-    Au = _condition_matrix(users, ucond)
-    Ar = _condition_matrix(resources, rcond)
-    C = np.zeros((len(cons), nu, nr), dtype=bool)
-    for k, con in enumerate(cons):
-        C[k] = constraint_matrix(con, users, resources)
+    def index(self, attr: str) -> ValueIndex:
+        """The rows' value index on attr, built on first use."""
+        if attr not in self.indexes:
+            self.indexes[attr] = ValueIndex(self.rows, attr)
+        return self.indexes[attr]
 
+
+def side_summary(om: ObjectModel, group) -> SideSummary:
+    """The group's side of every triple it takes part in."""
+    table = om.side_objects(group.side)
+    members = [table[i] for i in group.members]
+    conditions = sorted(_conditions_for(om.schema, group.side, members), key=Feature.sort_key)
+    rows = [m for m in members if is_untainted(m)]
+    A = _condition_matrix(rows, [f.condition for f in conditions])
+    return SideSummary(tuple(conditions), rows, A, _int_product(A.T, A), A.sum(0), A.all(0))
+
+
+def labels(users: SideSummary, resources: SideSummary, action, entitlements) -> np.ndarray:
+    """0/1 rows x rows matrix: does the (user, resource) pair hold the action?"""
     index = EntitlementIndex.of(entitlements)
-    column = {r.id: j for j, r in enumerate(resources)}
-    Y = np.zeros((nu, nr), dtype=np.int64)
-    for i, u in enumerate(users):
+    column = {r.id: j for j, r in enumerate(resources.rows)}
+    Y = np.zeros((len(users.rows), len(resources.rows)), dtype=np.int64)
+    for i, u in enumerate(users.rows):
         for rid in index.resources(u.id, action):
             j = column.get(rid)
             if j is not None:
                 Y[i, j] = 1
+    return Y
+
+
+def assemble(users: SideSummary, resources: SideSummary, constraints, Y) -> LearningData:
+    """The fit statistics of one triple from its two side summaries, its
+    constraint features and its labels Y.
+
+    Features run in canonical order, user conditions, resource conditions,
+    then constraints: the blocks of the statistics.  Only the constraint
+    columns are evaluated per pair.
+    """
+    nu, nr = Y.shape
+    C = np.zeros((len(constraints), nu, nr), dtype=bool)
+    for k, f in enumerate(constraints):
+        con = f.constraint
+        C[k] = constraint_matrix(con, users.rows, resources.index(con.res_attr))
 
     # a condition column repeats its side's value across the other side, so
     # its cross terms with a constraint need only the constraint's per-side sums
-    su, sr = Au.sum(0), Ar.sum(0)
-    Cflat = C.reshape(len(cons), nu * nr)
+    Au, Ar = users.A, resources.A
+    su, sr = users.sums, resources.sums
+    Cflat = C.reshape(len(constraints), nu * nr)
     uc = _int_product(Au.T, C.sum(axis=2).T)
     rc = _int_product(Ar.T, C.sum(axis=1).T)
     ur = np.outer(su, sr)
     gram = np.block(
         [
-            [_int_product(Au.T, Au) * nr, ur, uc],
-            [ur.T, _int_product(Ar.T, Ar) * nu, rc],
+            [users.gram * nr, ur, uc],
+            [ur.T, resources.gram * nu, rc],
             [uc.T, rc.T, _int_product(Cflat, Cflat.T)],
         ]
     )
     sums = np.concatenate([su * nr, sr * nu, Cflat.sum(1)])
     xty = np.concatenate([Au.T @ Y.sum(1), Ar.T @ Y.sum(0), _int_product(Cflat, Y.reshape(-1))])
-    all_true = np.concatenate([Au.all(0), Ar.all(0), Cflat.all(1)]) | (nu * nr == 0)
+    all_true = np.concatenate([users.all_true, resources.all_true, Cflat.all(1)]) | (nu * nr == 0)
     return LearningData(
-        features=tuple(features),
+        features=users.conditions + resources.conditions + tuple(constraints),
         row_count=nu * nr,
         positives=int(Y.sum()),
         sums=sums,
@@ -288,6 +312,19 @@ def build_learning_data(om, user_group, res_group, action, entitlements) -> Lear
         xty=xty,
         all_true=all_true,
     )
+
+
+def build_learning_data(om, user_group, res_group, action, entitlements) -> LearningData:
+    """Fit statistics over untainted member pairs; features enumerated from
+    all members.
+
+    An object with any unknown cell is left out of the rows: its feature
+    columns could not be evaluated definitely.  Its known values still feed
+    feature enumeration.
+    """
+    users, resources = side_summary(om, user_group), side_summary(om, res_group)
+    Y = labels(users, resources, action, entitlements)
+    return assemble(users, resources, constraint_features(om), Y)
 
 
 def fit_least_squares(n, sums, gram, xty, ysum, ridge: float = 1e-8):

@@ -70,6 +70,13 @@ def _dump_cell(value):
     return value
 
 
+def _string(value, where: str, field: str) -> str:
+    """value, which must be a JSON string: names are never coerced."""
+    if not isinstance(value, str):
+        raise InputError(f"{where}: {field} must be a string")
+    return value
+
+
 def _parse_condition(raw, where: str) -> AtomicCondition:
     if not isinstance(raw, list) or len(raw) != 3:
         raise InputError(f"{where}: condition must be [attr, op, val]")
@@ -77,20 +84,24 @@ def _parse_condition(raw, where: str) -> AtomicCondition:
     if op == "in":
         if not isinstance(val, list):
             raise InputError(f"{where}: 'in' needs an array of values")
-        val = frozenset(str(v) for v in val)
+        val = frozenset(_string(v, where, "'in' value") for v in val)
     elif op == "contains":
         if not isinstance(val, str):
             raise InputError(f"{where}: 'contains' needs a string value")
     else:
         raise InputError(f"{where}: unknown condition op {op!r}")
-    return AtomicCondition(str(attr), op, val)
+    return AtomicCondition(_string(attr, where, "condition attr"), op, val)
 
 
 def _parse_constraint(raw, where: str) -> AtomicConstraint:
     if not isinstance(raw, list) or len(raw) != 3:
         raise InputError(f"{where}: constraint must be [userAttr, op, resourceAttr]")
     ua, op, ra = raw
-    return AtomicConstraint(str(ua), str(op), str(ra))
+    return AtomicConstraint(
+        _string(ua, where, "constraint userAttr"),
+        _string(op, where, "constraint op"),
+        _string(ra, where, "constraint resourceAttr"),
+    )
 
 
 def _array(entry: dict, key: str, where: str) -> list:
@@ -113,7 +124,7 @@ def policy_from_dict(doc: dict) -> Policy:
         try:
             kind = AttrKind(item["kind"])
             side = Side(item["appliesTo"])
-            name = str(item["name"])
+            name = _string(item["name"], f"schema[{i}]", "name")
         except (KeyError, ValueError, TypeError) as e:
             raise InputError(f"schema[{i}]: {e}") from None
         try:
@@ -121,7 +132,8 @@ def policy_from_dict(doc: dict) -> Policy:
         except SchemaError as e:
             raise InputError(str(e)) from None
 
-    actions = tuple(str(a) for a in _array(doc, "actions", "policy"))
+    actions = _array(doc, "actions", "policy")
+    actions = tuple(_string(a, "policy", f"actions[{j}]") for j, a in enumerate(actions))
     if len(set(actions)) != len(actions):
         raise InputError("duplicate action names")
 
@@ -132,7 +144,7 @@ def policy_from_dict(doc: dict) -> Policy:
             where = f"{key}[{i}]"
             if not isinstance(entry, dict) or "id" not in entry:
                 raise InputError(f"{where}: needs an 'id'")
-            oid = str(entry["id"])
+            oid = _string(entry["id"], where, "id")
             attrs = {"id": oid}
             given = entry.get("attrs", {})
             if not isinstance(given, dict):
@@ -156,7 +168,8 @@ def policy_from_dict(doc: dict) -> Policy:
         rc = tuple(_parse_condition(c, where) for c in _array(entry, "rc", where))
         cc = tuple(_parse_constraint(c, where) for c in _array(entry, "c", where))
         acts = _array(entry, "actions", where)
-        rules.append(Rule(uc, rc, cc, frozenset(str(a) for a in acts)))
+        acts = frozenset(_string(a, where, f"actions[{j}]") for j, a in enumerate(acts))
+        rules.append(Rule(uc, rc, cc, acts))
 
     policy = Policy(model=om, rules=tuple(rules))
     try:

@@ -25,14 +25,21 @@ import enum
 from dataclasses import dataclass
 
 from .clustering import Clustering, Group
-from .features import FeatureConfig, build_learning_data, rank_features
+from .features import (  # noqa: F401 - perfbench traces build_learning_data by this name
+    FeatureConfig,
+    assemble,
+    build_learning_data,
+    constraint_features,
+    labels,
+    rank_features,
+    side_summary,
+)
 from .model import (
     MISSING,
     NULL,
     AttrKind,
     ConfigError,
     EntitlementIndex,
-    InsufficientDataError,
     ObjectModel,
     Side,
 )
@@ -88,23 +95,42 @@ class CellPrediction:
 
 class TripleCache:
     """Memoizes learned rankings per (user group, resource group, action).
-    Holds the one entitlement index that learning and lookup share."""
+
+    Holds the one entitlement index that learning and lookup share, one
+    side summary per group (its conditions, condition matrix and value
+    indexes, built once however many triples the group takes part in) and
+    the constraint features, which every triple shares.  A triple whose
+    labels show no granted pair, or which has no rows, is settled as None
+    from the labels alone: nothing else of it is built.
+    """
 
     def __init__(self, om: ObjectModel, entitlements, feature_config: FeatureConfig = None):
         self.om = om
         self.entitlements = EntitlementIndex.of(entitlements)
         self.feature_config = feature_config or FeatureConfig()
+        # checked here too: a triple settled from its labels never reaches rank_features
+        self.feature_config.validate()
+        self._constraints = constraint_features(om)
+        self._summaries = {}
         self._store = {}
 
+    def _summary(self, group: Group):
+        key = (group.side, group.gid)
+        if key not in self._summaries:
+            self._summaries[key] = side_summary(self.om, group)
+        return self._summaries[key]
+
     def ranked(self, gu: Group, gr: Group, action: str):
-        """RankedFeature tuple for the triple, or None when it has no usable rows."""
+        """RankedFeature tuple for the triple, or None when it has no usable
+        rows: none at all, or none granted (rank_features would refuse)."""
         key = (gu.gid, gr.gid, action)
         if key not in self._store:
-            data = build_learning_data(self.om, gu, gr, action, self.entitlements)
-            try:
+            users, resources = self._summary(gu), self._summary(gr)
+            Y = labels(users, resources, action, self.entitlements)
+            ranked = None
+            if Y.any():
+                data = assemble(users, resources, self._constraints, Y)
                 ranked = rank_features(self.om, gu, gr, data, self.feature_config)
-            except InsufficientDataError:
-                ranked = None
             self._store[key] = ranked
         return self._store[key]
 

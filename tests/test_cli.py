@@ -429,3 +429,34 @@ def test_policy_arrays_must_be_arrays(tmp_path, capsys, path, value):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert f"{where}: {path[-1]} must be an array" in err
+
+
+# every name the policy loader reads, with the message a wrong type gets
+NAME_FIELDS = [
+    (("users", 0, "id"), "users[0]: id"),
+    (("resources", 0, "id"), "resources[0]: id"),
+    (("schema", 1, "name"), "schema[1]: name"),
+    (("actions", 0), "policy: actions[0]"),
+    (("rules", 0, "actions", 0), "rules[0]: actions[0]"),
+    (("rules", 0, "uc", 0, 0), "rules[0]: condition attr"),
+    (("rules", 0, "uc", 0, 2, 0), "rules[0]: 'in' value"),
+    (("rules", 0, "c", 0, 0), "rules[0]: constraint userAttr"),
+    (("rules", 0, "c", 0, 1), "rules[0]: constraint op"),
+    (("rules", 0, "c", 0, 2), "rules[0]: constraint resourceAttr"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,where", NAME_FIELDS, ids=[".".join(map(str, p)) for p, _ in NAME_FIELDS]
+)
+@pytest.mark.parametrize(
+    "value", [7, None, {"k": 1}, ["modify"]], ids=["number", "null", "object", "array"]
+)
+def test_policy_names_must_be_strings(tmp_path, capsys, path, where, value):
+    campus = json.loads(pathlib.Path(CAMPUS).read_text())
+    pol = tmp_path / "p.json"
+    pol.write_text(json.dumps(_mutated(campus, "set", path, value)))
+    for argv in (["entitlements", "--policy", str(pol)], ["cluster", "--policy", str(pol)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"{where} must be a string" in err

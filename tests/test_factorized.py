@@ -13,6 +13,7 @@ below the floor are solver noise that depends on the order of summation.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,9 +26,16 @@ from oracles import (
     random_small_policy,
 )
 
-from abacfill.clustering import cluster_objects
-from abacfill.evaluate import Tri, eval_atomic_constraint
-from abacfill.features import build_learning_data, constraint_matrix, rank_features
+from abacfill import prediction
+from abacfill.clustering import ClusteringConfig, Group, cluster_objects
+from abacfill.evaluate import Tri, ValueIndex, eval_atomic_constraint
+from abacfill.features import (
+    assemble,
+    build_learning_data,
+    constraint_matrix,
+    rank_features,
+    side_summary,
+)
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
 from abacfill.harness import HarnessConfig, remove_cells
 from abacfill.model import (
@@ -45,7 +53,7 @@ from abacfill.model import (
     Side,
 )
 from abacfill.policy_io import policy_from_dict
-from abacfill.prediction import relevant_group_triples
+from abacfill.prediction import predict_missing, relevant_group_triples
 
 
 def _ranking_or_none(rank):
@@ -113,14 +121,18 @@ CONSULTED = [
 ]
 
 
-@pytest.mark.parametrize("fraction", [0.06, 0.30])
-@pytest.mark.parametrize("template,scale", CONSULTED)
-def test_consulted_triples_match_dense(template, scale, fraction):
+def _consulted_setup(template, scale, fraction, clustering_config=HarnessConfig().clustering):
     policy = generate(GeneratorConfig(template=template, scale=scale, seed=scale))
     entitlements = reference_entitlements(policy)
     om = policy.model.copy()
     remove_cells(om, fraction, random.Random(scale))
-    clustering = cluster_objects(om, HarnessConfig().clustering)
+    return om, cluster_objects(om, clustering_config), entitlements
+
+
+@pytest.mark.parametrize("fraction", [0.06, 0.30])
+@pytest.mark.parametrize("template,scale", CONSULTED)
+def test_consulted_triples_match_dense(template, scale, fraction):
+    om, clustering, entitlements = _consulted_setup(template, scale, fraction)
     index = EntitlementIndex(entitlements)
     triples = {}
     for side, oid, _ in om.missing_cells():
@@ -130,6 +142,65 @@ def test_consulted_triples_match_dense(template, scale, fraction):
     for key in sorted(triples):
         gu, gr, action = triples[key]
         assert_triple_matches_dense(om, gu, gr, action, entitlements)
+
+
+@pytest.mark.parametrize("st", [0.1, 0.25])
+@pytest.mark.parametrize("fraction", [0.06, 0.30])
+@pytest.mark.parametrize("template,scale", CONSULTED)
+def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, fraction, st):
+    """predict_missing's cache ranks every triple it consults as the
+    one-triple path does, builds each group's summary once and assembles
+    nothing for a triple its labels settle.  The CLI's default threshold,
+    0.25, makes smaller groups and many triples with no granted pair."""
+    om, clustering, entitlements = _consulted_setup(
+        template, scale, fraction, ClusteringConfig(threshold=st)
+    )
+    caches, summaries, assembled, consulted = [], Counter(), [], {}
+
+    class RecordingCache(prediction.TripleCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(self)
+
+        def ranked(self, gu, gr, action):
+            before = len(assembled)
+            got = super().ranked(gu, gr, action)
+            seen = consulted.setdefault((gu.gid, gr.gid, action), [gu, gr, got, 0])
+            assert seen[2] is got
+            seen[3] += len(assembled) - before
+            return got
+
+    def counted_summary(om, group):
+        summaries[(group.side, group.gid)] += 1
+        return side_summary(om, group)
+
+    def counted_assemble(*args):
+        assembled.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(prediction, "TripleCache", RecordingCache)
+    monkeypatch.setattr(prediction, "side_summary", counted_summary)
+    monkeypatch.setattr(prediction, "assemble", counted_assemble)
+    predict_missing(om, clustering, entitlements)
+
+    assert len(caches) == 1 and consulted
+    assert max(summaries.values()) == 1
+    if st == 0.25:
+        assert any(got is None for _, _, got, _ in consulted.values())
+    for key in sorted(consulted):
+        gu, gr, got, assemblies = consulted[key]
+        action = key[2]
+        want = _ranking_or_none(
+            lambda: rank_features(om, gu, gr, build_learning_data(om, gu, gr, action, entitlements))
+        )
+        assert assemblies == (0 if got is None else 1), key
+        if want is None:
+            assert got is None, key
+            continue
+        assert got is not None, key
+        assert [rf.feature for rf in got] == [rf.feature for rf in want]
+        assert [rf.coefficient for rf in got] == [rf.coefficient for rf in want]
+        assert [rf.characterizing for rf in got] == [rf.characterizing for rf in want]
 
 
 # --- the constraint encoder, one operator at a time ---
@@ -162,7 +233,7 @@ def _encoder_model(op):
 
 def _assert_encoder_matches(om, con):
     users, resources = list(om.users.values()), list(om.resources.values())
-    got = constraint_matrix(con, users, resources)
+    got = constraint_matrix(con, users, ValueIndex(resources, con.res_attr))
     want = np.array(
         [[eval_atomic_constraint(u, r, con) is Tri.TRUE for r in resources] for u in users]
     )
@@ -181,9 +252,9 @@ def test_constraint_encoder_on_ids():
     _assert_encoder_matches(om, AtomicConstraint("id", "equal", "id"))
     _assert_encoder_matches(om, AtomicConstraint("id", "equal", "y"))
     _assert_encoder_matches(om, AtomicConstraint("x", "equal", "id"))
-    assert constraint_matrix(
-        AtomicConstraint("id", "equal", "id"), [om.users["r0"]], [om.resources["r0"]]
-    ).tolist() == [[True]]
+    con = AtomicConstraint("id", "equal", "id")
+    index = ValueIndex([om.resources["r0"]], "id")
+    assert constraint_matrix(con, [om.users["r0"]], index).tolist() == [[True]]
     om = _encoder_model("in")
     _assert_encoder_matches(om, AtomicConstraint("id", "in", "y"))
 
@@ -192,7 +263,7 @@ def test_supseteq_of_empty_set_holds_unless_null():
     om = _encoder_model("supseteq")
     con = AtomicConstraint("x", "supseteq", "y")
     empty_res = [om.resources["r0"]]  # y = {}
-    truth = constraint_matrix(con, list(om.users.values()), empty_res)[:, 0]
+    truth = constraint_matrix(con, list(om.users.values()), ValueIndex(empty_res, "y"))[:, 0]
     known = [om.users[u].value("x") is not NULL for u in om.users]
     assert truth.tolist() == known
 
@@ -200,8 +271,9 @@ def test_supseteq_of_empty_set_holds_unless_null():
 def test_encoder_on_empty_sides():
     om = _encoder_model("supseteq")
     con = AtomicConstraint("x", "supseteq", "y")
-    assert constraint_matrix(con, [], list(om.resources.values())).shape == (0, 5)
-    assert constraint_matrix(con, list(om.users.values()), []).shape == (6, 0)
+    resources = ValueIndex(list(om.resources.values()), "y")
+    assert constraint_matrix(con, [], resources).shape == (0, 5)
+    assert constraint_matrix(con, list(om.users.values()), ValueIndex([], "y")).shape == (6, 0)
 
 
 def test_all_tainted_side_gives_no_rows():
@@ -215,3 +287,52 @@ def test_all_tainted_side_gives_no_rows():
             assert data.row_count == 0
             assert data.all_true.all()
             assert_triple_matches_dense(om, gu, gr, "read", set())
+
+
+# op -> (user attribute, resource attribute); each resource attribute is
+# tested by two operators, which share its index
+_SHARED = {"equal": ("xs", "ys"), "contains": ("xm", "ys"), "in": ("xs", "ym"),
+           "supseteq": ("xm", "ym")}
+
+
+def _shared_index_model():
+    """Every combination of a single and a set value on each side, NULL and
+    the empty set included."""
+    single = ["a", "b", "only-user", NULL]
+    multi = [frozenset(), frozenset({"a"}), frozenset({"a", "b"}), frozenset({"only-user"}), NULL]
+    rsingle = ["a", "b", "only-res", NULL]
+    rmulti = [frozenset(), frozenset({"b"}), frozenset({"a", "b"}), frozenset({"only-res"}), NULL]
+    s = Schema()
+    for side, one, many in ((Side.USER, "xs", "xm"), (Side.RESOURCE, "ys", "ym")):
+        s.add(AttrSchema("id", AttrKind.SINGLE, side))
+        s.add(AttrSchema(one, AttrKind.SINGLE, side))
+        s.add(AttrSchema(many, AttrKind.MULTI, side))
+    om = ObjectModel(schema=s, actions=("read",))
+    for i in range(20):
+        om.add(Obj(f"u{i}", Side.USER, {"id": f"u{i}", "xs": single[i % 4], "xm": multi[i % 5]}))
+        om.add(Obj(f"r{i}", Side.RESOURCE,
+                   {"id": f"r{i}", "ys": rsingle[i % 4], "ym": rmulti[i % 5]}))
+    return om
+
+
+def test_one_value_index_serves_every_constraint_on_its_attribute():
+    om = _shared_index_model()
+    users, resources = list(om.users.values()), list(om.resources.values())
+    indexes = {attr: ValueIndex(resources, attr) for attr in ("ys", "ym")}
+    assert indexes["ym"].empty == [0, 5, 10, 15]
+    # a second round over the same indexes: probing leaves them as they were
+    for _ in range(2):
+        for op, (ua, ra) in sorted(_SHARED.items()):
+            con = AtomicConstraint(ua, op, ra)
+            got = constraint_matrix(con, users, indexes[ra])
+            want = [[eval_atomic_constraint(u, r, con) is Tri.TRUE for r in resources]
+                    for u in users]
+            assert np.array_equal(got, np.array(want)), con.render()
+
+
+def test_side_summary_builds_each_index_once():
+    om = _shared_index_model()
+    summary = side_summary(om, Group(1, Side.RESOURCE, tuple(om.resources)))
+    assert summary.index("ym") is summary.index("ym")
+    assert summary.index("ym") is not summary.index("ys")
+    assert [r.id for r in summary.rows] == list(om.resources)
