@@ -16,10 +16,10 @@ import json
 import sys
 
 from . import __version__
-from .clustering import ClusteringConfig, active_attributes, cluster_objects, object_similarity
+from .clustering import ClusteringConfig, active_attributes, cluster_objects, member_means
 from .features import FeatureConfig, build_learning_data, rank_features
 from .generator import TEMPLATES, GeneratorConfig, generate, reference_entitlements
-from .harness import HarnessConfig, eligible_cells, evaluate_matrix
+from .harness import HarnessConfig, eligible_cells, evaluate_matrix, tally
 from .model import AbacError, InputError, Side
 from .policy_io import (
     entitlements_to_csv,
@@ -129,16 +129,13 @@ def _clustering_config(
 ) -> ClusteringConfig:
     st = settings["st"] if settings["st"] is not None else default_st
     cfg = ClusteringConfig(threshold=st, weights=settings["weights"])
-    cfg.validate()
     cfg.check_weight_names(schema)
     return cfg
 
 
 def _prediction_config(settings) -> PredictionConfig:
     high, medium = settings["ntcf"]
-    cfg = PredictionConfig(high_rank_limit=high, medium_rank_limit=medium)
-    cfg.validate()
-    return cfg
+    return PredictionConfig(high_rank_limit=high, medium_rank_limit=medium)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -194,21 +191,19 @@ def _cmd_cluster(args) -> int:
     groups = []
     for g in clustering.groups:
         objs = [policy.model.side_objects(g.side)[m] for m in g.members]
-        sims = [
-            object_similarity(objs[i], objs[j], config)
-            for i in range(len(objs))
-            for j in range(i + 1, len(objs))
-        ]
+        # the means refinement compared with the threshold; the mean over
+        # pairs is the mean of the member means, rounded once
+        means = member_means(objs, config) if len(objs) > 1 else []
         groups.append(
             {
                 "gid": g.gid,
                 "side": g.side.value,
                 "members": list(g.members),
                 "signature": sorted(active_attributes(objs[0])),
-                "pairs": len(sims),
-                "mean_similarity": sum(sims) / len(sims) if sims else None,
-                "min_similarity": min(sims) if sims else None,
-                "max_similarity": max(sims) if sims else None,
+                "pairs": len(objs) * (len(objs) - 1) // 2,
+                "mean_similarity": float(sum(means) / len(means)) if means else None,
+                "min_member_mean": float(min(means)) if means else None,
+                "max_member_mean": float(max(means)) if means else None,
             }
         )
     _emit_json({"threshold": config.threshold, "groups": groups}, args.out)
@@ -261,7 +256,7 @@ def _cmd_predict(args) -> int:
     entitlements = load_entitlements(args.entitlements, policy.model)
     clustering = cluster_objects(policy.model, _clustering_config(settings, policy.model.schema))
     predictions = predict_missing(
-        policy.model, clustering, entitlements, _prediction_config(settings), FeatureConfig()
+        policy.model, clustering, entitlements, _prediction_config(settings)
     )
     rows = []
     for p in predictions:
@@ -296,9 +291,7 @@ def _matrix_csv(template, scales, percents, matrix, timing: bool) -> str:
         policy, ents = matrix.policies[scale]
         om = policy.model
         rows = [r for r in matrix.runs if r.scale == scale]
-        predicted = sum(r.predicted for r in rows)
-        correct = sum(r.correct for r in rows)
-        acc = correct / predicted if predicted else 1.0
+        _, acc = tally(rows)
         record = [
             f"{template}-{scale}",
             str(len(om.users) + len(om.resources)),

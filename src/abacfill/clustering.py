@@ -18,6 +18,7 @@ O(members x attributes + set overlaps), where set overlaps counts the pairs
 of distinct sets in an attribute that share an element.  The threshold
 comparison is exact, in rational arithmetic on the weights and threshold as
 written in decimal, so a member whose mean equals the threshold stays.
+`member_means` reads the same exact sums, for reports.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class ClusteringConfig:
     threshold: float = 0.25
     weights: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"similarity threshold must be in [0, 1]: {self.threshold}")
         for name, w in self.weights.items():
@@ -167,9 +168,10 @@ def _as_written(x) -> Fraction:
     return Fraction(str(float(x)))
 
 
-def _split(members: list, config: ClusteringConfig) -> tuple:
-    """(stay, movers): a member moves when its mean similarity to the
-    others is below the threshold, decided in exact rational arithmetic."""
+def _summed_similarities(members: list, config: ClusteringConfig) -> tuple:
+    """(totals, unit): member i's similarity to the others, summed over
+    them, is exactly totals[i] / unit, with integer totals.  unit is the
+    common denominator times the signature's total weight."""
     totals = [0] * len(members)
     weighted = []
     weight_sum = Fraction(0)
@@ -183,8 +185,24 @@ def _split(members: list, config: ClusteringConfig) -> tuple:
     for keys, sums in weighted:
         ints = {k: f.numerator * (scale // f.denominator) for k, f in sums.items()}
         totals = [t + ints[k] for t, k in zip(totals, keys)]
-    # mean < threshold  <=>  sum of weighted sums < threshold * total weight * (n - 1)
-    bar = math.ceil(_as_written(config.threshold) * weight_sum * (len(members) - 1) * scale)
+    return totals, scale * weight_sum
+
+
+def member_means(members: list, config: ClusteringConfig) -> list:
+    """Each member's exact mean similarity to the other members, as a
+    Fraction: the quantity refinement compares with the threshold.  Needs
+    at least two members."""
+    totals, unit = _summed_similarities(members, config)
+    others = unit * (len(members) - 1)
+    return [t / others for t in totals]
+
+
+def _split(members: list, config: ClusteringConfig) -> tuple:
+    """(stay, movers): a member moves when its mean similarity to the
+    others is below the threshold, decided in exact rational arithmetic."""
+    totals, unit = _summed_similarities(members, config)
+    # mean < threshold  <=>  total < threshold * (n - 1) * unit
+    bar = math.ceil(_as_written(config.threshold) * (len(members) - 1) * unit)
     stay, movers = [], []
     for obj, t in zip(members, totals):
         (movers if t < bar else stay).append(obj)
@@ -213,7 +231,6 @@ def refine_group(members: list, config: ClusteringConfig) -> list:
 def cluster_objects(om: ObjectModel, config: ClusteringConfig = None) -> Clustering:
     """Cluster both sides of the model.  Group ids run 1..n, users first."""
     config = config or ClusteringConfig()
-    config.validate()
     groups = []
     by_object = {}
     for side in (Side.USER, Side.RESOURCE):

@@ -66,14 +66,15 @@ from .model import (
 )
 
 
+#: ridge on the diagonal of the centered gram in fit_least_squares
+RIDGE = 1e-8
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
-    ridge: float = 1e-8
     coefficient_floor: float = 0.05
 
-    def validate(self) -> None:
-        if self.ridge <= 0:
-            raise ConfigError(f"ridge must be positive: {self.ridge}")
+    def __post_init__(self) -> None:
         if self.coefficient_floor <= 0:
             raise ConfigError(f"coefficient floor must be positive: {self.coefficient_floor}")
 
@@ -327,16 +328,17 @@ def build_learning_data(om, user_group, res_group, action, entitlements) -> Lear
     return assemble(users, resources, constraint_features(om), Y)
 
 
-def fit_least_squares(n, sums, gram, xty, ysum, ridge: float = 1e-8):
+def fit_least_squares(n, sums, gram, xty, ysum):
     """Least squares with an intercept from the fit's sufficient statistics:
     row count n, column sums, gram = X'X, xty = X'y and ysum = sum of y.
     Returns (intercept, coefficients).
 
     The data are centered: the centered gram is (n*gram - sums sums')/n,
-    and a tiny ridge term keeps the solve stable.  Both sides are scaled by
-    n, so integer statistics are centered exactly.  Centering makes constant
-    columns exactly inert: their centered column is zero, so they get
-    coefficient zero rather than sharing weight with the intercept.
+    and the ridge term RIDGE on its diagonal keeps the solve stable.  Both
+    sides are scaled by n, so integer statistics are centered exactly.
+    Centering makes constant columns exactly inert: their centered column
+    is zero, so they get coefficient zero rather than sharing weight with
+    the intercept.
     """
     if n == 0:
         raise InsufficientDataError("cannot fit with zero rows")
@@ -346,7 +348,7 @@ def fit_least_squares(n, sums, gram, xty, ysum, ridge: float = 1e-8):
         return ysum / n, np.zeros(0)
     centered_gram = n * np.asarray(gram) - np.outer(sums, sums)
     centered_xty = n * np.asarray(xty) - sums * ysum
-    coefs = np.linalg.solve(centered_gram + n * ridge * np.eye(d), centered_xty.astype(float))
+    coefs = np.linalg.solve(centered_gram + n * RIDGE * np.eye(d), centered_xty.astype(float))
     intercept = (ysum - float(coefs @ sums)) / n
     return intercept, coefs
 
@@ -380,7 +382,6 @@ def rank_features(
     pair has no usable rows.
     """
     config = config or FeatureConfig()
-    config.validate()
     if data.row_count == 0:
         raise InsufficientDataError(
             f"no fully known member pairs for groups {user_group.gid} and {res_group.gid}"
@@ -391,9 +392,7 @@ def rank_features(
         raise InsufficientDataError(
             f"no granted pairs between groups {user_group.gid} and {res_group.gid}"
         )
-    _, coefs = fit_least_squares(
-        data.row_count, data.sums, data.gram, data.xty, data.positives, ridge=config.ridge
-    )
+    _, coefs = fit_least_squares(data.row_count, data.sums, data.gram, data.xty, data.positives)
 
     characterizing = set()
     for j, f in enumerate(data.features):

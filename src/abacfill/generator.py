@@ -47,7 +47,7 @@ class GeneratorConfig:
     scale: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.template not in TEMPLATES:
             raise ConfigError(f"unknown template {self.template!r}; choose from {TEMPLATES}")
         if self.scale < 1:
@@ -310,7 +310,6 @@ def _project(scale: int, rng: random.Random) -> Policy:
 
 def generate(config: GeneratorConfig) -> Policy:
     """Build a complete policy (no unknown cells) for the template."""
-    config.validate()
     rng = random.Random(config.seed)
     if config.template == "university":
         policy = _university(config.scale, rng)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from . import generator
 from .clustering import ClusteringConfig, cluster_objects
-from .features import FeatureConfig
 from .model import (
     MISSING,
     NULL,
@@ -126,11 +125,20 @@ class RunResult:
 
     @property
     def coverage(self) -> float:
-        return self.predicted / self.removed if self.removed else 1.0
+        return tally([self])[0]
 
     @property
     def accuracy(self) -> float:
-        return self.correct / self.predicted if self.predicted else 1.0
+        return tally([self])[1]
+
+
+def tally(runs) -> tuple:
+    """(coverage, accuracy) pooled over runs: predicted / removed and
+    correct / predicted, each 1.0 when there is nothing to divide."""
+    removed = sum(r.removed for r in runs)
+    predicted = sum(r.predicted for r in runs)
+    correct = sum(r.correct for r in runs)
+    return (predicted / removed if removed else 1.0, correct / predicted if predicted else 1.0)
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,6 @@ class HarnessConfig:
     clustering: ClusteringConfig = field(
         default_factory=lambda: ClusteringConfig(threshold=0.1)
     )
-    features: FeatureConfig = field(default_factory=FeatureConfig)
     prediction: PredictionConfig = field(default_factory=PredictionConfig)
     subset_ok: bool = True
 
@@ -165,9 +172,7 @@ def evaluate_run(
     om = policy.model.copy()
     removed = remove_cells(om, fraction, random.Random(seed))
     clustering = cluster_objects(om, config.clustering)
-    predictions = predict_missing(
-        om, clustering, entitlements, config.prediction, config.features
-    )
+    predictions = predict_missing(om, clustering, entitlements, config.prediction)
     by_cell = {(p.side, p.object_id, p.attr): p for p in predictions}
     outcomes = []
     for side, oid, attr, truth in removed:
@@ -191,20 +196,7 @@ class MatrixResult:
     def pooled(self, scale: int, fraction: float):
         """(coverage, accuracy) over all runs of one (scale, fraction)."""
         rows = [r for r in self.runs if r.scale == scale and abs(r.fraction - fraction) < 1e-12]
-        removed = sum(r.removed for r in rows)
-        predicted = sum(r.predicted for r in rows)
-        correct = sum(r.correct for r in rows)
-        coverage = predicted / removed if removed else 1.0
-        accuracy = correct / predicted if predicted else 1.0
-        return coverage, accuracy
-
-    @property
-    def scales(self):
-        return sorted({r.scale for r in self.runs})
-
-    @property
-    def fractions(self):
-        return sorted({r.fraction for r in self.runs})
+        return tally(rows)
 
 
 def run_seed(base_seed: int, scale: int, fraction: float, run_index: int) -> int:

@@ -204,9 +204,6 @@ class AtomicConstraint(NamedTuple):
         return f"{self.user_attr} {self.op} {self.res_attr}"
 
 
-CONDITION_OPS = ("in", "contains")
-CONSTRAINT_OPS = ("equal", "in", "contains", "supseteq")
-
 #: op -> (user attr kind, resource attr kind)
 CONSTRAINT_KINDS = {
     "equal": (AttrKind.SINGLE, AttrKind.SINGLE),

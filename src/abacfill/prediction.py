@@ -61,7 +61,7 @@ class PredictionConfig:
     high_rank_limit: int = 3
     medium_rank_limit: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.high_rank_limit <= self.medium_rank_limit:
             raise ConfigError(
                 "rank gates must satisfy 0 < high <= medium: "
@@ -108,8 +108,6 @@ class TripleCache:
         self.om = om
         self.entitlements = EntitlementIndex.of(entitlements)
         self.feature_config = feature_config or FeatureConfig()
-        # checked here too: a triple settled from its labels never reaches rank_features
-        self.feature_config.validate()
         self._constraints = constraint_features(om)
         self._summaries = {}
         self._store = {}
@@ -196,7 +194,6 @@ def predict_cell(
 ) -> CellPrediction:
     """Predict one unknown cell."""
     config = config or PredictionConfig()
-    config.validate()
     obj = om.side_objects(side)[oid]
     if obj.value(attr) is not MISSING:
         raise ConfigError(f"cell {oid}.{attr} is not unknown")
@@ -271,18 +268,3 @@ def predict_missing(
     for side, oid, attr in om.missing_cells():
         out.append(predict_cell(om, clustering, cache, side, oid, attr, prediction_config))
     return out
-
-
-def apply_predictions(om: ObjectModel, predictions) -> int:
-    """Write predicted values into the model; unpredicted cells stay unknown.
-    Returns the number of cells filled."""
-    filled = 0
-    for p in predictions:
-        if not p.predicted:
-            continue
-        obj = om.side_objects(p.side)[p.object_id]
-        if obj.value(p.attr) is not MISSING:
-            raise ConfigError(f"cell {p.object_id}.{p.attr} is not unknown")
-        obj.attrs[p.attr] = p.value
-        filled += 1
-    return filled

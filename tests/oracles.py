@@ -12,6 +12,7 @@ factorization and the fit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
@@ -20,7 +21,7 @@ import numpy as np
 
 from abacfill import features as features_module
 from abacfill.evaluate import Tri, eval_atomic_condition, eval_atomic_constraint
-from abacfill.features import FeatureConfig, LearningData, enumerate_features, is_untainted
+from abacfill.features import RIDGE, FeatureConfig, LearningData, enumerate_features, is_untainted
 from abacfill.model import MISSING, NULL, AbacError, Entitlement, Side
 
 T, F, U = "T", "F", "U"
@@ -190,6 +191,7 @@ def random_small_policy(rng, max_side=4):
 # --- pairwise clustering reference ---
 
 
+@functools.lru_cache(maxsize=None)
 def _as_written(x) -> Fraction:
     """A threshold or weight as the decimal it prints as (0.1 is 1/10)."""
     return Fraction(str(float(x)))
@@ -228,10 +230,12 @@ class PairwiseReference:
     def __init__(self, om, weights=None):
         weights = weights or {}
         self.buckets = []  # (member ids, pairwise similarities), users first
-        for table in (om.users, om.resources):
+        self.similarity = {}  # Side -> (id, id) -> similarity, within buckets
+        for side, table in ((Side.USER, om.users), (Side.RESOURCE, om.resources)):
             by_signature = {}
             for obj in table.values():
                 by_signature.setdefault(_applicable(obj), []).append(obj.id)
+            self.similarity[side] = {}
             for ids in by_signature.values():
                 sim = {
                     (a, b): exact_similarity(table[a], table[b], weights)
@@ -240,6 +244,16 @@ class PairwiseReference:
                     if a != b
                 }
                 self.buckets.append((ids, sim))
+                self.similarity[side].update(sim)
+
+    def member_means(self, side, members) -> list:
+        """Each member's exact mean similarity to the other members of one
+        group, from the pairwise similarities."""
+        sim = self.similarity[side]
+        return [
+            sum((sim[a, b] for b in members if b != a), Fraction(0)) / (len(members) - 1)
+            for a in members
+        ]
 
     def groups(self, threshold) -> list:
         """Member id tuples of every group, users first."""
@@ -334,26 +348,24 @@ def design_statistics(X, y, features=()) -> LearningData:
     )
 
 
-def fit_design(X, y, ridge: float = 1e-8):
+def fit_design(X, y):
     """The package's fit, reached from an explicit design through its statistics."""
     s = design_statistics(X, y)
-    return features_module.fit_least_squares(
-        s.row_count, s.sums, s.gram, s.xty, s.positives, ridge=ridge
-    )
+    return features_module.fit_least_squares(s.row_count, s.sums, s.gram, s.xty, s.positives)
 
 
-def dense_fit(X, y, ridge: float = 1e-8):
+def dense_fit(X, y):
     """Centered ridge least squares on the explicit design, in floating point."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     xm = X.mean(axis=0)
     ym = y.mean()
     Xc = X - xm
-    coefs = np.linalg.solve(Xc.T @ Xc + ridge * np.eye(X.shape[1]), Xc.T @ (y - ym))
+    coefs = np.linalg.solve(Xc.T @ Xc + RIDGE * np.eye(X.shape[1]), Xc.T @ (y - ym))
     return ym - float(coefs @ xm), coefs
 
 
-def exact_ridge_fit(X, y, ridge: float = 1e-8):
+def exact_ridge_fit(X, y):
     """Coefficients of the centered ridge fit of an integer design, solved in
     rational arithmetic: the value both floating-point fits approximate."""
     X = np.asarray(X).astype(np.int64)
@@ -362,7 +374,7 @@ def exact_ridge_fit(X, y, ridge: float = 1e-8):
     sums = X.sum(axis=0)
     gram = n * (X.T @ X) - np.outer(sums, sums)
     rhs = n * (X.T @ y) - sums * int(y.sum())
-    shift = n * Fraction(ridge)
+    shift = n * Fraction(RIDGE)
     rows = [
         [Fraction(int(gram[i, j])) + (shift if i == j else 0) for j in range(d)]
         + [Fraction(int(rhs[i]))]
@@ -385,7 +397,7 @@ def dense_ranking(om, user_group, res_group, dense: DenseLearningData, config=No
     config = config or FeatureConfig()
 
     def fit(*_args, **_kwargs):
-        return dense_fit(dense.matrix, dense.labels, config.ridge)
+        return dense_fit(dense.matrix, dense.labels)
 
     data = design_statistics(dense.matrix, dense.labels, dense.features)
     with mock.patch.object(features_module, "fit_least_squares", fit):

@@ -80,6 +80,22 @@ def test_cluster_reports_signature_groups(tmp_path, capsys):
     assert sorted(by_gid) == [g["gid"] for g in doc["groups"]]
 
 
+def test_cluster_report_is_exact_at_a_tied_threshold(tmp_path, capsys):
+    # every pair of the twelve materials is exactly 1/3 alike, so the group
+    # passes a threshold of 1/3; a float sum over its 66 pairs would read
+    # 0.33333333333333315, below the minimum and the threshold
+    pol = tmp_path / "p.json"
+    run(capsys, "generate", "--template", "university", "--scale", "4", "--seed", "4",
+        "--out", str(pol))
+    code, out, _ = run(capsys, "cluster", "--policy", str(pol), "--st", "0.3333333333333333")
+    assert code == 0
+    materials = next(g for g in json.loads(out)["groups"] if "mat01a" in g["members"])
+    assert (len(materials["members"]), materials["pairs"]) == (12, 66)
+    assert materials["mean_similarity"] == 0.3333333333333333
+    assert materials["min_member_mean"] == 0.3333333333333333
+    assert materials["max_member_mean"] == 0.3333333333333333
+
+
 def test_features_names_the_fixture_signals(capsys):
     code, out, _ = run(capsys, "features", "--policy", CAMPUS,
                        "--entitlements", CAMPUS_ENTS,

@@ -353,6 +353,4 @@ def test_solver_noise_does_not_split_a_tie(campus_groups, campus_entitlements, m
 
 def test_feature_config_validation():
     with pytest.raises(ConfigError):
-        FeatureConfig(ridge=0.0).validate()
-    with pytest.raises(ConfigError):
-        FeatureConfig(coefficient_floor=-1.0).validate()
+        FeatureConfig(coefficient_floor=-1.0)

@@ -2,6 +2,9 @@ import copy
 
 import pytest
 
+from abacfill.clustering import ClusteringConfig
+from abacfill.features import FeatureConfig
+from abacfill.generator import GeneratorConfig
 from abacfill.model import (
     MISSING,
     NULL,
@@ -9,6 +12,7 @@ from abacfill.model import (
     AtomicConstraint,
     AttrKind,
     AttrSchema,
+    ConfigError,
     InputError,
     Obj,
     ObjectModel,
@@ -19,6 +23,7 @@ from abacfill.model import (
     Side,
     check_value,
 )
+from abacfill.prediction import PredictionConfig
 
 
 def test_sentinels_are_distinct_singletons():
@@ -170,3 +175,31 @@ def test_rule_render_mentions_every_part():
     assert "dept in {cs,ee}" in text
     assert "tags contains owner" in text
     assert "read" in text
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ClusteringConfig(threshold=-0.1), "similarity threshold must be in [0, 1]: -0.1"),
+        (lambda: ClusteringConfig(threshold=1.5), "similarity threshold must be in [0, 1]: 1.5"),
+        (lambda: ClusteringConfig(weights={"dept": float("nan")}),
+         "attribute weight must be finite and positive: dept=nan"),
+        (lambda: ClusteringConfig(weights={"dept": 0.0}),
+         "attribute weight must be finite and positive: dept=0.0"),
+        (lambda: ClusteringConfig(weights={"dept": -2.0}),
+         "attribute weight must be finite and positive: dept=-2.0"),
+        (lambda: FeatureConfig(coefficient_floor=0.0), "coefficient floor must be positive: 0.0"),
+        (lambda: PredictionConfig(high_rank_limit=4, medium_rank_limit=3),
+         "rank gates must satisfy 0 < high <= medium: 4, 3"),
+        (lambda: PredictionConfig(high_rank_limit=0), "rank gates must satisfy 0 < high <= medium: 0, 5"),
+        (lambda: GeneratorConfig(template="hospital"),
+         "unknown template 'hospital'; choose from ('university', 'project')"),
+        (lambda: GeneratorConfig(template="university", scale=0), "scale must be at least 1: 0"),
+    ],
+    ids=["threshold-low", "threshold-high", "weight-nan", "weight-zero", "weight-negative",
+         "floor", "gates-order", "gates-zero", "template", "scale"],
+)
+def test_configs_check_themselves_when_built(make, message):
+    with pytest.raises(ConfigError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -26,7 +26,6 @@ from abacfill.prediction import (
     Confidence,
     PredictionConfig,
     TripleCache,
-    apply_predictions,
     predict_cell,
     predict_missing,
     relevant_group_triples,
@@ -95,9 +94,9 @@ def test_rank_gates_downgrade_confidence(campus):
 
 def test_gate_config_validation():
     with pytest.raises(ConfigError):
-        PredictionConfig(high_rank_limit=4, medium_rank_limit=3).validate()
+        PredictionConfig(high_rank_limit=4, medium_rank_limit=3)
     with pytest.raises(ConfigError):
-        PredictionConfig(high_rank_limit=0).validate()
+        PredictionConfig(high_rank_limit=0)
 
 
 def test_unknown_counterpart_cells_contribute_nothing(campus_policy, campus_entitlements):
@@ -217,13 +216,3 @@ def test_multi_cell_takes_all_values_at_weakest_confidence():
     assert p.confidence is Confidence.MEDIUM
     ranks = {e.rank for e in p.evidence if e.feature != filler.render()}
     assert ranks == {2, 4}
-
-
-def test_apply_predictions_fills_only_predicted_cells(campus_policy, campus_entitlements):
-    om = campus_policy.model
-    clustering = cluster_objects(om)
-    preds = predict_missing(om, clustering, campus_entitlements)
-    filled = apply_predictions(om, preds)
-    assert filled == 1
-    assert om.users["csFac1"].attrs["coursesTaught"] == frozenset({"cs101"})
-    assert om.users["csFac1"].attrs["department"] is MISSING

@@ -1,15 +1,19 @@
 """Group refinement by per-attribute counting against the exact pairwise
-reference in tests/oracles.py: same groups, in the same order."""
+reference in tests/oracles.py: same groups, in the same order, and a
+`cluster` report whose statistics are the means refinement compared."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from abacfill.cli import main
 from abacfill.clustering import ClusteringConfig, cluster_objects
 from abacfill.generator import GeneratorConfig, generate
 from abacfill.harness import remove_cells
-from abacfill.policy_io import policy_from_dict
+from abacfill.model import Policy, Side
+from abacfill.policy_io import policy_from_dict, save_policy
 from oracles import PairwiseReference, exact_similarity, random_small_policy
 
 THRESHOLDS = (0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0)
@@ -32,15 +36,68 @@ def test_random_policies_match_pairwise_reference():
             assert _groups(om, threshold, weights) == reference.groups(threshold), (draw, threshold)
 
 
+def _damaged(template, scale, fraction, path):
+    """A generated policy with a seeded share of its cells hidden in a
+    model copy, and that policy written to path."""
+    policy = generate(GeneratorConfig(template, scale, seed=scale))
+    om = policy.model.copy()
+    remove_cells(om, fraction, random.Random(1000 * scale + round(fraction * 100)))
+    save_policy(Policy(om, policy.rules), str(path))
+    return om
+
+
+def _check_report(capsys, path, reference, expected, threshold, weights):
+    """`abacfill cluster` on the policy file forms the expected groups, each
+    reported with the exact pairwise mean and the extreme member means
+    that refinement compared with the threshold, each rounded once."""
+    flags = ["--weights", ",".join(f"{n}={w}" for n, w in weights.items())] if weights else []
+    assert main(["cluster", "--policy", str(path), "--st", repr(threshold), *flags]) == 0
+    groups = json.loads(capsys.readouterr().out)["groups"]
+    # the file lists objects by id, so only the model order of members differs
+    assert sorted(sorted(g["members"]) for g in groups) == sorted(map(sorted, expected))
+    for g in groups:
+        members = g["members"]
+        assert g["pairs"] == len(members) * (len(members) - 1) // 2
+        if len(members) == 1:
+            assert g["mean_similarity"] is g["min_member_mean"] is g["max_member_mean"] is None
+            continue
+        side = Side(g["side"])
+        sim = reference.similarity[side]
+        pairs = [sim[a, b] for i, a in enumerate(members) for b in members[i + 1:]]
+        means = reference.member_means(side, members)
+        where = (threshold, g["gid"])
+        assert g["mean_similarity"] == float(sum(pairs, Fraction(0)) / len(pairs)), where
+        assert g["min_member_mean"] == float(min(means)), where
+        assert g["max_member_mean"] == float(max(means)), where
+        assert g["min_member_mean"] <= g["mean_similarity"] <= g["max_member_mean"], where
+
+
+def _match_templates(tmp_path, capsys, template, fraction, weighted):
+    for scale in range(2, 11):
+        path = tmp_path / f"{scale}.json"
+        om = _damaged(template, scale, fraction, path)
+        weights = {}
+        if weighted:
+            # 0.1 and 0.3 have no exact binary form; cycled over declared attributes
+            names = sorted({name for _, name in om.schema.attrs})
+            weights = {name: (0.1, 0.3, 2.5)[i % 3] for i, name in enumerate(names)}
+        reference = PairwiseReference(om, weights)
+        for threshold in THRESHOLDS:
+            expected = reference.groups(threshold)
+            assert _groups(om, threshold, weights) == expected, (scale, threshold)
+            _check_report(capsys, path, reference, expected, threshold, weights)
+
+
 @pytest.mark.parametrize("fraction", (0.0, 0.06, 0.3))
 @pytest.mark.parametrize("template", ("university", "project"))
-def test_templates_match_pairwise_reference(template, fraction):
-    for scale in range(2, 11):
-        om = generate(GeneratorConfig(template, scale, seed=scale)).model.copy()
-        remove_cells(om, fraction, random.Random(1000 * scale + round(fraction * 100)))
-        reference = PairwiseReference(om)
-        for threshold in THRESHOLDS:
-            assert _groups(om, threshold) == reference.groups(threshold), (scale, threshold)
+def test_templates_match_pairwise_reference(tmp_path, capsys, template, fraction):
+    _match_templates(tmp_path, capsys, template, fraction, weighted=False)
+
+
+@pytest.mark.parametrize("fraction", (0.0, 0.06, 0.3))
+@pytest.mark.parametrize("template", ("university", "project"))
+def test_weighted_templates_match_pairwise_reference(tmp_path, capsys, template, fraction):
+    _match_templates(tmp_path, capsys, template, fraction, weighted=True)
 
 
 def test_member_at_exact_threshold_stays():
