@@ -1,0 +1,67 @@
+"""Fail when `abacfill predict` on project-240 needs more than 150 MB.
+
+Generates project-240 with `generate --seed 1`, hides 6% of its known
+cells in a model copy with `Random(1)`, then runs `abacfill predict --st
+0.1` on it in a child process and reads that child's peak resident set
+size from `os.wait4`.  Exits 1 when the peak is above the ceiling.
+
+    PYTHONPATH=src python scripts/rss_ceiling.py
+
+Both steps run in child processes: on Linux a child's peak includes the
+memory of the process it was started from, so the measuring process
+imports nothing of the package and builds nothing itself.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+
+TEMPLATE, SCALE, SEED, PERCENT, THRESHOLD = "project", 240, 1, 6, "0.1"
+CEILING_MB = 150
+
+
+def make_inputs(directory) -> None:
+    import random
+
+    from abacfill.generator import GeneratorConfig, generate, reference_entitlements
+    from abacfill.harness import remove_cells
+    from abacfill.model import Policy
+    from abacfill.policy_io import save_entitlements, save_policy
+
+    policy = generate(GeneratorConfig(template=TEMPLATE, scale=SCALE, seed=SEED))
+    save_entitlements(reference_entitlements(policy), os.path.join(directory, "entitlements.csv"))
+    om = policy.model.copy()
+    remove_cells(om, PERCENT / 100.0, random.Random(SEED))
+    save_policy(Policy(om, policy.rules), os.path.join(directory, "policy.json"))
+
+
+def peak_mb(argv) -> float:
+    """Runs argv to its end and returns its peak resident set size in MB."""
+    child = subprocess.Popen(argv)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise SystemExit(f"{argv[1:4]} exited {child.returncode}")
+    return usage.ru_maxrss / 1024  # Linux reports kilobytes
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--make-inputs"]:
+        make_inputs(sys.argv[2])
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run([sys.executable, __file__, "--make-inputs", tmp], check=True)
+        mb = peak_mb([
+            sys.executable, "-m", "abacfill.cli", "predict",
+            "--policy", os.path.join(tmp, "policy.json"),
+            "--entitlements", os.path.join(tmp, "entitlements.csv"),
+            "--st", THRESHOLD, "--out", os.path.join(tmp, "predict.json"),
+        ])
+    print(f"predict {TEMPLATE}-{SCALE}, {PERCENT}% hidden, st {THRESHOLD}: "
+          f"peak RSS {mb:.0f} MB (ceiling {CEILING_MB} MB)")
+    return 0 if mb <= CEILING_MB else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

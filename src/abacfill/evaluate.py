@@ -9,22 +9,25 @@ A rule's meaning is computed without walking users x resources.  Each
 object's conditions are evaluated once; objects whose conditions are false
 drop out.  A survivor is definite when its conditions are true and no
 constraint cell it is tested on is MISSING, and uncertain otherwise.
-Definite pairs are found by a hash join on the rule's first constraint (a
-`ValueIndex` over the resources' values or set elements) and checked on
-the other constraints; a pair with an uncertain object can never be
-granted and goes through the three-valued path only to count it as
-unknown.  A rule costs
+Definite pairs are found by a join on the rule's first constraint (a
+`ValueIndex` over each side's values or set elements, joined over the
+keys both hold) and checked on the other constraints; a pair with an
+uncertain object can never be granted and goes through the three-valued
+path only to count it as unknown.  A rule costs
 O(users + resources + set elements + joined pairs + uncertain objects x
 the other side); a complete model has no uncertain objects.
 
 That join, `matches`, is the one implementation of constraint truth on
-known cells: feature learning takes its constraint columns from it too,
-probing one `ValueIndex` per resource group and attribute.
+known cells: feature learning takes its constraint statistics from it
+too, joining the value indexes each group builds once per attribute.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
+
+import numpy as np
 
 from .model import (
     CONSTRAINT_KINDS,
@@ -32,7 +35,6 @@ from .model import (
     NULL,
     AtomicCondition,
     AtomicConstraint,
-    AttrKind,
     Entitlement,
     Obj,
     ObjectModel,
@@ -122,66 +124,62 @@ def _survivors(objects, conds, attrs):
 class ValueIndex:
     """Positions of objects by their value of one attribute, or by each
     element of their set; NULL cells are left out.  For set cells it also
-    keeps each set's size and the positions of the empty ones, which
-    supseteq needs."""
+    keeps each set's size, by position (so its keys are the non-NULL set
+    cells), and the positions of the empty sets, which supseteq needs."""
 
     def __init__(self, objs, attr: str):
         self.count = len(objs)
         self.rows, self.size, self.empty = {}, {}, []
+        rows = self.rows
         for r, obj in enumerate(objs):
             v = obj.value(attr)
             if v is NULL:
                 continue
-            if isinstance(v, frozenset):
-                self.size[r] = len(v)
-                if not v:
-                    self.empty.append(r)
-            for key in v if isinstance(v, frozenset) else (v,):
-                self.rows.setdefault(key, []).append(r)
+            if not isinstance(v, frozenset):
+                rows.setdefault(v, []).append(r)
+                continue
+            self.size[r] = len(v)
+            if not v:
+                self.empty.append(r)
+            for key in v:
+                rows.setdefault(key, []).append(r)
 
 
-def matches(con: AtomicConstraint, users, resources: ValueIndex):
-    """Yields (u, [r, ...]) for each user index u with a match: the
-    positions r in the resource index for which con is true on users[u]
-    and that resource.  Callers must not modify the lists.
+def matches(con: AtomicConstraint, users: ValueIndex, resources: ValueIndex) -> np.ndarray:
+    """Ascending flat positions u * resources.count + r of the (user,
+    resource) pairs on which con is true, for users indexed by con.user_attr
+    and resources by con.res_attr.
 
-    Precondition: no cell con tests is MISSING, and resources indexes the
-    resources by con.res_attr.  rule_meaning passes definite survivors,
-    and learning passes untainted members.
+    Precondition: no cell con tests is MISSING.  rule_meaning passes
+    definite survivors, and learning passes untainted members.
 
-    A user probes the index with its value or each element of its set.
-    For equal, in and contains a resource is reached by at most one probe,
-    so every hit is a match; supseteq counts hits against the size of the
-    resource's set, so an empty set matches every user.  NULL matches
-    nothing.  Cost: O(users + user set elements + matches).
+    A join over the keys both indexes hold.  For equal, in and contains one
+    side of a pair holds a single value, so a true pair shares exactly one
+    key: each shared key gives its user rows x resource rows, and no pair
+    comes up twice.  supseteq counts each pair's shared keys against the
+    size of the resource's set; an empty set matches every non-NULL user.
+    NULL matches nothing.  Cost: O(shared keys + joined pairs), where
+    supseteq joins every pair that shares an element.
     """
     if con.op not in CONSTRAINT_KINDS:
         raise SchemaError(f"unknown constraint operator: {con.op}")
-    user_set = CONSTRAINT_KINDS[con.op][0] is AttrKind.MULTI
-    rows = resources.rows
-    for u, user in enumerate(users):
-        vu = user.value(con.user_attr)
-        if vu is NULL:
-            continue
-        if con.op == "supseteq":
-            hits = {}
-            for key in vu:
-                for r in rows.get(key, ()):
-                    hits[r] = hits.get(r, 0) + 1
-            found = resources.empty + [r for r, n in hits.items() if n == resources.size[r]]
-        elif user_set:
-            found = [r for key in vu for r in rows.get(key, ())]
-        else:
-            found = rows.get(vu, ())
-        if found:
-            yield u, found
+    nr = resources.count
+    shared = [(users.rows[key], resources.rows[key])
+              for key in users.rows.keys() & resources.rows.keys()]
+    if con.op == "supseteq":
+        hits = Counter(u * nr + r for us, rs in shared for u in us for r in rs)
+        found = [p for p, n in hits.items() if n == resources.size[p % nr]]
+        found += [u * nr + r for u in users.size for r in resources.empty]
+    else:
+        found = [u * nr + r for us, rs in shared for u in us for r in rs]
+    return np.sort(np.array(found, dtype=np.int64))
 
 
 def rule_meaning(rule: Rule, om: ObjectModel):
     """Entitlements the rule grants, plus the count of unknown (user, resource)
     pairs.
 
-    Definite pairs come from a hash join on the first constraint (every
+    Definite pairs come from a join on the first constraint (every
     definite user with every definite resource when there is none), checked
     on the rest.  A pair with an uncertain object has an unknown condition
     or a MISSING constraint cell, so it is never granted: it is unknown
@@ -198,8 +196,11 @@ def rule_meaning(rule: Rule, om: ObjectModel):
         om.resources.values(), rule.res_conds, [c.res_attr for c in cons]
     )
     if cons:
-        joined = matches(cons[0], users, ValueIndex(resources, cons[0].res_attr))
-        pairs = ((users[u], resources[r]) for u, hits in joined for r in hits)
+        first, nr = cons[0], len(resources)
+        joined = matches(
+            first, ValueIndex(users, first.user_attr), ValueIndex(resources, first.res_attr)
+        )
+        pairs = ((users[p // nr], resources[p % nr]) for p in joined.tolist())
     else:
         pairs = ((user, res) for user in users for res in resources)
     granted = set()

@@ -12,19 +12,26 @@ Rows are the (user, resource) pairs whose objects have no unknown cells;
 the label says whether that pair holds the action in the reference
 entitlement set.  A least-squares fit scores the features.  The fit needs
 only the design's sufficient statistics (row count, column sums, X'X, X'y
-and the positives count), and those are computed per side without building
-the pair x feature design: a condition column depends on one side only, so
-its blocks follow from that side's 0/1 member x condition matrix scaled by
-the other side's size, and condition x condition blocks across the sides
-are outer products of column sums.  Only constraint columns are evaluated
-per pair, as users x resources boolean matrices filled from
-`evaluate.matches`, the join that also decides which pairs a policy's rules
-grant.  The statistics are integers, so the fit centers them exactly.
+and the positives count), and those are computed without building the pair x
+feature design, or any array of users x resources: a condition column
+depends on one side only, so its blocks follow from that side's 0/1
+member x condition matrix scaled by the other side's size, and condition x
+condition blocks across the sides are outer products of column sums.  A
+constraint column and the labels are lists of the pairs they hold on, as
+ascending flat positions u * resources + r: a constraint's list is
+`evaluate.matches`, the join of the two sides' value indexes that also
+decides which pairs a policy's rules grant.  Its sum is the list's length,
+its products with a condition column are per-user or per-resource counts
+of the list, and its products with the labels and with other constraints
+are sizes of intersections.  Most constraints hold on no pair at all, and
+every statistic of theirs is zero.  Learning one triple costs
+O(conditions^2 + entitlements + matched pairs).  The statistics are
+integers, so the fit centers them exactly.
 
 A triple's data splits into per-group pieces: `side_summary` holds what
 depends on one group only (its conditions, rows, condition matrix with its
-gram, sums and all-true columns, and a value index per resource attribute,
-built on first use), `labels` the triple's pair labels, and `assemble` the
+gram, sums and all-true columns, and a value index per attribute, built on
+first use), `labels` the triple's granted pairs, and `assemble` the
 statistics from two summaries, the constraint features and the labels.
 `build_learning_data` runs the three for one triple; prediction's
 `TripleCache` builds each group's summary and value indexes once per
@@ -216,15 +223,6 @@ def _condition_matrix(objs, conds) -> np.ndarray:
     return A
 
 
-def constraint_matrix(con: AtomicConstraint, users, resources: ValueIndex) -> np.ndarray:
-    """users x indexed resources bool truth of the constraint over known
-    cells, as `evaluate.matches` finds it.  NULL on either side gives false."""
-    M = np.zeros((len(users), resources.count), dtype=bool)
-    for u, hits in matches(con, users, resources):
-        M[u, hits] = True
-    return M
-
-
 def _int_product(a, b) -> np.ndarray:
     """a @ b of 0/1 or count matrices, through BLAS; exact below 2**53."""
     return (np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)).astype(np.int64)
@@ -260,54 +258,83 @@ def side_summary(om: ObjectModel, group) -> SideSummary:
 
 
 def labels(users: SideSummary, resources: SideSummary, action, entitlements) -> np.ndarray:
-    """0/1 rows x rows matrix: does the (user, resource) pair hold the action?"""
+    """Ascending flat positions u * len(resources.rows) + r of the row pairs
+    that hold the action."""
     index = EntitlementIndex.of(entitlements)
+    nr = len(resources.rows)
     column = {r.id: j for j, r in enumerate(resources.rows)}
-    Y = np.zeros((len(users.rows), len(resources.rows)), dtype=np.int64)
-    for i, u in enumerate(users.rows):
-        for rid in index.resources(u.id, action):
-            j = column.get(rid)
-            if j is not None:
-                Y[i, j] = 1
-    return Y
+    granted = [
+        i * nr + column[rid]
+        for i, u in enumerate(users.rows)
+        for rid in index.resources(u.id, action)
+        if rid in column
+    ]
+    return np.sort(np.array(granted, dtype=np.int64))
 
 
-def assemble(users: SideSummary, resources: SideSummary, constraints, Y) -> LearningData:
+def _overlap(a, b) -> int:
+    """How many values two ascending arrays of distinct integers share."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not len(a):
+        return 0
+    at = np.minimum(np.searchsorted(b, a), len(b) - 1)
+    return int(np.count_nonzero(b[at] == a))
+
+
+def assemble(users: SideSummary, resources: SideSummary, constraints, granted) -> LearningData:
     """The fit statistics of one triple from its two side summaries, its
-    constraint features and its labels Y.
+    constraint features and its granted pairs, as `labels` lists them.
 
     Features run in canonical order, user conditions, resource conditions,
-    then constraints: the blocks of the statistics.  Only the constraint
-    columns are evaluated per pair.
+    then constraints: the blocks of the statistics.  Each constraint's true
+    pairs come from joining the two sides' value indexes; a constraint true
+    on no pair has only zero entries.
     """
-    nu, nr = Y.shape
-    C = np.zeros((len(constraints), nu, nr), dtype=bool)
-    for k, f in enumerate(constraints):
-        con = f.constraint
-        C[k] = constraint_matrix(con, users.rows, resources.index(con.res_attr))
-
-    # a condition column repeats its side's value across the other side, so
-    # its cross terms with a constraint need only the constraint's per-side sums
+    nu, nr = len(users.rows), len(resources.rows)
     Au, Ar = users.A, resources.A
     su, sr = users.sums, resources.sums
-    Cflat = C.reshape(len(constraints), nu * nr)
-    uc = _int_product(Au.T, C.sum(axis=2).T)
-    rc = _int_product(Ar.T, C.sum(axis=1).T)
+    pairs = [
+        matches(f.constraint, users.index(f.constraint.user_attr),
+                resources.index(f.constraint.res_attr))
+        for f in constraints
+    ]
+    k = len(pairs)
+    held = [j for j, p in enumerate(pairs) if len(p)]
+
+    # a condition column repeats its side's value across the other side, so
+    # its cross terms with a constraint need only the constraint's per-side counts
+    uc = np.zeros((len(su), k), dtype=np.int64)
+    rc = np.zeros((len(sr), k), dtype=np.int64)
+    cc = np.zeros((k, k), dtype=np.int64)
+    for a, i in enumerate(held):
+        uc[:, i] = Au.T @ np.bincount(pairs[i] // nr, minlength=nu)
+        rc[:, i] = Ar.T @ np.bincount(pairs[i] % nr, minlength=nr)
+        cc[i, i] = len(pairs[i])
+        for j in held[a + 1:]:
+            cc[i, j] = cc[j, i] = _overlap(pairs[i], pairs[j])
     ur = np.outer(su, sr)
     gram = np.block(
         [
             [users.gram * nr, ur, uc],
             [ur.T, resources.gram * nu, rc],
-            [uc.T, rc.T, _int_product(Cflat, Cflat.T)],
+            [uc.T, rc.T, cc],
         ]
     )
-    sums = np.concatenate([su * nr, sr * nu, Cflat.sum(1)])
-    xty = np.concatenate([Au.T @ Y.sum(1), Ar.T @ Y.sum(0), _int_product(Cflat, Y.reshape(-1))])
-    all_true = np.concatenate([users.all_true, resources.all_true, Cflat.all(1)]) | (nu * nr == 0)
+    counts = np.array([len(p) for p in pairs], dtype=np.int64)
+    sums = np.concatenate([su * nr, sr * nu, counts])
+    xty = np.concatenate([
+        Au.T @ np.bincount(granted // nr, minlength=nu),
+        Ar.T @ np.bincount(granted % nr, minlength=nr),
+        np.array([_overlap(p, granted) for p in pairs], dtype=np.int64),
+    ])
+    all_true = np.concatenate(
+        [users.all_true, resources.all_true, counts == nu * nr]
+    ) | (nu * nr == 0)
     return LearningData(
         features=users.conditions + resources.conditions + tuple(constraints),
         row_count=nu * nr,
-        positives=int(Y.sum()),
+        positives=len(granted),
         sums=sums,
         gram=gram,
         xty=xty,
@@ -324,8 +351,8 @@ def build_learning_data(om, user_group, res_group, action, entitlements) -> Lear
     feature enumeration.
     """
     users, resources = side_summary(om, user_group), side_summary(om, res_group)
-    Y = labels(users, resources, action, entitlements)
-    return assemble(users, resources, constraint_features(om), Y)
+    granted = labels(users, resources, action, entitlements)
+    return assemble(users, resources, constraint_features(om), granted)
 
 
 def fit_least_squares(n, sums, gram, xty, ysum):
@@ -346,9 +373,15 @@ def fit_least_squares(n, sums, gram, xty, ysum):
     d = len(sums)
     if d == 0:
         return ysum / n, np.zeros(0)
-    centered_gram = n * np.asarray(gram) - np.outer(sums, sums)
+    # the system is centered in place in the statistics' own exact type and
+    # made float once, with the ridge added on its diagonal in place, so the
+    # fit holds at most two d x d arrays besides the gram
+    system = n * np.asarray(gram)
+    system -= np.outer(sums, sums)
+    system = system.astype(float)
+    system.flat[:: d + 1] += n * RIDGE
     centered_xty = n * np.asarray(xty) - sums * ysum
-    coefs = np.linalg.solve(centered_gram + n * RIDGE * np.eye(d), centered_xty.astype(float))
+    coefs = np.linalg.solve(system, centered_xty.astype(float))
     intercept = (ysum - float(coefs @ sums)) / n
     return intercept, coefs
 

@@ -98,10 +98,11 @@ class TripleCache:
 
     Holds the one entitlement index that learning and lookup share, one
     side summary per group (its conditions, condition matrix and value
-    indexes, built once however many triples the group takes part in) and
-    the constraint features, which every triple shares.  A triple whose
-    labels show no granted pair, or which has no rows, is settled as None
-    from the labels alone: nothing else of it is built.
+    index per attribute, built once however many triples the group takes
+    part in, on either side of the join) and the constraint features, which
+    every triple shares.  A triple whose list of granted pairs is empty,
+    which includes a triple with no rows, is settled as None from that list
+    alone: nothing else of it is built.
     """
 
     def __init__(self, om: ObjectModel, entitlements, feature_config: FeatureConfig = None):
@@ -124,10 +125,10 @@ class TripleCache:
         key = (gu.gid, gr.gid, action)
         if key not in self._store:
             users, resources = self._summary(gu), self._summary(gr)
-            Y = labels(users, resources, action, self.entitlements)
+            granted = labels(users, resources, action, self.entitlements)
             ranked = None
-            if Y.any():
-                data = assemble(users, resources, self._constraints, Y)
+            if len(granted):
+                data = assemble(users, resources, self._constraints, granted)
                 ranked = rank_features(self.om, gu, gr, data, self.feature_config)
             self._store[key] = ranked
         return self._store[key]

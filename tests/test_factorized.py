@@ -13,6 +13,7 @@ below the floor are solver noise that depends on the order of summation.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -28,11 +29,12 @@ from oracles import (
 
 from abacfill import prediction
 from abacfill.clustering import ClusteringConfig, Group, cluster_objects
-from abacfill.evaluate import Tri, ValueIndex, eval_atomic_constraint
+from abacfill.evaluate import Tri, ValueIndex, eval_atomic_constraint, matches
 from abacfill.features import (
     assemble,
     build_learning_data,
-    constraint_matrix,
+    constraint_features,
+    labels,
     rank_features,
     side_summary,
 )
@@ -129,19 +131,55 @@ def _consulted_setup(template, scale, fraction, clustering_config=HarnessConfig(
     return om, cluster_objects(om, clustering_config), entitlements
 
 
-@pytest.mark.parametrize("fraction", [0.06, 0.30])
-@pytest.mark.parametrize("template,scale", CONSULTED)
-def test_consulted_triples_match_dense(template, scale, fraction):
-    om, clustering, entitlements = _consulted_setup(template, scale, fraction)
+def _consulted_triples(om, clustering, entitlements) -> list:
+    """(user group, resource group, action) of every triple prediction
+    consults, in key order."""
     index = EntitlementIndex(entitlements)
     triples = {}
     for side, oid, _ in om.missing_cells():
         for gu, gr, action in relevant_group_triples(clustering, index, side, oid):
             triples[(gu.gid, gr.gid, action)] = (gu, gr, action)
+    return [triples[key] for key in sorted(triples)]
+
+
+@pytest.mark.parametrize("fraction", [0.06, 0.30])
+@pytest.mark.parametrize("template,scale", CONSULTED)
+def test_consulted_triples_match_dense(template, scale, fraction):
+    om, clustering, entitlements = _consulted_setup(template, scale, fraction)
+    triples = _consulted_triples(om, clustering, entitlements)
     assert triples
-    for key in sorted(triples):
-        gu, gr, action = triples[key]
+    for gu, gr, action in triples:
         assert_triple_matches_dense(om, gu, gr, action, entitlements)
+
+
+def test_assemble_allocates_no_pair_sized_array():
+    """Learning a triple allocates a small multiple of the gram it returns,
+    never a users x resources array per constraint: the constraint and
+    label statistics come from lists of the pairs they hold on."""
+    om, clustering, entitlements = _consulted_setup(
+        "project", 60, 0.06, ClusteringConfig(threshold=0.1)
+    )
+    constraints = constraint_features(om)
+    summaries = {}
+
+    def summary(group):
+        key = (group.side, group.gid)
+        if key not in summaries:
+            summaries[key] = side_summary(om, group)
+        return summaries[key]
+
+    triples = _consulted_triples(om, clustering, entitlements)
+    assert triples
+    for gu, gr, action in triples:
+        users, resources = summary(gu), summary(gr)
+        granted = labels(users, resources, action, entitlements)
+        tracemalloc.start()
+        try:
+            data = assemble(users, resources, constraints, granted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * data.gram.nbytes, (gu.gid, gr.gid, action, peak, data.gram.nbytes)
 
 
 @pytest.mark.parametrize("st", [0.1, 0.25])
@@ -203,7 +241,7 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
         assert [rf.characterizing for rf in got] == [rf.characterizing for rf in want]
 
 
-# --- the constraint encoder, one operator at a time ---
+# --- the constraint join, one operator at a time ---
 
 _KINDS = {"equal": ("s", "s"), "in": ("s", "m"), "contains": ("m", "s"), "supseteq": ("m", "m")}
 
@@ -231,12 +269,34 @@ def _encoder_model(op):
     return om
 
 
+def _truth_of(flat, nu, nr) -> np.ndarray:
+    """nu x nr bool matrix of the flat pair positions evaluate.matches
+    returns, after checking that they ascend, repeat none and name pairs."""
+    flat = flat.tolist()
+    assert flat == sorted(set(flat))
+    assert all(0 <= p < nu * nr for p in flat)
+    M = np.zeros((nu, nr), dtype=bool)
+    M.flat[flat] = True
+    return M
+
+
+def _join_truth(con, users, resources) -> np.ndarray:
+    """users x resources truth of con from joining a value index of each side."""
+    flat = matches(con, ValueIndex(users, con.user_attr), ValueIndex(resources, con.res_attr))
+    return _truth_of(flat, len(users), len(resources))
+
+
+def _evaluator_truth(con, users, resources) -> np.ndarray:
+    return np.array(
+        [[eval_atomic_constraint(u, r, con) is Tri.TRUE for r in resources] for u in users],
+        dtype=bool,
+    ).reshape(len(users), len(resources))
+
+
 def _assert_encoder_matches(om, con):
     users, resources = list(om.users.values()), list(om.resources.values())
-    got = constraint_matrix(con, users, ValueIndex(resources, con.res_attr))
-    want = np.array(
-        [[eval_atomic_constraint(u, r, con) is Tri.TRUE for r in resources] for u in users]
-    )
+    got = _join_truth(con, users, resources)
+    want = _evaluator_truth(con, users, resources)
     assert got.shape == (len(users), len(resources))
     assert np.array_equal(got, want), con.render()
 
@@ -253,8 +313,7 @@ def test_constraint_encoder_on_ids():
     _assert_encoder_matches(om, AtomicConstraint("id", "equal", "y"))
     _assert_encoder_matches(om, AtomicConstraint("x", "equal", "id"))
     con = AtomicConstraint("id", "equal", "id")
-    index = ValueIndex([om.resources["r0"]], "id")
-    assert constraint_matrix(con, [om.users["r0"]], index).tolist() == [[True]]
+    assert _join_truth(con, [om.users["r0"]], [om.resources["r0"]]).tolist() == [[True]]
     om = _encoder_model("in")
     _assert_encoder_matches(om, AtomicConstraint("id", "in", "y"))
 
@@ -263,7 +322,7 @@ def test_supseteq_of_empty_set_holds_unless_null():
     om = _encoder_model("supseteq")
     con = AtomicConstraint("x", "supseteq", "y")
     empty_res = [om.resources["r0"]]  # y = {}
-    truth = constraint_matrix(con, list(om.users.values()), ValueIndex(empty_res, "y"))[:, 0]
+    truth = _join_truth(con, list(om.users.values()), empty_res)[:, 0]
     known = [om.users[u].value("x") is not NULL for u in om.users]
     assert truth.tolist() == known
 
@@ -271,9 +330,71 @@ def test_supseteq_of_empty_set_holds_unless_null():
 def test_encoder_on_empty_sides():
     om = _encoder_model("supseteq")
     con = AtomicConstraint("x", "supseteq", "y")
-    resources = ValueIndex(list(om.resources.values()), "y")
-    assert constraint_matrix(con, [], resources).shape == (0, 5)
-    assert constraint_matrix(con, list(om.users.values()), ValueIndex([], "y")).shape == (6, 0)
+    users, resources = list(om.users.values()), list(om.resources.values())
+    assert _join_truth(con, [], resources).shape == (0, 5)
+    assert _join_truth(con, users, []).shape == (6, 0)
+    assert matches(con, ValueIndex([], "x"), ValueIndex(resources, "y")).size == 0
+    assert matches(con, ValueIndex(users, "x"), ValueIndex([], "y")).size == 0
+
+
+def _with_cross_side_values(rng, doc) -> dict:
+    """The document with some resource ids equal to user ids and some cells
+    holding an id of the other side, so that every id constraint holds on
+    some pairs; user cells take resource ids and resource cells user ids."""
+    names = {key: [e["id"] for e in doc[key]] for key in ("users", "resources")}
+    for entry in doc["resources"]:
+        if rng.random() < 0.3:
+            entry["id"] = "u" + entry["id"][1:]
+    for key, other in (("users", "resources"), ("resources", "users")):
+        for entry in doc[key]:
+            for name, v in entry["attrs"].items():
+                if rng.random() >= 0.3:
+                    continue
+                if isinstance(v, str):
+                    entry["attrs"][name] = rng.choice(names[other])
+                elif isinstance(v, list):
+                    entry["attrs"][name] = sorted(set(v) | {rng.choice(names[other])})
+    return doc
+
+
+def _cell_shape(v) -> str:
+    if v is NULL:
+        return "null"
+    if isinstance(v, frozenset):
+        return "empty" if not v else "set"
+    return "value"
+
+
+@pytest.mark.parametrize("max_side", [4, 8, 12])
+def test_join_matches_evaluator_on_random_policies(max_side):
+    """Every kind-compatible constraint, the id ones included, over random
+    models: the join of the two sides' value indexes is true exactly where
+    the three-valued evaluator is.  Cells the join may not see (MISSING)
+    leave their object out of that constraint's sides."""
+    rng = random.Random(max_side)
+    seen = Counter()
+    for _ in range(120):
+        doc = _with_cross_side_values(rng, random_small_policy(rng, max_side=max_side))
+        om = policy_from_dict(doc).model
+        for f in constraint_features(om):
+            con = f.constraint
+            users = [u for u in om.users.values() if u.value(con.user_attr) is not MISSING]
+            resources = [r for r in om.resources.values() if r.value(con.res_attr) is not MISSING]
+            got = _join_truth(con, users, resources)
+            assert np.array_equal(got, _evaluator_truth(con, users, resources)), con.render()
+            kind = "id" if "id" in (con.user_attr, con.res_attr) else con.op
+            seen[kind, "true"] += int(got.sum())
+            seen[kind, "false"] += got.size - int(got.sum())
+            for u in users:
+                seen[kind, "user", _cell_shape(u.value(con.user_attr))] += len(resources)
+            for r in resources:
+                seen[kind, "resource", _cell_shape(r.value(con.res_attr))] += len(users)
+    for kind in ("equal", "in", "contains", "supseteq", "id"):
+        assert seen[kind, "true"] and seen[kind, "false"], kind
+    for kind in ("equal", "in", "contains", "supseteq"):
+        assert seen[kind, "user", "null"] and seen[kind, "resource", "null"], kind
+    assert seen["in", "resource", "empty"] and seen["contains", "user", "empty"]
+    assert seen["supseteq", "user", "empty"] and seen["supseteq", "resource", "empty"]
 
 
 def test_all_tainted_side_gives_no_rows():
@@ -318,13 +439,17 @@ def _shared_index_model():
 def test_one_value_index_serves_every_constraint_on_its_attribute():
     om = _shared_index_model()
     users, resources = list(om.users.values()), list(om.resources.values())
+    user_indexes = {attr: ValueIndex(users, attr) for attr in ("xs", "xm")}
     indexes = {attr: ValueIndex(resources, attr) for attr in ("ys", "ym")}
     assert indexes["ym"].empty == [0, 5, 10, 15]
-    # a second round over the same indexes: probing leaves them as they were
+    assert user_indexes["xm"].empty == [0, 5, 10, 15]
+    # a second round over the same indexes: joining leaves them as they were
     for _ in range(2):
         for op, (ua, ra) in sorted(_SHARED.items()):
             con = AtomicConstraint(ua, op, ra)
-            got = constraint_matrix(con, users, indexes[ra])
+            got = _truth_of(
+                matches(con, user_indexes[ua], indexes[ra]), len(users), len(resources)
+            )
             want = [[eval_atomic_constraint(u, r, con) is Tri.TRUE for r in resources]
                     for u in users]
             assert np.array_equal(got, np.array(want)), con.render()
@@ -336,3 +461,6 @@ def test_side_summary_builds_each_index_once():
     assert summary.index("ym") is summary.index("ym")
     assert summary.index("ym") is not summary.index("ys")
     assert [r.id for r in summary.rows] == list(om.resources)
+    users = side_summary(om, Group(2, Side.USER, tuple(om.users)))
+    assert users.index("xm") is users.index("xm")
+    assert [u.id for u in users.rows] == list(om.users)

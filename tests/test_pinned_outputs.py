@@ -1,0 +1,80 @@
+"""Byte identity of the user-facing outputs.
+
+Each digest is the sha256 of one `abacfill predict` JSON file, or of one
+`abacfill evaluate` CSV or JSON file, as the pipeline wrote it before
+learning took its constraint statistics from value joins.  Performance
+work must leave every byte of them as it is; a change that means to move
+an output updates its digest here and says why.
+
+The predict inputs follow the benchmark's fill scheme: `generate` with
+seed S, then cells hidden in a model copy with `Random(S * 1000 + draw)`,
+at the CLI's default threshold.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from abacfill.cli import main
+from abacfill.generator import GeneratorConfig, generate, reference_entitlements
+from abacfill.harness import remove_cells
+from abacfill.model import Policy
+from abacfill.policy_io import save_entitlements, save_policy
+
+PREDICT = {
+    ("university", 20, 6, 17, 0): "9f716bc557890e6da0279ba1481b622eb6d50812a8deca19a87eb35665f87364",
+    ("university", 20, 6, 17, 1): "adcd8d427b26419770583f54f3e6c0d957b11df9e61ec05873fed552610b741f",
+    ("university", 20, 6, 17, 2): "a4145a9b0cef0bea53e8412a6052749c5af0068db82022a07eb5670bac4ea0e0",
+    ("university", 20, 6, 17, 3): "5c70c665a995fd03199565066f70a85924381e88863b4768e0e4a9597b63314f",
+    ("university", 20, 6, 17, 4): "9a330f1bbd5c7ca17137e863b03a68b18fa8413e12fb09e224e7971b33613582",
+    ("university", 20, 6, 17, 5): "e30e88e745b9cdaa0e5e725f49522c8b7b77c35a32e70b6282e2e657ce80b58b",
+    ("project", 60, 30, 17, 0): "48e00280ca003c6ff3407bb8fb74c75f26b51e32afd0e320ab43fcaaba44535d",
+}
+
+EVALUATE = {
+    ("university", "4,6", "6,30", 2): (
+        "222784c4338a5c2ce74c3cd8a002a9e076b2b1254eaf55763646a7a411550234",
+        "b5f61c6b4fb7666968faeaed66edee78c13382451f7d081814bd5e7a0c572b18",
+    ),
+    ("project", "3,10", "6,30", 2): (
+        "eafd2752c38f88331435deb5887736d33f641a1b0afb7605df80011fb78a4cc0",
+        "f6f77ccdb26869ac74dbf0a13930ca32cdc75e36caf6f43d80a9cc930d2065ce",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def predict_digest(tmp_path, template, scale, percent, seed, draw) -> str:
+    policy = generate(GeneratorConfig(template=template, scale=scale, seed=seed))
+    ents = tmp_path / "entitlements.csv"
+    save_entitlements(reference_entitlements(policy), str(ents))
+    om = policy.model.copy()
+    remove_cells(om, percent / 100.0, random.Random(seed * 1000 + draw))
+    damaged = tmp_path / "policy.json"
+    save_policy(Policy(om, policy.rules), str(damaged))
+    out = tmp_path / "predict.json"
+    argv = ["predict", "--policy", str(damaged), "--entitlements", str(ents), "--out", str(out)]
+    assert main(argv) == 0
+    return _sha256(out)
+
+
+def evaluate_digests(tmp_path, template, scales, percents, runs) -> tuple:
+    csv_path, json_path = tmp_path / "summary.csv", tmp_path / "detail.json"
+    argv = ["evaluate", "--template", template, "--scales", scales, "--percents", percents,
+            "--runs", str(runs), "--csv", str(csv_path), "--json", str(json_path)]
+    assert main(argv) == 0
+    return _sha256(csv_path), _sha256(json_path)
+
+
+@pytest.mark.parametrize("case", sorted(PREDICT), ids=lambda c: "-".join(map(str, c)))
+def test_predict_output_is_pinned(tmp_path, case):
+    assert predict_digest(tmp_path, *case) == PREDICT[case]
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE), ids=lambda c: "-".join(map(str, c)))
+def test_evaluate_output_is_pinned(tmp_path, case):
+    assert evaluate_digests(tmp_path, *case) == EVALUATE[case]
