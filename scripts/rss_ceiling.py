@@ -1,9 +1,10 @@
-"""Fail when `abacfill predict` on project-240 needs more than 150 MB.
+"""Fail when `abacfill predict` needs more memory than its ceiling.
 
-Generates project-240 with `generate --seed 1`, hides 6% of its known
-cells in a model copy with `Random(1)`, then runs `abacfill predict --st
-0.1` on it in a child process and reads that child's peak resident set
-size from `os.wait4`.  Exits 1 when the peak is above the ceiling.
+Each case generates a policy with `generate --seed 1`, hides 6% of its
+known cells in a model copy with `Random(1)`, then runs `abacfill predict
+--st 0.1` on it in a child process and reads that child's peak resident
+set size from `os.wait4`.  Exits 1 when any case's peak is above its
+ceiling.
 
     PYTHONPATH=src python scripts/rss_ceiling.py
 
@@ -17,11 +18,18 @@ import subprocess
 import sys
 import tempfile
 
-TEMPLATE, SCALE, SEED, PERCENT, THRESHOLD = "project", 240, 1, 6, "0.1"
-CEILING_MB = 150
+SEED, PERCENT, THRESHOLD = 1, 6, "0.1"
+# (template, scale, ceiling in MB)
+CASES = [
+    # no learning array is users x resources: near 65 MB
+    ("project", 240, 150),
+    # conditions need two holders and constraints a shared value, so each
+    # fit's system stays small: near 100 MB
+    ("university", 360, 160),
+]
 
 
-def make_inputs(directory) -> None:
+def make_inputs(template, scale, directory) -> None:
     import random
 
     from abacfill.generator import GeneratorConfig, generate, reference_entitlements
@@ -29,7 +37,7 @@ def make_inputs(directory) -> None:
     from abacfill.model import Policy
     from abacfill.policy_io import save_entitlements, save_policy
 
-    policy = generate(GeneratorConfig(template=TEMPLATE, scale=SCALE, seed=SEED))
+    policy = generate(GeneratorConfig(template=template, scale=scale, seed=SEED))
     save_entitlements(reference_entitlements(policy), os.path.join(directory, "entitlements.csv"))
     om = policy.model.copy()
     remove_cells(om, PERCENT / 100.0, random.Random(SEED))
@@ -46,21 +54,29 @@ def peak_mb(argv) -> float:
     return usage.ru_maxrss / 1024  # Linux reports kilobytes
 
 
-def main() -> int:
-    if sys.argv[1:2] == ["--make-inputs"]:
-        make_inputs(sys.argv[2])
-        return 0
+def check(template, scale, ceiling) -> bool:
     with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run([sys.executable, __file__, "--make-inputs", tmp], check=True)
+        subprocess.run(
+            [sys.executable, __file__, "--make-inputs", template, str(scale), tmp], check=True
+        )
         mb = peak_mb([
             sys.executable, "-m", "abacfill.cli", "predict",
             "--policy", os.path.join(tmp, "policy.json"),
             "--entitlements", os.path.join(tmp, "entitlements.csv"),
             "--st", THRESHOLD, "--out", os.path.join(tmp, "predict.json"),
         ])
-    print(f"predict {TEMPLATE}-{SCALE}, {PERCENT}% hidden, st {THRESHOLD}: "
-          f"peak RSS {mb:.0f} MB (ceiling {CEILING_MB} MB)")
-    return 0 if mb <= CEILING_MB else 1
+    print(f"predict {template}-{scale}, {PERCENT}% hidden, st {THRESHOLD}: "
+          f"peak RSS {mb:.0f} MB (ceiling {ceiling} MB)")
+    return mb <= ceiling
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--make-inputs"]:
+        template, scale, directory = sys.argv[2:5]
+        make_inputs(template, int(scale), directory)
+        return 0
+    results = [check(*case) for case in CASES]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

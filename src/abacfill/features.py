@@ -1,12 +1,17 @@
 """Learn which atomic conditions and constraints track a group pair's access.
 
-For a pair of groups and one action, the candidate features are:
+For a pair of groups and one action, the candidate features are the
+columns that can carry a coefficient:
 
-* conditions over each non-id attribute of either side, one per distinct
-  value observed among the group's members (membership test for
-  single-valued attributes, element test for multi-valued ones),
+* conditions over each non-id attribute of either side, one per value that
+  at least two of the group's members hold (membership test for
+  single-valued attributes, element test for multi-valued ones): a value
+  one member holds designates that member rather than describing the group,
 * one constraint per kind-compatible (user attribute, resource attribute)
-  pair, id included.
+  pair, id included, that can hold on some pair of the model: its two
+  attributes share a known value, or it is supseteq and a resource holds
+  the empty set that a known user set contains.  Any other constraint's
+  column would be zero in every triple, with exact coefficient 0.
 
 Rows are the (user, resource) pairs whose objects have no unknown cells;
 the label says whether that pair holds the action in the reference
@@ -23,8 +28,8 @@ ascending flat positions u * resources + r: a constraint's list is
 decides which pairs a policy's rules grant.  Its sum is the list's length,
 its products with a condition column are per-user or per-resource counts
 of the list, and its products with the labels and with other constraints
-are sizes of intersections.  Most constraints hold on no pair at all, and
-every statistic of theirs is zero.  Learning one triple costs
+are sizes of intersections.  A constraint that holds on no pair of the
+triple has only zero statistics.  Learning one triple costs
 O(conditions^2 + entitlements + matched pairs).  The statistics are
 integers, so the fit centers them exactly.
 
@@ -40,10 +45,10 @@ labels, before anything else of it is built.
 
 The ranking puts structurally certain features ahead of fitted ones:
 
-* characterizing features hold on every row; conditions additionally need
-  at least two members with a known supporting value and none with a
-  conflicting one, so a constant that only reflects blind spots in the
-  data never counts,
+* characterizing features hold on every row; conditions, which have two
+  holders by construction, additionally need no member with a conflicting
+  value, so a constant that only reflects blind spots in the data never
+  counts,
 * remaining features qualify by coefficient above a small floor.
 
 A characterizing constraint subsumes characterizing conditions on the two
@@ -53,6 +58,7 @@ cross-side link.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,39 +137,72 @@ class Feature:
 
 
 def _conditions_for(schema, side: Side, members) -> list:
-    """One condition per distinct known value among the members.
+    """One condition per value that at least two members hold as a known
+    value: a cell's value, or an element of its set.
 
-    Unknown cells contribute nothing; id never yields conditions because a
-    unique designator cannot describe a group.
+    A member counts as a holder whatever its other cells are, so a member
+    with another unknown cell, which the rows leave out, still counts; this
+    is the bar `_extent_supports` sets for a characterizing condition.  A
+    value only one member holds designates that member rather than
+    describing the group, and id never yields conditions for the same
+    reason.  Unknown and inapplicable cells contribute nothing.
     """
-    by_attr = {}
-    for obj in members:
-        for name, v in obj.attrs.items():
-            if name == "id" or v is NULL or v is MISSING:
-                continue
-            by_attr.setdefault(name, set()).update(_elements(v))
+    holders = Counter(
+        (name, e)
+        for obj in members
+        for name, v in obj.attrs.items()
+        if name != "id" and v is not NULL and v is not MISSING
+        for e in _elements(v)
+    )
     feats = []
-    for name in sorted(by_attr):
-        multi = schema.kind(side, name) is AttrKind.MULTI
-        for v in sorted(by_attr[name]):
-            if multi:
-                feats.append(Feature.cond(side, AtomicCondition(name, "contains", v)))
-            else:
-                feats.append(Feature.cond(side, AtomicCondition(name, "in", frozenset({v}))))
+    for name, v in sorted(key for key, n in holders.items() if n >= 2):
+        if schema.kind(side, name) is AttrKind.MULTI:
+            feats.append(Feature.cond(side, AtomicCondition(name, "contains", v)))
+        else:
+            feats.append(Feature.cond(side, AtomicCondition(name, "in", frozenset({v}))))
     return feats
 
 
 _OP_FOR_KINDS = {kinds: op for op, kinds in CONSTRAINT_KINDS.items()}
 
 
+def _known_cells(om: ObjectModel, side: Side) -> dict:
+    """Each attribute of the side -> the distinct known cells its objects
+    hold."""
+    cells = {a.name: set() for a in om.schema.for_side(side)}
+    for obj in om.side_objects(side).values():
+        for name, v in obj.attrs.items():
+            cells[name].add(v)
+    return {name: held - {NULL, MISSING} for name, held in cells.items()}
+
+
+def _held_values(cells) -> dict:
+    """attribute -> the values and set elements of its known cells."""
+    return {name: {e for v in held for e in _elements(v)} for name, held in cells.items()}
+
+
 def constraint_features(om: ObjectModel) -> tuple:
     """One constraint per kind-compatible (user attribute, resource
-    attribute) pair, in canonical order."""
+    attribute) pair that can hold on some pair of the model, in canonical
+    order.
+
+    On known cells, equal, in and contains hold only on a pair that shares
+    a value, and supseteq only where the user holds every element of the
+    resource's set: a shared element, or an empty resource set against any
+    known user set.  Any other constraint holds on no pair of any triple,
+    so its column is all zero, its exact coefficient 0 and it is never
+    all-true: it could never rank, and it is left out.
+    """
+    ucells, rcells = _known_cells(om, Side.USER), _known_cells(om, Side.RESOURCE)
+    uvalues, rvalues = _held_values(ucells), _held_values(rcells)
     feats = []
     for ua in om.schema.for_side(Side.USER):
         for ra in om.schema.for_side(Side.RESOURCE):
             op = _OP_FOR_KINDS[(ua.kind, ra.kind)]
-            feats.append(Feature.con(AtomicConstraint(ua.name, op, ra.name)))
+            shared = not uvalues[ua.name].isdisjoint(rvalues[ra.name])
+            empty = op == "supseteq" and ucells[ua.name] and frozenset() in rcells[ra.name]
+            if shared or empty:
+                feats.append(Feature.con(AtomicConstraint(ua.name, op, ra.name)))
     return tuple(sorted(feats, key=Feature.sort_key))
 
 
@@ -394,10 +433,10 @@ class RankedFeature:
 
 
 def _extent_supports(members, cond: AtomicCondition) -> bool:
-    """At least two members have a known value satisfying the condition and
-    no member has a known value (or an inapplicable cell) conflicting."""
-    verdicts = [eval_atomic_condition(m, cond) for m in members]
-    return Tri.FALSE not in verdicts and verdicts.count(Tri.TRUE) >= 2
+    """No member has a known value (or an inapplicable cell) conflicting
+    with the condition.  Two members with a known value satisfying it are
+    given: `_conditions_for` enumerates no condition without them."""
+    return all(eval_atomic_condition(m, cond) is not Tri.FALSE for m in members)
 
 
 #: fitted coefficients closer than this to their neighbour in rank tie

@@ -7,7 +7,9 @@ counting replaced, with every sum kept as an exact fraction.  The dense
 learning reference is the slow path that factorized learning
 replaced: it builds the whole pair x feature design matrix with the
 package's three-valued evaluator and features, so that it checks only the
-factorization and the fit.
+factorization and the fit.  The full constraint list is every
+kind-compatible attribute pair, the candidates learning had before it left
+out the constraints that can hold on no pair.
 """
 
 from __future__ import annotations
@@ -21,8 +23,23 @@ import numpy as np
 
 from abacfill import features as features_module
 from abacfill.evaluate import Tri, eval_atomic_condition, eval_atomic_constraint
-from abacfill.features import RIDGE, FeatureConfig, LearningData, enumerate_features, is_untainted
-from abacfill.model import MISSING, NULL, AbacError, Entitlement, Side
+from abacfill.features import (
+    RIDGE,
+    Feature,
+    FeatureConfig,
+    LearningData,
+    enumerate_features,
+    is_untainted,
+)
+from abacfill.model import (
+    CONSTRAINT_KINDS,
+    MISSING,
+    NULL,
+    AbacError,
+    AtomicConstraint,
+    Entitlement,
+    Side,
+)
 
 T, F, U = "T", "F", "U"
 
@@ -294,6 +311,21 @@ class DenseLearningData:
     @property
     def row_count(self) -> int:
         return int(self.matrix.shape[0])
+
+
+def all_constraint_features(om) -> tuple:
+    """Every kind-compatible (user attribute, resource attribute)
+    constraint, in canonical order, whether or not it can hold on any pair:
+    the constraint candidates before learning left out those it cannot."""
+    op_for_kinds = {kinds: op for op, kinds in CONSTRAINT_KINDS.items()}
+    return tuple(sorted(
+        (
+            Feature.con(AtomicConstraint(ua.name, op_for_kinds[ua.kind, ra.kind], ra.name))
+            for ua in om.schema.for_side(Side.USER)
+            for ra in om.schema.for_side(Side.RESOURCE)
+        ),
+        key=Feature.sort_key,
+    ))
 
 
 def _evaluate(feature, user, res):

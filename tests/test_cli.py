@@ -311,7 +311,11 @@ def test_non_finite_weights_are_rejected(tmp_path, capsys, literal, text):
 def test_features_output_is_pinned(capsys, case):
     """One user and one resource from each campus group pair, per action:
     the whole output, coefficients at 9 decimals, as recorded before
-    feature learning was factorized."""
+    feature learning was factorized.  The faculty x gradebook link was
+    re-recorded when conditions came to need two holders: the per-course
+    conditions of one member each no longer share its weight under the
+    ridge, so 0.999999993 became 0.999999995, the exact ridge solution
+    0.99999999455 at 9 decimals."""
     got = run(capsys, "features", "--policy", CAMPUS, "--entitlements", CAMPUS_ENTS,
               "--user", case["user"], "--resource", case["resource"], "--action", case["action"])
     assert got == (case["exit"], case["stdout"], case["stderr"])

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    all_constraint_features,
     dense_learning_data,
     dense_ranking,
     design_statistics,
@@ -84,15 +85,28 @@ def assert_triple_matches_dense(om, gu, gr, action, entitlements):
         return
     assert [rf.feature for rf in got] == [rf.feature for rf in ref]
     assert [rf.characterizing for rf in got] == [rf.characterizing for rf in ref]
+    if _coefficient_gap(got, ref) > 1e-9:
+        exact = exact_ridge_fit(dense.matrix, dense.labels)
+        assert_near_exact(got, data, dict(zip(dense.features, exact)))
+
+
+def _coefficient_gap(got, ref) -> float:
     got_coefs = np.array([rf.coefficient for rf in got])
     ref_coefs = np.array([rf.coefficient for rf in ref])
-    if np.abs(got_coefs - ref_coefs).max(initial=0.0) > 1e-9:
-        exact = exact_ridge_fit(dense.matrix, dense.labels)
-        n, d = data.row_count, len(data.features)
-        system = n * data.gram - np.outer(data.sums, data.sums) + n * 1e-8 * np.eye(d)
-        bound = np.finfo(float).eps * np.linalg.cond(system) * max(1.0, np.abs(exact).max())
-        ranked = [data.features.index(rf.feature) for rf in got]
-        assert np.abs(got_coefs - exact[ranked]).max() <= max(1e-9, bound)
+    return np.abs(got_coefs - ref_coefs).max(initial=0.0)
+
+
+def assert_near_exact(ranked, data, exact):
+    """The ranked coefficients lie within the forward-error bound of a
+    stable solve of data's ridge system, eps * its condition number, of
+    the exact solution, given as feature -> coefficient."""
+    n, d = data.row_count, len(data.features)
+    system = n * data.gram - np.outer(data.sums, data.sums) + n * 1e-8 * np.eye(d)
+    scale = max(1.0, max(abs(c) for c in exact.values()))
+    bound = np.finfo(float).eps * np.linalg.cond(system) * scale
+    got = np.array([rf.coefficient for rf in ranked])
+    want = np.array([exact[rf.feature] for rf in ranked])
+    assert np.abs(got - want).max() <= max(1e-9, bound)
 
 
 def test_random_small_policies_match_dense():
@@ -150,6 +164,47 @@ def test_consulted_triples_match_dense(template, scale, fraction):
     assert triples
     for gu, gr, action in triples:
         assert_triple_matches_dense(om, gu, gr, action, entitlements)
+
+
+@pytest.mark.parametrize("fraction", [0.06, 0.30])
+@pytest.mark.parametrize("template,scale", CONSULTED)
+def test_pruned_constraints_rank_as_all_constraints(template, scale, fraction):
+    """Leaving out the constraints that share no value across the model
+    changes no ranking: each left-out column is zero in every consulted
+    triple, so its coefficient is zero and it never ranks."""
+    om, clustering, entitlements = _consulted_setup(template, scale, fraction)
+    pruned, every = constraint_features(om), all_constraint_features(om)
+    assert set(pruned) < set(every)
+    dropped = np.array([f not in pruned for f in every])
+    summaries = {}
+    triples = _consulted_triples(om, clustering, entitlements)
+    assert triples
+    for gu, gr, action in triples:
+        for group in (gu, gr):
+            if (group.side, group.gid) not in summaries:
+                summaries[group.side, group.gid] = side_summary(om, group)
+        users, resources = summaries[gu.side, gu.gid], summaries[gr.side, gr.gid]
+        granted = labels(users, resources, action, entitlements)
+        full = assemble(users, resources, every, granted)
+        k = len(every)
+        assert not full.sums[-k:][dropped].any()
+        assert not full.xty[-k:][dropped].any()
+        assert not full.gram[-k:][dropped].any()
+        data = assemble(users, resources, pruned, granted)
+        got = _ranking_or_none(lambda: rank_features(om, gu, gr, data))
+        want = _ranking_or_none(lambda: rank_features(om, gu, gr, full))
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        assert [rf.feature for rf in got] == [rf.feature for rf in want]
+        assert [rf.characterizing for rf in got] == [rf.characterizing for rf in want]
+        if _coefficient_gap(got, want) > 1e-9:
+            # a left-out column's exact coefficient is 0 and leaves the
+            # others' as they are, so one exact solution serves both fits
+            dense = dense_learning_data(om, gu, gr, action, entitlements)
+            exact = dict(zip(dense.features, exact_ridge_fit(dense.matrix, dense.labels)))
+            assert_near_exact(got, data, exact)
+            assert_near_exact(want, full, exact)
 
 
 def test_assemble_allocates_no_pair_sized_array():
@@ -376,7 +431,7 @@ def test_join_matches_evaluator_on_random_policies(max_side):
     for _ in range(120):
         doc = _with_cross_side_values(rng, random_small_policy(rng, max_side=max_side))
         om = policy_from_dict(doc).model
-        for f in constraint_features(om):
+        for f in all_constraint_features(om):
             con = f.constraint
             users = [u for u in om.users.values() if u.value(con.user_attr) is not MISSING]
             resources = [r for r in om.resources.values() if r.value(con.res_attr) is not MISSING]
@@ -395,6 +450,25 @@ def test_join_matches_evaluator_on_random_policies(max_side):
         assert seen[kind, "user", "null"] and seen[kind, "resource", "null"], kind
     assert seen["in", "resource", "empty"] and seen["contains", "user", "empty"]
     assert seen["supseteq", "user", "empty"] and seen["supseteq", "resource", "empty"]
+
+
+def test_left_out_constraints_hold_on_no_pair_of_random_policies():
+    """Every constraint that holds on some pair of known cells is kept,
+    over random models with NULL, MISSING and empty-set cells."""
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(150):
+        doc = _with_cross_side_values(rng, random_small_policy(rng, max_side=6))
+        om = policy_from_dict(doc).model
+        kept = constraint_features(om)
+        for f in all_constraint_features(om):
+            con = f.constraint
+            users = [u for u in om.users.values() if u.value(con.user_attr) is not MISSING]
+            resources = [r for r in om.resources.values() if r.value(con.res_attr) is not MISSING]
+            holds = bool(_join_truth(con, users, resources).any())
+            assert holds <= (f in kept), con.render()
+            seen[f in kept, holds] += 1
+    assert seen[False, False] and seen[True, True] and seen[True, False]
 
 
 def test_all_tainted_side_gives_no_rows():

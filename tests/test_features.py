@@ -19,6 +19,7 @@ from abacfill.features import (
     Feature,
     FeatureConfig,
     build_learning_data,
+    constraint_features,
     enumerate_features,
     is_untainted,
     rank_features,
@@ -61,29 +62,28 @@ def test_enumeration_content_and_order(campus_groups):
     )
     rendered = [f.render() for f in feats]
 
-    # user conditions first, then resource conditions, then constraints
-    assert rendered[:6] == [
-        "user.coursesTaught contains cs601",
-        "user.coursesTaught contains ee101",
-        "user.coursesTaught contains ee601",
-        "user.department in {cs}",
+    # user conditions first, then resource conditions, then constraints;
+    # only values two members hold: csFac2 is the one known cs member and
+    # each course is taught by, or graded in, one member
+    assert rendered[:2] == [
         "user.department in {ee}",
         "user.position in {faculty}",
     ]
-    assert rendered[6:14] == [
-        "resource.course in {cs101}",
-        "resource.course in {cs601}",
-        "resource.course in {ee101}",
-        "resource.course in {ee601}",
-        "resource.course in {ee602}",
+    assert rendered[2:5] == [
         "resource.department in {cs}",
         "resource.department in {ee}",
         "resource.type in {gradebook}",
     ]
-    # 5 user attrs x 5 resource attrs, all kind-compatible pairs
+    # of the 5 x 5 kind-compatible attribute pairs, only these share a
+    # value somewhere in the model; the other 21 hold on no pair
     constraints = [f for f in feats if f.is_constraint]
-    assert len(constraints) == 25
-    assert len(feats) == 39
+    assert [f.render() for f in constraints] == [
+        "coursesTaken contains course",
+        "coursesTaught contains course",
+        "department equal department",
+        "id equal student",
+    ]
+    assert len(feats) == 9
     # id participates in constraints but never yields conditions
     assert "id equal student" in rendered
     assert not any(f.condition is not None and f.condition.attr == "id" for f in feats)
@@ -94,11 +94,94 @@ def test_enumeration_skips_unknown_and_inapplicable_cells(campus_groups):
     gu = _group(clustering, 1)
     feats = enumerate_features(om, [om.users[i] for i in gu.members], [])
     attrs = {f.condition.attr for f in feats if f.condition is not None}
-    # coursesTaken is inapplicable for every faculty member
-    assert attrs == {"position", "department", "coursesTaught"}
-    # csFac1's unknown cells contribute no values
+    # coursesTaken is inapplicable for every faculty member, and no course
+    # is taught by two of them
+    assert attrs == {"position", "department"}
+    # csFac1's unknown cells contribute no values: cs keeps one holder
+    depts = {f.condition.val for f in feats if f.condition and f.condition.attr == "department"}
+    assert depts == {frozenset({"ee"})}
     taught = {f.condition.val for f in feats if f.condition and f.condition.attr == "coursesTaught"}
-    assert taught == {"cs601", "ee101", "ee601"}
+    assert taught == set()
+    # once known, csFac1's department is cs's second holder
+    om.users["csFac1"].attrs["department"] = "cs"
+    feats = enumerate_features(om, [om.users[i] for i in gu.members], [])
+    depts = {f.condition.val for f in feats if f.condition and f.condition.attr == "department"}
+    assert depts == {frozenset({"cs"}), frozenset({"ee"})}
+
+
+def _holder_model(users, resources):
+    """Users with a single-valued dept and a set-valued tags attribute,
+    resources with a single-valued dept and a set-valued need attribute;
+    each object is given as its attribute cells."""
+    s = Schema()
+    for side, one, many in ((Side.USER, "dept", "tags"), (Side.RESOURCE, "dept", "need")):
+        s.add(AttrSchema("id", AttrKind.SINGLE, side))
+        s.add(AttrSchema(one, AttrKind.SINGLE, side))
+        s.add(AttrSchema(many, AttrKind.MULTI, side))
+    om = ObjectModel(schema=s, actions=("read",))
+    for i, cells in enumerate(users):
+        om.add(Obj(f"u{i}", Side.USER, {"id": f"u{i}", **cells}))
+    for i, cells in enumerate(resources):
+        om.add(Obj(f"r{i}", Side.RESOURCE, {"id": f"r{i}", **cells}))
+    return om
+
+
+def _rendered(om):
+    return [f.render() for f in enumerate_features(om, om.users.values(), om.resources.values())]
+
+
+def test_a_condition_needs_two_holders():
+    one = _holder_model(
+        [{"dept": "cs", "tags": frozenset({"x"})}, {"dept": "ee", "tags": frozenset({"y"})}], []
+    )
+    assert not [f for f in _rendered(one) if f.startswith("user.")]
+    two = _holder_model(
+        [{"dept": "cs", "tags": frozenset({"x", "y"})}, {"dept": "cs", "tags": frozenset({"y"})}],
+        [],
+    )
+    assert [f for f in _rendered(two) if f.startswith("user.")] == [
+        "user.dept in {cs}",
+        "user.tags contains y",
+    ]
+
+
+def test_a_member_with_another_unknown_cell_is_a_holder():
+    # u1 is left out of the rows by its unknown tags, but its known dept
+    # still makes it cs's second holder, as it would back the condition
+    # when ranking checks that two members support it
+    om = _holder_model(
+        [{"dept": "cs", "tags": frozenset({"x"})}, {"dept": "cs", "tags": MISSING}], []
+    )
+    assert not is_untainted(om.users["u1"])
+    assert "user.dept in {cs}" in _rendered(om)
+    om.users["u1"].attrs["dept"] = MISSING
+    assert "user.dept in {cs}" not in _rendered(om)
+
+
+def test_supseteq_against_an_empty_resource_set_stays_a_candidate():
+    # the two sides share no element, but every known user set contains
+    # the empty set
+    om = _holder_model(
+        [{"dept": "cs", "tags": frozenset({"x"})}],
+        [{"dept": "ee", "need": frozenset()}, {"dept": "ee", "need": frozenset({"y"})}],
+    )
+    constraints = [f.render() for f in constraint_features(om)]
+    assert constraints == ["tags supseteq need"]
+    # with no empty set the pair shares nothing and is dropped
+    om.resources["r0"].attrs["need"] = frozenset({"z"})
+    assert constraint_features(om) == ()
+
+
+def test_a_constraint_on_an_all_null_attribute_is_dropped():
+    om = _holder_model(
+        [{"dept": NULL, "tags": NULL}, {"dept": NULL, "tags": NULL}],
+        [{"dept": "cs", "need": frozenset()}, {"dept": NULL, "need": frozenset({"cs"})}],
+    )
+    # nothing of the users' is known, so no constraint can hold, not even
+    # supseteq against the empty set
+    assert constraint_features(om) == ()
+    om.users["u0"].attrs["dept"] = "cs"
+    assert [f.render() for f in constraint_features(om)] == ["dept equal dept", "dept in need"]
 
 
 def test_feature_mentions():
@@ -332,23 +415,28 @@ def test_coefficient_floor_excludes_noise(campus_groups, campus_entitlements):
     assert len(strict) == 2  # only the characterizing pair survives
 
 
-def test_solver_noise_does_not_split_a_tie(campus_groups, campus_entitlements, monkeypatch):
+def test_solver_noise_does_not_split_a_tie(campus_groups, monkeypatch):
     om, clustering = campus_groups
-    gu, gr = _group(clustering, 1), _group(clustering, 3)
-    data = build_learning_data(om, gu, gr, "modify", campus_entitlements)
-    first, second = (
-        j for j, f in enumerate(data.features)
-        if f.render() in ("user.department in {cs}", "user.department in {ee}")
-    )
-    # two equal coefficients, nudged by noise to either side of 0.1015625,
-    # a midpoint of the 6-decimal grid
+    gu, gr = _group(clustering, 2), _group(clustering, 4)
+    # each student modifies their own transcript; each department has one
+    # student, so the department link holds on exactly the granted pairs too
+    ents = {Entitlement(s, f"{s}trans", "modify") for s in ("csStu1", "eeStu1")}
+    data = build_learning_data(om, gu, gr, "modify", ents)
+    tied = ["department equal department", "id equal student"]
+    ranked = rank_features(om, gu, gr, data)
+    fitted = [rf for rf in ranked if not rf.characterizing]
+    assert [rf.feature.render() for rf in fitted] == tied
+    assert [rf.coefficient for rf in fitted] == pytest.approx([0.5, 0.5], abs=1e-6)
+    first, second = (j for j, f in enumerate(data.features) if f.render() in tied)
+    # the same two equal coefficients, nudged by noise to either side of
+    # 0.4921875, a midpoint of the 6-decimal grid, against canonical order
     coefs = np.zeros(len(data.features))
-    coefs[first], coefs[second] = 0.1015625 - 1e-9, 0.1015625 + 1e-9
+    coefs[first], coefs[second] = 0.4921875 - 1e-9, 0.4921875 + 1e-9
     monkeypatch.setattr(features_module, "fit_least_squares", lambda *a, **k: (0.0, coefs))
     ranked = rank_features(om, gu, gr, data)
     fitted = [rf.feature.render() for rf in ranked if not rf.characterizing]
     # a tie keeps canonical order
-    assert fitted == ["user.department in {cs}", "user.department in {ee}"]
+    assert fitted == tied
 
 
 def test_feature_config_validation():
