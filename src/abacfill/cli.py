@@ -228,7 +228,7 @@ def _cmd_features(args) -> int:
     else:
         feature_config = FeatureConfig()
     data = build_learning_data(policy.model, ug, rg, args.action, entitlements)
-    ranked = rank_features(policy.model, ug, rg, data, feature_config)
+    ranked = rank_features(ug, rg, data, feature_config)
     _emit_json(
         {
             "user_group": ug.gid,

@@ -18,8 +18,10 @@ O(users + resources + set elements + joined pairs + uncertain objects x
 the other side); a complete model has no uncertain objects.
 
 That join, `matches`, is the one implementation of constraint truth on
-known cells: feature learning takes its constraint statistics from it
-too, joining the value indexes each group builds once per attribute.
+known cells, and `ValueIndex` the one reader of which object holds which
+value: feature learning takes its conditions, their support and its
+constraint candidates from value indexes, and its constraint statistics
+from joining the ones each group builds once per attribute.
 """
 
 from __future__ import annotations
@@ -123,17 +125,22 @@ def _survivors(objects, conds, attrs):
 
 class ValueIndex:
     """Positions of objects by their value of one attribute, or by each
-    element of their set; NULL cells are left out.  For set cells it also
-    keeps each set's size, by position (so its keys are the non-NULL set
+    element of their set: only known cells are indexed, NULL and MISSING
+    ones are left out and MISSING ones counted.  For set cells it also
+    keeps each set's size, by position (so its keys are the known set
     cells), and the positions of the empty sets, which supseteq needs."""
 
     def __init__(self, objs, attr: str):
         self.count = len(objs)
+        self.missing = 0
         self.rows, self.size, self.empty = {}, {}, []
         rows = self.rows
         for r, obj in enumerate(objs):
             v = obj.value(attr)
             if v is NULL:
+                continue
+            if v is MISSING:
+                self.missing += 1
                 continue
             if not isinstance(v, frozenset):
                 rows.setdefault(v, []).append(r)
@@ -148,18 +155,17 @@ class ValueIndex:
 def matches(con: AtomicConstraint, users: ValueIndex, resources: ValueIndex) -> np.ndarray:
     """Ascending flat positions u * resources.count + r of the (user,
     resource) pairs on which con is true, for users indexed by con.user_attr
-    and resources by con.res_attr.
-
-    Precondition: no cell con tests is MISSING.  rule_meaning passes
-    definite survivors, and learning passes untainted members.
+    and resources by con.res_attr.  The indexes hold known cells only, so
+    a pair with a NULL or MISSING cell, false or unknown to the evaluator,
+    never matches.
 
     A join over the keys both indexes hold.  For equal, in and contains one
     side of a pair holds a single value, so a true pair shares exactly one
     key: each shared key gives its user rows x resource rows, and no pair
     comes up twice.  supseteq counts each pair's shared keys against the
-    size of the resource's set; an empty set matches every non-NULL user.
-    NULL matches nothing.  Cost: O(shared keys + joined pairs), where
-    supseteq joins every pair that shares an element.
+    size of the resource's set; an empty set matches every known user set.
+    Cost: O(shared keys + joined pairs), where supseteq joins every pair
+    that shares an element.
     """
     if con.op not in CONSTRAINT_KINDS:
         raise SchemaError(f"unknown constraint operator: {con.op}")

@@ -33,11 +33,18 @@ triple has only zero statistics.  Learning one triple costs
 O(conditions^2 + entitlements + matched pairs).  The statistics are
 integers, so the fit centers them exactly.
 
+Which object holds which value is read through one reader,
+`evaluate.ValueIndex`: one over a group's members per attribute gives the
+group's conditions, their holders and their support, one over each whole
+side gives the constraint candidates, and one over a group's rows per
+attribute feeds the constraint joins.
+
 A triple's data splits into per-group pieces: `side_summary` holds what
-depends on one group only (its conditions, rows, condition matrix with its
-gram, sums and all-true columns, and a value index per attribute, built on
-first use), `labels` the triple's granted pairs, and `assemble` the
-statistics from two summaries, the constraint features and the labels.
+depends on one group only (its conditions, rows, 0/1 condition matrix with
+its gram, sums, all-true and supported columns, and a value index per
+attribute over the rows, built on first use), `labels` the triple's
+granted pairs, and `assemble` the statistics from two summaries, the
+constraint features and the labels.
 `build_learning_data` runs the three for one triple; prediction's
 `TripleCache` builds each group's summary and value indexes once per
 cache, and settles a triple with no rows or no granted pair from its
@@ -46,9 +53,9 @@ labels, before anything else of it is built.
 The ranking puts structurally certain features ahead of fitted ones:
 
 * characterizing features hold on every row; conditions, which have two
-  holders by construction, additionally need no member with a conflicting
-  value, so a constant that only reflects blind spots in the data never
-  counts,
+  holders by construction, must also be supported: every member holds the
+  value or has that cell unknown, so no member conflicts with it and a
+  constant that only reflects blind spots in the data never counts,
 * remaining features qualify by coefficient above a small floor.
 
 A characterizing constraint subsumes characterizing conditions on the two
@@ -58,16 +65,14 @@ cross-side link.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import Tri, ValueIndex, eval_atomic_condition, matches
+from .evaluate import ValueIndex, matches
 from .model import (
     CONSTRAINT_KINDS,
     MISSING,
-    NULL,
     AtomicCondition,
     AtomicConstraint,
     AttrKind,
@@ -136,49 +141,38 @@ class Feature:
         return f"{self.side.value}.{self.condition.render()}"
 
 
-def _conditions_for(schema, side: Side, members) -> list:
-    """One condition per value that at least two members hold as a known
-    value: a cell's value, or an element of its set.
+def _conditions_for(schema, side: Side, members) -> tuple:
+    """The group's conditions in canonical order, each one's holders as
+    positions in members, and whether each is supported.
 
-    A member counts as a holder whatever its other cells are, so a member
-    with another unknown cell, which the rows leave out, still counts; this
-    is the bar `_extent_supports` sets for a characterizing condition.  A
-    value only one member holds designates that member rather than
-    describing the group, and id never yields conditions for the same
-    reason.  Unknown and inapplicable cells contribute nothing.
+    One condition per value that at least two members hold as a known
+    value, a cell's value or an element of its set, read off a
+    `ValueIndex` over the members per attribute.  A member counts as a
+    holder whatever its other cells are, so a member with another unknown
+    cell, which the rows leave out, still counts.  A value only one member
+    holds designates that member rather than describing the group, and id
+    never yields conditions for the same reason.
+
+    A condition is supported when every member holds its value or has that
+    cell unknown: no member has a conflicting value or an inapplicable
+    cell, which would make the condition false on it.
     """
-    holders = Counter(
-        (name, e)
-        for obj in members
-        for name, v in obj.attrs.items()
-        if name != "id" and v is not NULL and v is not MISSING
-        for e in _elements(v)
-    )
-    feats = []
-    for name, v in sorted(key for key, n in holders.items() if n >= 2):
-        if schema.kind(side, name) is AttrKind.MULTI:
-            feats.append(Feature.cond(side, AtomicCondition(name, "contains", v)))
-        else:
-            feats.append(Feature.cond(side, AtomicCondition(name, "in", frozenset({v}))))
-    return feats
+    conditions, holders, supported = [], [], []
+    for attr in sorted(a.name for a in schema.for_side(side) if a.name != "id"):
+        index = ValueIndex(members, attr)
+        multi = schema.kind(side, attr) is AttrKind.MULTI
+        for v in sorted(index.rows):
+            held = index.rows[v]
+            if len(held) < 2:
+                continue
+            op, val = ("contains", v) if multi else ("in", frozenset({v}))
+            conditions.append(Feature.cond(side, AtomicCondition(attr, op, val)))
+            holders.append(held)
+            supported.append(len(held) + index.missing == len(members))
+    return tuple(conditions), holders, np.array(supported, dtype=bool)
 
 
 _OP_FOR_KINDS = {kinds: op for op, kinds in CONSTRAINT_KINDS.items()}
-
-
-def _known_cells(om: ObjectModel, side: Side) -> dict:
-    """Each attribute of the side -> the distinct known cells its objects
-    hold."""
-    cells = {a.name: set() for a in om.schema.for_side(side)}
-    for obj in om.side_objects(side).values():
-        for name, v in obj.attrs.items():
-            cells[name].add(v)
-    return {name: held - {NULL, MISSING} for name, held in cells.items()}
-
-
-def _held_values(cells) -> dict:
-    """attribute -> the values and set elements of its known cells."""
-    return {name: {e for v in held for e in _elements(v)} for name, held in cells.items()}
 
 
 def constraint_features(om: ObjectModel) -> tuple:
@@ -189,32 +183,27 @@ def constraint_features(om: ObjectModel) -> tuple:
     On known cells, equal, in and contains hold only on a pair that shares
     a value, and supseteq only where the user holds every element of the
     resource's set: a shared element, or an empty resource set against any
-    known user set.  Any other constraint holds on no pair of any triple,
-    so its column is all zero, its exact coefficient 0 and it is never
-    all-true: it could never rank, and it is left out.
+    known user set.  A `ValueIndex` over each whole side per attribute
+    gives the shared keys, the known sets and the empty ones.  Any other
+    constraint holds on no pair of any triple, so its column is all zero,
+    its exact coefficient 0 and it is never all-true: it could never rank,
+    and it is left out.
     """
-    ucells, rcells = _known_cells(om, Side.USER), _known_cells(om, Side.RESOURCE)
-    uvalues, rvalues = _held_values(ucells), _held_values(rcells)
+    def indexes(side):
+        objs = list(om.side_objects(side).values())
+        return {a.name: ValueIndex(objs, a.name) for a in om.schema.for_side(side)}
+
+    users, resources = indexes(Side.USER), indexes(Side.RESOURCE)
     feats = []
     for ua in om.schema.for_side(Side.USER):
         for ra in om.schema.for_side(Side.RESOURCE):
             op = _OP_FOR_KINDS[(ua.kind, ra.kind)]
-            shared = not uvalues[ua.name].isdisjoint(rvalues[ra.name])
-            empty = op == "supseteq" and ucells[ua.name] and frozenset() in rcells[ra.name]
+            u, r = users[ua.name], resources[ra.name]
+            shared = not u.rows.keys().isdisjoint(r.rows)
+            empty = op == "supseteq" and u.size and r.empty
             if shared or empty:
                 feats.append(Feature.con(AtomicConstraint(ua.name, op, ra.name)))
     return tuple(sorted(feats, key=Feature.sort_key))
-
-
-def enumerate_features(om: ObjectModel, user_members, res_members) -> list:
-    """Candidate features for one group pair, in canonical order: user
-    conditions, resource conditions, then constraints, each sorted."""
-    feats = (
-        _conditions_for(om.schema, Side.USER, user_members)
-        + _conditions_for(om.schema, Side.RESOURCE, res_members)
-        + list(constraint_features(om))
-    )
-    return sorted(feats, key=Feature.sort_key)
 
 
 def is_untainted(obj) -> bool:
@@ -235,31 +224,7 @@ class LearningData:
     gram: np.ndarray  # (features, features) design' design
     xty: np.ndarray  # (features,) design' labels
     all_true: np.ndarray  # (features,) bool: true on every row
-
-
-def _elements(v):
-    """A cell's values as an iterable: the set itself, or a one-value tuple."""
-    return v if isinstance(v, frozenset) else (v,)
-
-
-def _condition_matrix(objs, conds) -> np.ndarray:
-    """0/1 objects x conditions.  Every condition tests one value, the
-    element of its 'in' singleton set or its 'contains' element, so a cell
-    holding that value matches; NULL cells match nothing."""
-    column = {(c.attr, e): j for j, c in enumerate(conds) for e in _elements(c.val)}
-    rows, cols = [], []
-    for i, obj in enumerate(objs):
-        for name, v in obj.attrs.items():
-            if v is NULL:
-                continue
-            for e in _elements(v):
-                j = column.get((name, e))
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-    A = np.zeros((len(objs), len(conds)), dtype=np.int64)
-    A[rows, cols] = 1
-    return A
+    supported: np.ndarray  # (features,) bool: no member conflicts; true for constraints
 
 
 def _int_product(a, b) -> np.ndarray:
@@ -273,10 +238,11 @@ class SideSummary:
 
     conditions: tuple  # condition features, in canonical order
     rows: list  # untainted members
-    A: np.ndarray  # (rows, conditions) 0/1
-    gram: np.ndarray  # A'A
-    sums: np.ndarray  # column sums of A
+    A: np.ndarray  # (rows, conditions) bool
+    gram: np.ndarray  # A'A, int64
+    sums: np.ndarray  # column sums of A, int64
     all_true: np.ndarray  # (conditions,) bool: true on every row
+    supported: np.ndarray  # (conditions,) bool: every member holds the value or lacks the cell
     indexes: dict = field(default_factory=dict)  # attribute -> ValueIndex over the rows
 
     def index(self, attr: str) -> ValueIndex:
@@ -290,10 +256,14 @@ def side_summary(om: ObjectModel, group) -> SideSummary:
     """The group's side of every triple it takes part in."""
     table = om.side_objects(group.side)
     members = [table[i] for i in group.members]
-    conditions = sorted(_conditions_for(om.schema, group.side, members), key=Feature.sort_key)
-    rows = [m for m in members if is_untainted(m)]
-    A = _condition_matrix(rows, [f.condition for f in conditions])
-    return SideSummary(tuple(conditions), rows, A, _int_product(A.T, A), A.sum(0), A.all(0))
+    conditions, holders, supported = _conditions_for(om.schema, group.side, members)
+    A = np.zeros((len(members), len(conditions)), dtype=bool)
+    for j, held in enumerate(holders):
+        A[held, j] = True
+    untainted = np.array([is_untainted(m) for m in members], dtype=bool)
+    rows = [m for m, keep in zip(members, untainted) if keep]
+    A = A[untainted]
+    return SideSummary(conditions, rows, A, _int_product(A.T, A), A.sum(0), A.all(0), supported)
 
 
 def labels(users: SideSummary, resources: SideSummary, action, entitlements) -> np.ndarray:
@@ -370,6 +340,7 @@ def assemble(users: SideSummary, resources: SideSummary, constraints, granted) -
     all_true = np.concatenate(
         [users.all_true, resources.all_true, counts == nu * nr]
     ) | (nu * nr == 0)
+    supported = np.concatenate([users.supported, resources.supported, np.ones(k, dtype=bool)])
     return LearningData(
         features=users.conditions + resources.conditions + tuple(constraints),
         row_count=nu * nr,
@@ -378,6 +349,7 @@ def assemble(users: SideSummary, resources: SideSummary, constraints, granted) -
         gram=gram,
         xty=xty,
         all_true=all_true,
+        supported=supported,
     )
 
 
@@ -432,26 +404,17 @@ class RankedFeature:
     characterizing: bool
 
 
-def _extent_supports(members, cond: AtomicCondition) -> bool:
-    """No member has a known value (or an inapplicable cell) conflicting
-    with the condition.  Two members with a known value satisfying it are
-    given: `_conditions_for` enumerates no condition without them."""
-    return all(eval_atomic_condition(m, cond) is not Tri.FALSE for m in members)
-
-
 #: fitted coefficients closer than this to their neighbour in rank tie
 TIE_TOLERANCE = 1e-6
 
 
-def rank_features(
-    om, user_group, res_group, data: LearningData, config: FeatureConfig = None
-) -> tuple:
+def rank_features(user_group, res_group, data: LearningData, config: FeatureConfig = None) -> tuple:
     """Order the candidate features for one group pair and action, most
     informative first: a tuple of RankedFeature, rank is position + 1.
 
-    Characterizing features come first in canonical order, then the rest by
-    descending coefficient, floored.  Raises InsufficientDataError when the
-    pair has no usable rows.
+    Characterizing features, those true on every row and supported, come
+    first in canonical order, then the rest by descending coefficient,
+    floored.  Raises InsufficientDataError when the pair has no usable rows.
     """
     config = config or FeatureConfig()
     if data.row_count == 0:
@@ -466,17 +429,7 @@ def rank_features(
         )
     _, coefs = fit_least_squares(data.row_count, data.sums, data.gram, data.xty, data.positives)
 
-    characterizing = set()
-    for j, f in enumerate(data.features):
-        if not data.all_true[j]:
-            continue
-        if f.is_constraint:
-            characterizing.add(j)
-        else:
-            members = [om.users[i] for i in user_group.members] if f.side is Side.USER \
-                else [om.resources[i] for i in res_group.members]
-            if _extent_supports(members, f.condition):
-                characterizing.add(j)
+    characterizing = set(np.flatnonzero(data.all_true & data.supported).tolist())
 
     # a characterizing constraint carries the cross-side link; one-sided
     # constants on the same attributes add nothing next to it

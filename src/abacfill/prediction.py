@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from .clustering import Clustering, Group
 from .features import (  # noqa: F401 - perfbench traces build_learning_data by this name
-    FeatureConfig,
     assemble,
     build_learning_data,
     constraint_features,
@@ -97,18 +96,18 @@ class TripleCache:
     """Memoizes learned rankings per (user group, resource group, action).
 
     Holds the one entitlement index that learning and lookup share, one
-    side summary per group (its conditions, condition matrix and value
-    index per attribute, built once however many triples the group takes
-    part in, on either side of the join) and the constraint features, which
-    every triple shares.  A triple whose list of granted pairs is empty,
-    which includes a triple with no rows, is settled as None from that list
-    alone: nothing else of it is built.
+    side summary per group (its conditions with their support, condition
+    matrix and value index per attribute, built once however many triples
+    the group takes part in, on either side of the join) and the constraint
+    features, which every triple shares.  A triple whose list of granted
+    pairs is empty, which includes a triple with no rows, is settled as
+    None from that list alone: nothing else of it is built.  Rankings use
+    the default `FeatureConfig`.
     """
 
-    def __init__(self, om: ObjectModel, entitlements, feature_config: FeatureConfig = None):
+    def __init__(self, om: ObjectModel, entitlements):
         self.om = om
         self.entitlements = EntitlementIndex.of(entitlements)
-        self.feature_config = feature_config or FeatureConfig()
         self._constraints = constraint_features(om)
         self._summaries = {}
         self._store = {}
@@ -129,7 +128,7 @@ class TripleCache:
             ranked = None
             if len(granted):
                 data = assemble(users, resources, self._constraints, granted)
-                ranked = rank_features(self.om, gu, gr, data, self.feature_config)
+                ranked = rank_features(gu, gr, data)
             self._store[key] = ranked
         return self._store[key]
 
@@ -261,10 +260,9 @@ def predict_missing(
     clustering: Clustering,
     entitlements,
     prediction_config: PredictionConfig = None,
-    feature_config: FeatureConfig = None,
 ) -> list:
     """Predict every unknown cell, ordered by side, object id, attribute."""
-    cache = TripleCache(om, entitlements, feature_config)
+    cache = TripleCache(om, entitlements)
     out = []
     for side, oid, attr in om.missing_cells():
         out.append(predict_cell(om, clustering, cache, side, oid, attr, prediction_config))

@@ -6,8 +6,9 @@ pairwise clustering reference is the quadratic refinement that per-attribute
 counting replaced, with every sum kept as an exact fraction.  The dense
 learning reference is the slow path that factorized learning
 replaced: it builds the whole pair x feature design matrix with the
-package's three-valued evaluator and features, so that it checks only the
-factorization and the fit.  The full constraint list is every
+package's three-valued evaluator and candidate features, so that it checks
+only the factorization and the fit; a condition's support is the
+evaluator's verdict on every group member.  The full constraint list is every
 kind-compatible attribute pair, the candidates learning had before it left
 out the constraints that can hold on no pair.
 """
@@ -28,8 +29,9 @@ from abacfill.features import (
     Feature,
     FeatureConfig,
     LearningData,
-    enumerate_features,
+    constraint_features,
     is_untainted,
+    side_summary,
 )
 from abacfill.model import (
     CONSTRAINT_KINDS,
@@ -335,11 +337,22 @@ def _evaluate(feature, user, res):
     return eval_atomic_condition(obj, feature.condition)
 
 
+def extent_supports(members, cond) -> bool:
+    """No member has a known value or an inapplicable cell that makes the
+    condition false: each holds its value or has that cell unknown."""
+    return all(eval_atomic_condition(m, cond) is not Tri.FALSE for m in members)
+
+
 def dense_learning_data(om, user_group, res_group, action, entitlements) -> DenseLearningData:
-    """One row per untainted member pair, one evaluator call per cell."""
+    """One row per untainted member pair, one evaluator call per cell, over
+    the candidate features the package fits for the triple."""
     user_members = [om.users[i] for i in user_group.members]
     res_members = [om.resources[i] for i in res_group.members]
-    features = enumerate_features(om, user_members, res_members)
+    features = (
+        side_summary(om, user_group).conditions
+        + side_summary(om, res_group).conditions
+        + constraint_features(om)
+    )
     entitlements = set(entitlements)
 
     rows, labels, pairs = [], [], []
@@ -364,7 +377,8 @@ def dense_learning_data(om, user_group, res_group, action, entitlements) -> Dens
 
 
 def design_statistics(X, y, features=()) -> LearningData:
-    """The fit statistics of an explicit design: integer when X and y are."""
+    """The fit statistics of an explicit design: integer when X and y are.
+    Every feature counts as supported."""
     X = np.asarray(X)
     y = np.asarray(y)
     if np.array_equal(X, X.round()) and np.array_equal(y, y.round()):
@@ -377,6 +391,7 @@ def design_statistics(X, y, features=()) -> LearningData:
         gram=X.T @ X,
         xty=X.T @ y,
         all_true=(X > 0.5).all(axis=0),
+        supported=np.ones(X.shape[1], dtype=bool),
     )
 
 
@@ -425,12 +440,21 @@ def exact_ridge_fit(X, y):
 
 def dense_ranking(om, user_group, res_group, dense: DenseLearningData, config=None):
     """The package's ranking fed by the dense path: every-row-true read off
-    the matrix and coefficients from the floating-point dense fit."""
+    the matrix, support from the evaluator over every group member and
+    coefficients from the floating-point dense fit."""
     config = config or FeatureConfig()
 
     def fit(*_args, **_kwargs):
         return dense_fit(dense.matrix, dense.labels)
 
+    members = {
+        Side.USER: [om.users[i] for i in user_group.members],
+        Side.RESOURCE: [om.resources[i] for i in res_group.members],
+    }
     data = design_statistics(dense.matrix, dense.labels, dense.features)
+    data.supported = np.array([
+        f.is_constraint or extent_supports(members[f.side], f.condition)
+        for f in dense.features
+    ], dtype=bool)
     with mock.patch.object(features_module, "fit_least_squares", fit):
-        return features_module.rank_features(om, user_group, res_group, data, config)
+        return features_module.rank_features(user_group, res_group, data, config)

@@ -72,7 +72,7 @@ def test_criterion_1_golden_fixture(campus_policy, campus_entitlements):
     data = build_learning_data(
         campus_policy.model, ug, rg, "modify", campus_entitlements
     )
-    ranked = rank_features(campus_policy.model, ug, rg, data, FeatureConfig())
+    ranked = rank_features(ug, rg, data, FeatureConfig())
     top3 = {rf.feature.render() for rf in list(ranked)[:3]}
     assert top3 == {
         "user.position in {faculty}",

@@ -25,6 +25,7 @@ from oracles import (
     dense_ranking,
     design_statistics,
     exact_ridge_fit,
+    extent_supports,
     random_small_policy,
 )
 
@@ -78,7 +79,7 @@ def assert_triple_matches_dense(om, gu, gr, action, entitlements):
     assert np.array_equal(data.gram, want.gram)
     assert np.array_equal(data.xty, want.xty)
 
-    got = _ranking_or_none(lambda: rank_features(om, gu, gr, data))
+    got = _ranking_or_none(lambda: rank_features(gu, gr, data))
     ref = _ranking_or_none(lambda: dense_ranking(om, gu, gr, dense))
     assert (got is None) == (ref is None)
     if got is None:
@@ -191,8 +192,8 @@ def test_pruned_constraints_rank_as_all_constraints(template, scale, fraction):
         assert not full.xty[-k:][dropped].any()
         assert not full.gram[-k:][dropped].any()
         data = assemble(users, resources, pruned, granted)
-        got = _ranking_or_none(lambda: rank_features(om, gu, gr, data))
-        want = _ranking_or_none(lambda: rank_features(om, gu, gr, full))
+        got = _ranking_or_none(lambda: rank_features(gu, gr, data))
+        want = _ranking_or_none(lambda: rank_features(gu, gr, full))
         assert (got is None) == (want is None)
         if got is None:
             continue
@@ -205,6 +206,35 @@ def test_pruned_constraints_rank_as_all_constraints(template, scale, fraction):
             exact = dict(zip(dense.features, exact_ridge_fit(dense.matrix, dense.labels)))
             assert_near_exact(got, data, exact)
             assert_near_exact(want, full, exact)
+
+
+def _assert_support_matches_evaluator(om, clustering, seen):
+    """Each group's supported mask is the evaluator's per-member check."""
+    for group in clustering.groups:
+        summary = side_summary(om, group)
+        table = om.side_objects(group.side)
+        members = [table[i] for i in group.members]
+        want = [extent_supports(members, f.condition) for f in summary.conditions]
+        assert summary.supported.tolist() == want, (group.side, group.gid)
+        seen.update(want)
+
+
+@pytest.mark.parametrize("fraction", [0.06, 0.30])
+@pytest.mark.parametrize("template,scale", CONSULTED)
+def test_side_support_matches_evaluator(template, scale, fraction):
+    om, clustering, _ = _consulted_setup(template, scale, fraction)
+    seen = Counter()
+    _assert_support_matches_evaluator(om, clustering, seen)
+    assert seen[True] and seen[False]
+
+
+def test_side_support_matches_evaluator_on_random_policies():
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(200):
+        om = policy_from_dict(random_small_policy(rng, max_side=6)).model
+        _assert_support_matches_evaluator(om, cluster_objects(om), seen)
+    assert seen[True] and seen[False]
 
 
 def test_assemble_allocates_no_pair_sized_array():
@@ -284,7 +314,7 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
         gu, gr, got, assemblies = consulted[key]
         action = key[2]
         want = _ranking_or_none(
-            lambda: rank_features(om, gu, gr, build_learning_data(om, gu, gr, action, entitlements))
+            lambda: rank_features(gu, gr, build_learning_data(om, gu, gr, action, entitlements))
         )
         assert assemblies == (0 if got is None else 1), key
         if want is None:
@@ -415,6 +445,8 @@ def _with_cross_side_values(rng, doc) -> dict:
 def _cell_shape(v) -> str:
     if v is NULL:
         return "null"
+    if v is MISSING:
+        return "missing"
     if isinstance(v, frozenset):
         return "empty" if not v else "set"
     return "value"
@@ -423,18 +455,17 @@ def _cell_shape(v) -> str:
 @pytest.mark.parametrize("max_side", [4, 8, 12])
 def test_join_matches_evaluator_on_random_policies(max_side):
     """Every kind-compatible constraint, the id ones included, over random
-    models: the join of the two sides' value indexes is true exactly where
-    the three-valued evaluator is.  Cells the join may not see (MISSING)
-    leave their object out of that constraint's sides."""
+    models with NULL, MISSING and empty-set cells: the join of the two
+    sides' value indexes is true exactly where the three-valued evaluator
+    is, so a pair it finds unknown never matches."""
     rng = random.Random(max_side)
     seen = Counter()
     for _ in range(120):
         doc = _with_cross_side_values(rng, random_small_policy(rng, max_side=max_side))
         om = policy_from_dict(doc).model
+        users, resources = list(om.users.values()), list(om.resources.values())
         for f in all_constraint_features(om):
             con = f.constraint
-            users = [u for u in om.users.values() if u.value(con.user_attr) is not MISSING]
-            resources = [r for r in om.resources.values() if r.value(con.res_attr) is not MISSING]
             got = _join_truth(con, users, resources)
             assert np.array_equal(got, _evaluator_truth(con, users, resources)), con.render()
             kind = "id" if "id" in (con.user_attr, con.res_attr) else con.op
@@ -447,9 +478,26 @@ def test_join_matches_evaluator_on_random_policies(max_side):
     for kind in ("equal", "in", "contains", "supseteq", "id"):
         assert seen[kind, "true"] and seen[kind, "false"], kind
     for kind in ("equal", "in", "contains", "supseteq"):
-        assert seen[kind, "user", "null"] and seen[kind, "resource", "null"], kind
+        for shape in ("null", "missing"):
+            assert seen[kind, "user", shape] and seen[kind, "resource", shape], (kind, shape)
     assert seen["in", "resource", "empty"] and seen["contains", "user", "empty"]
     assert seen["supseteq", "user", "empty"] and seen["supseteq", "resource", "empty"]
+
+
+@pytest.mark.parametrize("op", sorted(_KINDS))
+def test_join_never_matches_missing_cells(op):
+    """Two MISSING cells share no value: the evaluator finds every pair
+    unknown, so the join gives no pair, and supseteq looks up no set size
+    it never indexed."""
+    om = _encoder_model(op)
+    for u in om.users.values():
+        u.attrs["x"] = MISSING
+    for r in om.resources.values():
+        r.attrs["y"] = MISSING
+    con = AtomicConstraint("x", op, "y")
+    users, resources = list(om.users.values()), list(om.resources.values())
+    assert not _join_truth(con, users, resources).any()
+    assert all(eval_atomic_constraint(u, r, con) is Tri.UNKNOWN for u in users for r in resources)
 
 
 def test_left_out_constraints_hold_on_no_pair_of_random_policies():
@@ -461,10 +509,9 @@ def test_left_out_constraints_hold_on_no_pair_of_random_policies():
         doc = _with_cross_side_values(rng, random_small_policy(rng, max_side=6))
         om = policy_from_dict(doc).model
         kept = constraint_features(om)
+        users, resources = list(om.users.values()), list(om.resources.values())
         for f in all_constraint_features(om):
             con = f.constraint
-            users = [u for u in om.users.values() if u.value(con.user_attr) is not MISSING]
-            resources = [r for r in om.resources.values() if r.value(con.res_attr) is not MISSING]
             holds = bool(_join_truth(con, users, resources).any())
             assert holds <= (f in kept), con.render()
             seen[f in kept, holds] += 1

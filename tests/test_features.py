@@ -14,15 +14,15 @@ import pytest
 from oracles import dense_learning_data, fit_design, pinv_fit
 
 from abacfill import features as features_module
-from abacfill.clustering import ClusteringConfig, cluster_objects
+from abacfill.clustering import ClusteringConfig, Group, cluster_objects
 from abacfill.features import (
     Feature,
     FeatureConfig,
     build_learning_data,
     constraint_features,
-    enumerate_features,
     is_untainted,
     rank_features,
+    side_summary,
 )
 from abacfill.model import (
     MISSING,
@@ -54,12 +54,18 @@ def _group(clustering, gid):
 # --- enumeration ---
 
 
+def _candidates(om, user_ids, res_ids) -> tuple:
+    """The candidate features learning fits for a group of the given users
+    and one of the given resources, in canonical order."""
+    users = side_summary(om, Group(1, Side.USER, tuple(user_ids)))
+    resources = side_summary(om, Group(2, Side.RESOURCE, tuple(res_ids)))
+    return users.conditions + resources.conditions + constraint_features(om)
+
+
 def test_enumeration_content_and_order(campus_groups):
     om, clustering = campus_groups
     gu, gr = _group(clustering, 1), _group(clustering, 3)
-    feats = enumerate_features(
-        om, [om.users[i] for i in gu.members], [om.resources[i] for i in gr.members]
-    )
+    feats = _candidates(om, gu.members, gr.members)
     rendered = [f.render() for f in feats]
 
     # user conditions first, then resource conditions, then constraints;
@@ -92,7 +98,7 @@ def test_enumeration_content_and_order(campus_groups):
 def test_enumeration_skips_unknown_and_inapplicable_cells(campus_groups):
     om, clustering = campus_groups
     gu = _group(clustering, 1)
-    feats = enumerate_features(om, [om.users[i] for i in gu.members], [])
+    feats = _candidates(om, gu.members, ())
     attrs = {f.condition.attr for f in feats if f.condition is not None}
     # coursesTaken is inapplicable for every faculty member, and no course
     # is taught by two of them
@@ -104,7 +110,7 @@ def test_enumeration_skips_unknown_and_inapplicable_cells(campus_groups):
     assert taught == set()
     # once known, csFac1's department is cs's second holder
     om.users["csFac1"].attrs["department"] = "cs"
-    feats = enumerate_features(om, [om.users[i] for i in gu.members], [])
+    feats = _candidates(om, gu.members, ())
     depts = {f.condition.val for f in feats if f.condition and f.condition.attr == "department"}
     assert depts == {frozenset({"cs"}), frozenset({"ee"})}
 
@@ -127,7 +133,7 @@ def _holder_model(users, resources):
 
 
 def _rendered(om):
-    return [f.render() for f in enumerate_features(om, om.users.values(), om.resources.values())]
+    return [f.render() for f in _candidates(om, om.users, om.resources)]
 
 
 def test_a_condition_needs_two_holders():
@@ -221,6 +227,7 @@ def test_learning_matrix_is_binary(campus_groups, campus_entitlements):
     args = (om, _group(clustering, 1), _group(clustering, 3), "modify", campus_entitlements)
     assert set(np.unique(dense_learning_data(*args).matrix)) <= {0.0, 1.0}
     # a column is 0/1 exactly when its sum of squares equals its sum
+    assert side_summary(om, args[1]).A.dtype == bool
     data = build_learning_data(*args)
     assert np.array_equal(np.diag(data.gram), data.sums)
     assert ((data.sums >= 0) & (data.sums <= data.row_count)).all()
@@ -290,7 +297,7 @@ def test_campus_ranking(campus_groups, campus_entitlements):
     om, clustering = campus_groups
     gu, gr = _group(clustering, 1), _group(clustering, 3)
     data = build_learning_data(om, gu, gr, "modify", campus_entitlements)
-    ranked = rank_features(om, gu, gr, data)
+    ranked = rank_features(gu, gr, data)
     rendered = [rf.feature.render() for rf in ranked]
     assert rendered == [
         "user.position in {faculty}",
@@ -310,7 +317,7 @@ def test_ranking_requires_rows(campus_groups):
         om.users[uid].attrs["department"] = MISSING
     data = build_learning_data(om, gu, gr, "modify", set())
     with pytest.raises(InsufficientDataError):
-        rank_features(om, gu, gr, data)
+        rank_features(gu, gr, data)
 
 
 def _guard_model(second_dept):
@@ -337,7 +344,7 @@ def _rank_guard_case(second_dept):
     ents = {Entitlement("a", "r", "read")}
     data = build_learning_data(om, gu, gr, "read", ents)
     assert data.row_count == 1
-    return {rf.feature.render() for rf in rank_features(om, gu, gr, data)}
+    return {rf.feature.render() for rf in rank_features(gu, gr, data)}
 
 
 def test_condition_needs_two_known_supporters():
@@ -359,7 +366,7 @@ def test_conflicting_known_value_blocks_even_with_two_supporters():
     assert set(gu.members) == {"a", "b", "c"}
     gr = clustering.side_groups(Side.RESOURCE)[0]
     data = build_learning_data(om, gu, gr, "read", {Entitlement("a", "r", "read")})
-    ranked = rank_features(om, gu, gr, data)
+    ranked = rank_features(gu, gr, data)
     assert "user.dept in {cs}" not in {rf.feature.render() for rf in ranked}
 
 
@@ -384,7 +391,7 @@ def test_characterizing_constraint_subsumes_one_sided_constants():
     gr = clustering.side_groups(Side.RESOURCE)[0]
     ents = {Entitlement(u, r, "read") for u in ("a", "b") for r in ("x", "y")}
     data = build_learning_data(om, gu, gr, "read", ents)
-    ranked = rank_features(om, gu, gr, data)
+    ranked = rank_features(gu, gr, data)
     rendered = [rf.feature.render() for rf in ranked]
     assert rendered == ["dept equal dept"]
     assert ranked[0].characterizing
@@ -399,7 +406,7 @@ def test_characterizing_constraint_allowed_with_single_row():
     gr = clustering.side_groups(Side.RESOURCE)[0]
     data = build_learning_data(om, gu, gr, "read", {Entitlement("a", "r", "read")})
     assert data.row_count == 1
-    ranked = rank_features(om, gu, gr, data)
+    ranked = rank_features(gu, gr, data)
     rendered = {rf.feature.render() for rf in ranked}
     assert "dept equal label" in rendered
     assert "note equal label" in rendered
@@ -409,9 +416,9 @@ def test_coefficient_floor_excludes_noise(campus_groups, campus_entitlements):
     om, clustering = campus_groups
     gu, gr = _group(clustering, 1), _group(clustering, 3)
     data = build_learning_data(om, gu, gr, "modify", campus_entitlements)
-    ranked = rank_features(om, gu, gr, data, FeatureConfig(coefficient_floor=0.5))
+    ranked = rank_features(gu, gr, data, FeatureConfig(coefficient_floor=0.5))
     assert len(ranked) == 3  # the taught-course link is far above any floor
-    strict = rank_features(om, gu, gr, data, FeatureConfig(coefficient_floor=1.5))
+    strict = rank_features(gu, gr, data, FeatureConfig(coefficient_floor=1.5))
     assert len(strict) == 2  # only the characterizing pair survives
 
 
@@ -423,7 +430,7 @@ def test_solver_noise_does_not_split_a_tie(campus_groups, monkeypatch):
     ents = {Entitlement(s, f"{s}trans", "modify") for s in ("csStu1", "eeStu1")}
     data = build_learning_data(om, gu, gr, "modify", ents)
     tied = ["department equal department", "id equal student"]
-    ranked = rank_features(om, gu, gr, data)
+    ranked = rank_features(gu, gr, data)
     fitted = [rf for rf in ranked if not rf.characterizing]
     assert [rf.feature.render() for rf in fitted] == tied
     assert [rf.coefficient for rf in fitted] == pytest.approx([0.5, 0.5], abs=1e-6)
@@ -433,7 +440,7 @@ def test_solver_noise_does_not_split_a_tie(campus_groups, monkeypatch):
     coefs = np.zeros(len(data.features))
     coefs[first], coefs[second] = 0.4921875 - 1e-9, 0.4921875 + 1e-9
     monkeypatch.setattr(features_module, "fit_least_squares", lambda *a, **k: (0.0, coefs))
-    ranked = rank_features(om, gu, gr, data)
+    ranked = rank_features(gu, gr, data)
     fitted = [rf.feature.render() for rf in ranked if not rf.characterizing]
     # a tie keeps canonical order
     assert fitted == tied
