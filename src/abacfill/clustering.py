@@ -15,10 +15,16 @@ compares two members: each member's summed similarity to the others is one
 sum per attribute, read off the bucket's value counts (and, for sets, an
 element index over its distinct sets).  A refinement pass costs
 O(members x attributes + set overlaps), where set overlaps counts the pairs
-of distinct sets in an attribute that share an element.  The threshold
-comparison is exact, in rational arithmetic on the weights and threshold as
-written in decimal, so a member whose mean equals the threshold stays.
-`member_means` reads the same exact sums, for reports.
+of distinct sets in an attribute that share an element.
+
+The threshold comparison is exact, in integers.  Each attribute's summed
+similarities are integers in a unit of their own: halves for strings and
+MISSING cells, twice the lcm of the union sizes that occur for sets.  The
+id adds only its weight, since no two members share an id.  The weights and
+the threshold are read once per `cluster_objects` call as the decimals they
+print as, and bring every attribute onto one integer scale, so a member
+whose mean equals the threshold stays.  `member_means` reads the same exact
+sums, as Fractions, for reports.
 """
 
 from __future__ import annotations
@@ -123,43 +129,49 @@ def partition_by_signature(objects) -> list:
     return list(buckets.values())
 
 
-def _summed_similarity(values: list):
+def _summed_similarity(values: list) -> tuple:
     """One attribute's similarity of each member to all the others, summed.
 
-    Returns (keys, sums): keys[i] indexes the exact sum of member i in
-    sums.  A MISSING cell scores 1/2 against everyone.  Otherwise a string
-    matches the strings equal to it, and a set scores the Jaccard overlap
+    Returns (sums, unit): the member with cell v sums exactly to
+    sums[v] / unit, with integer sums.  A MISSING cell scores 1/2 against
+    everyone, so the unit is even.  Strings count in halves: a string
+    matches the strings equal to it.  A set scores the Jaccard overlap
     against each set it shares an element with, computed once per distinct
-    set through an element index; two empty sets score 1.
+    set through an element index; two empty sets score 1.  Sets count in
+    units of twice the lcm of the union sizes that occur.
     """
-    half_missing = Fraction(sum(1 for v in values if v is MISSING), 2)
-    present = [v for v in values if v is not MISSING]
-    sums = {MISSING: Fraction(len(values) - 1, 2)}
-    if all(isinstance(v, str) for v in present):
+    counts = Counter(values)
+    missing = counts.pop(MISSING, 0)
+    if all(isinstance(v, str) for v in counts):
         # a single value's sum depends only on how many members share it
-        counts = Counter(present)
-        keys = [v if v is MISSING else counts[v] for v in values]
-        for c in set(counts.values()):
-            sums[c] = c - 1 + half_missing
-        return keys, sums
-    keys = [v if v is MISSING else frozenset({v}) if isinstance(v, str) else v for v in values]
-    sets = Counter(k for k in keys if k is not MISSING)
+        sums = {v: 2 * (c - 1) + missing for v, c in counts.items()}
+        sums[MISSING] = len(values) - 1
+        return sums, 2
+    as_set = {v: frozenset({v}) if isinstance(v, str) else v for v in counts}
+    sets = Counter()
+    for v, c in counts.items():
+        sets[as_set[v]] += c
     holders = {}  # element -> distinct sets holding it
     for d in sets:
         for e in d:
             holders.setdefault(e, []).append(d)
+    overlaps = {}  # distinct set x -> {|x | set|: summed intersection sizes}
     for x in sets:
-        if not x:
-            sums[x] = sets[x] - 1 + half_missing
-            continue
         shared = Counter()  # distinct set -> |x & set|
         for e in x:
             shared.update(holders[e])
-        by_union = Counter()  # |x | set| -> summed intersection sizes
+        by_union = overlaps[x] = Counter()
         for d, i in shared.items():
             by_union[len(x) + len(d) - i] += sets[d] * i
-        sums[x] = sum(Fraction(n, u) for u, n in by_union.items()) - 1 + half_missing
-    return keys, sums
+    half = math.lcm(*{u for by_union in overlaps.values() for u in by_union})
+    unit = 2 * half
+    set_sums = {}
+    for x, by_union in overlaps.items():
+        agree = sum(n * (unit // u) for u, n in by_union.items()) if x else sets[x] * unit
+        set_sums[x] = agree - unit + missing * half
+    sums = {v: set_sums[x] for v, x in as_set.items()}
+    sums[MISSING] = (len(values) - 1) * half
+    return sums, unit
 
 
 def _as_written(x) -> Fraction:
@@ -168,48 +180,64 @@ def _as_written(x) -> Fraction:
     return Fraction(str(float(x)))
 
 
-def _summed_similarities(members: list, config: ClusteringConfig) -> tuple:
-    """(totals, unit): member i's similarity to the others, summed over
-    them, is exactly totals[i] / unit, with integer totals.  unit is the
-    common denominator times the signature's total weight."""
-    totals = [0] * len(members)
-    weighted = []
+class _Weights(dict):
+    """A config's attribute weights as written, each read once."""
+
+    def __init__(self, config: ClusteringConfig):
+        super().__init__()
+        self.config = config
+
+    def __missing__(self, name: str) -> Fraction:
+        w = self[name] = _as_written(self.config.weight(name))
+        return w
+
+
+def _summed_similarities(members: list, weights: _Weights) -> tuple:
+    """(totals, unit): member i's similarity to the others (the weighted
+    mean over attributes), summed over them, is exactly totals[i] / unit,
+    with integer totals and unit.  unit is one integer scale for every
+    attribute times the signature's total weight."""
     weight_sum = Fraction(0)
+    columns = []  # (weight, member cells, sums, unit)
     for name in sorted(active_attributes(members[0])):
-        w = _as_written(config.weight(name))
+        w = weights[name]
         weight_sum += w
-        keys, sums = _summed_similarity([o.value(name) for o in members])
-        weighted.append((keys, {k: w * s for k, s in sums.items()}))
-    # scale every weighted sum to one integer denominator, then add members up
-    scale = math.lcm(*(f.denominator for _, sums in weighted for f in sums.values()))
-    for keys, sums in weighted:
-        ints = {k: f.numerator * (scale // f.denominator) for k, f in sums.items()}
-        totals = [t + ints[k] for t, k in zip(totals, keys)]
-    return totals, scale * weight_sum
+        if name == "id":
+            continue  # no two members share an id: only its weight counts
+        values = [o.attrs[name] for o in members]
+        columns.append((w, values, *_summed_similarity(values)))
+    scale = math.lcm(weight_sum.denominator, *(w.denominator * u for w, _, _, u in columns))
+    totals = [0] * len(members)
+    for w, values, sums, unit in columns:
+        factor = w.numerator * (scale // (w.denominator * unit))
+        scaled = {v: factor * s for v, s in sums.items()}
+        totals = [t + scaled[v] for t, v in zip(totals, values)]
+    return totals, weight_sum.numerator * (scale // weight_sum.denominator)
 
 
 def member_means(members: list, config: ClusteringConfig) -> list:
     """Each member's exact mean similarity to the other members, as a
     Fraction: the quantity refinement compares with the threshold.  Needs
     at least two members."""
-    totals, unit = _summed_similarities(members, config)
+    totals, unit = _summed_similarities(members, _Weights(config))
     others = unit * (len(members) - 1)
-    return [t / others for t in totals]
+    return [Fraction(t, others) for t in totals]
 
 
-def _split(members: list, config: ClusteringConfig) -> tuple:
+def _split(members: list, threshold: Fraction, weights: _Weights) -> tuple:
     """(stay, movers): a member moves when its mean similarity to the
-    others is below the threshold, decided in exact rational arithmetic."""
-    totals, unit = _summed_similarities(members, config)
-    # mean < threshold  <=>  total < threshold * (n - 1) * unit
-    bar = math.ceil(_as_written(config.threshold) * (len(members) - 1) * unit)
+    others is below the threshold, decided in exact integer arithmetic."""
+    totals, unit = _summed_similarities(members, weights)
+    # mean < threshold  <=>  total < threshold * (n - 1) * unit  <=>  total < bar,
+    # bar being that product rounded up
+    bar = -(-threshold.numerator * (len(members) - 1) * unit // threshold.denominator)
     stay, movers = [], []
     for obj, t in zip(members, totals):
         (movers if t < bar else stay).append(obj)
     return stay, movers
 
 
-def refine_group(members: list, config: ClusteringConfig) -> list:
+def refine_group(members: list, threshold: Fraction, weights: _Weights) -> list:
     """Split out poorly matching members until stable.
 
     All members below the threshold leave together as one new group, and
@@ -220,7 +248,7 @@ def refine_group(members: list, config: ClusteringConfig) -> list:
     work = [members]
     while work:
         group = work.pop()
-        stay, movers = _split(group, config) if len(group) > 1 else (group, [])
+        stay, movers = _split(group, threshold, weights) if len(group) > 1 else (group, [])
         if not movers or not stay:
             out.append(group)
         else:
@@ -231,12 +259,13 @@ def refine_group(members: list, config: ClusteringConfig) -> list:
 def cluster_objects(om: ObjectModel, config: ClusteringConfig = None) -> Clustering:
     """Cluster both sides of the model.  Group ids run 1..n, users first."""
     config = config or ClusteringConfig()
+    threshold, weights = _as_written(config.threshold), _Weights(config)
     groups = []
     by_object = {}
     for side in (Side.USER, Side.RESOURCE):
         objs = list(om.side_objects(side).values())
         for bucket in partition_by_signature(objs):
-            for part in refine_group(bucket, config):
+            for part in refine_group(bucket, threshold, weights):
                 gid = len(groups) + 1
                 groups.append(Group(gid, side, tuple(o.id for o in part)))
                 for o in part:

@@ -107,6 +107,15 @@ class Schema:
             raise SchemaError(f"unknown {side.value} attribute: {name}")
         return spec.kind
 
+    def check_ids(self) -> None:
+        """Each side declares an id attribute, and it is single-valued."""
+        for side in Side:
+            spec = self.get(side, "id")
+            if spec is None:
+                raise SchemaError(f"schema lacks an id attribute for {side.value}s")
+            if spec.kind is not AttrKind.SINGLE:
+                raise SchemaError(f"the {side.value} id attribute must be single-valued")
+
 
 def check_value(kind: AttrKind, value: AttrValue, where: str = "") -> None:
     """Raise SchemaError unless value fits the declared kind."""
@@ -149,12 +158,14 @@ class EntitlementIndex:
     def __init__(self, entitlements):
         self._resources = {}  # (user, action) -> set of resource ids
         self._users = {}  # (resource, action) -> set of user ids
-        self._own = {}  # (Side, id) -> [Entitlement]
+        self._own_users = {}  # user id -> [Entitlement]
+        self._own_resources = {}  # resource id -> [Entitlement]
         for e in entitlements:
-            self._resources.setdefault((e.user, e.action), set()).add(e.resource)
-            self._users.setdefault((e.resource, e.action), set()).add(e.user)
-            self._own.setdefault((Side.USER, e.user), []).append(e)
-            self._own.setdefault((Side.RESOURCE, e.resource), []).append(e)
+            user, resource, action = e
+            self._resources.setdefault((user, action), set()).add(resource)
+            self._users.setdefault((resource, action), set()).add(user)
+            self._own_users.setdefault(user, []).append(e)
+            self._own_resources.setdefault(resource, []).append(e)
 
     @classmethod
     def of(cls, entitlements) -> "EntitlementIndex":
@@ -168,7 +179,8 @@ class EntitlementIndex:
         return self._users.get((resource, action), frozenset())
 
     def own(self, side: Side, oid: str) -> list:
-        return self._own.get((side, oid), [])
+        own = self._own_users if side is Side.USER else self._own_resources
+        return own.get(oid, [])
 
 
 class AtomicCondition(NamedTuple):
@@ -256,10 +268,9 @@ class ObjectModel:
         return ObjectModel(self.schema, fresh(self.users), fresh(self.resources), self.actions)
 
     def validate(self) -> None:
+        self.schema.check_ids()
         for side, table in ((Side.USER, self.users), (Side.RESOURCE, self.resources)):
             declared = {a.name: a for a in self.schema.for_side(side)}
-            if "id" not in declared:
-                raise SchemaError(f"schema lacks an id attribute for {side.value}s")
             for obj in table.values():
                 idv = obj.attrs.get("id")
                 if idv != obj.id or not isinstance(idv, str):
@@ -290,6 +301,11 @@ class Policy:
 
     def validate(self) -> None:
         self.model.validate()
+        self.check_rules()
+
+    def check_rules(self) -> None:
+        """Each rule names declared actions, and its conditions and
+        constraints fit the schema's sides and kinds."""
         schema = self.model.schema
         for rule in self.rules:
             if not rule.actions:

@@ -4,6 +4,11 @@ Cell encoding in JSON: a string for single-valued cells, a sorted array of
 strings for multi-valued cells, JSON null for an inapplicable cell, and the
 object {"missing": true} for an unknown cell.  The literal string "?" is
 rejected everywhere so stray placeholder text cannot masquerade as a value.
+
+Loading checks each cell once, as it parses it, against the schema, which
+must declare a single-valued id on both sides; the loaded model needs no
+second walk over its cells.  Entitlement rows are checked against the
+model's users, resources and actions in one test per row.
 """
 
 from __future__ import annotations
@@ -33,31 +38,33 @@ from .model import (
 _ENT_HEADER = ["user", "resource", "action"]
 
 
-def _parse_cell(kind: AttrKind, raw, where: str):
+def _parse_cell(kind: AttrKind, raw):
+    """The cell a JSON value encodes; InputError, without the cell's
+    location, if it does not fit the kind."""
+    if isinstance(raw, str):
+        if raw == "?":
+            raise InputError("literal '?' is not a value; use {\"missing\": true}")
+        if kind is not AttrKind.SINGLE:
+            raise InputError("multi-valued cell needs an array")
+        return raw
+    if isinstance(raw, list):
+        if kind is not AttrKind.MULTI:
+            raise InputError("single-valued cell needs a string")
+        out = set()
+        for v in raw:
+            if not isinstance(v, str):
+                raise InputError(f"set element {v!r} is not a string")
+            if v == "?":
+                raise InputError("literal '?' is not a value")
+            out.add(v)
+        return frozenset(out)
     if raw is None:
         return NULL
     if isinstance(raw, dict):
         if raw == {"missing": True}:
             return MISSING
-        raise InputError(f"{where}: unrecognized cell object {raw!r}")
-    if isinstance(raw, str):
-        if raw == "?":
-            raise InputError(f"{where}: literal '?' is not a value; use {{\"missing\": true}}")
-        if kind is not AttrKind.SINGLE:
-            raise InputError(f"{where}: multi-valued cell needs an array")
-        return raw
-    if isinstance(raw, list):
-        if kind is not AttrKind.MULTI:
-            raise InputError(f"{where}: single-valued cell needs a string")
-        out = set()
-        for v in raw:
-            if not isinstance(v, str):
-                raise InputError(f"{where}: set element {v!r} is not a string")
-            if v == "?":
-                raise InputError(f"{where}: literal '?' is not a value")
-            out.add(v)
-        return frozenset(out)
-    raise InputError(f"{where}: cannot interpret cell {raw!r}")
+        raise InputError(f"unrecognized cell object {raw!r}")
+    raise InputError(f"cannot interpret cell {raw!r}")
 
 
 def _dump_cell(value):
@@ -131,15 +138,21 @@ def policy_from_dict(doc: dict) -> Policy:
             schema.add(AttrSchema(name, kind, side))
         except SchemaError as e:
             raise InputError(str(e)) from None
+    try:
+        schema.check_ids()
+    except SchemaError as e:
+        raise InputError(str(e)) from None
 
     actions = _array(doc, "actions", "policy")
     actions = tuple(_string(a, "policy", f"actions[{j}]") for j, a in enumerate(actions))
     if len(set(actions)) != len(actions):
         raise InputError("duplicate action names")
 
+    # each cell is checked here, once: the model needs no second walk
     om = ObjectModel(schema=schema, actions=actions)
     for side, key in ((Side.USER, "users"), (Side.RESOURCE, "resources")):
-        declared = {a.name: a for a in schema.for_side(side)}
+        declared = [a.name for a in schema.for_side(side)]
+        kinds = {a.name: a.kind for a in schema.for_side(side) if a.name != "id"}
         for i, entry in enumerate(_array(doc, key, "policy")):
             where = f"{key}[{i}]"
             if not isinstance(entry, dict) or "id" not in entry:
@@ -150,11 +163,15 @@ def policy_from_dict(doc: dict) -> Policy:
             if not isinstance(given, dict):
                 raise InputError(f"{where}: 'attrs' must be an object")
             for name, raw in given.items():
-                if name == "id":
-                    raise InputError(f"{where}: 'id' belongs at the top level")
-                if name not in declared:
+                kind = kinds.get(name)
+                if kind is None:
+                    if name == "id":
+                        raise InputError(f"{where}: 'id' belongs at the top level")
                     raise InputError(f"{where}: undeclared attribute {name!r}")
-                attrs[name] = _parse_cell(declared[name].kind, raw, f"{where}.{name}")
+                try:
+                    attrs[name] = _parse_cell(kind, raw)
+                except InputError as e:
+                    raise InputError(f"{where}.{name}: {e}") from None
             for name in declared:
                 attrs.setdefault(name, NULL)
             om.add(Obj(id=oid, side=side, attrs=attrs))
@@ -173,7 +190,7 @@ def policy_from_dict(doc: dict) -> Policy:
 
     policy = Policy(model=om, rules=tuple(rules))
     try:
-        policy.validate()
+        policy.check_rules()
     except SchemaError as e:
         raise InputError(str(e)) from None
     return policy
@@ -262,20 +279,19 @@ def load_entitlements(path: str, model: ObjectModel = None):
         raise InputError(f"cannot read {path}: {e}") from None
     if not rows or rows[0] != _ENT_HEADER:
         raise InputError(f"{path}: first row must be {','.join(_ENT_HEADER)}")
+    known = None if model is None else (model.users, model.resources, frozenset(model.actions))
     out = set()
     for i, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 3:
             raise InputError(f"{path}:{i}: expected 3 columns")
-        ent = Entitlement(row[0], row[1], row[2])
-        if model is not None:
-            for what, name, known in (
-                ("user", ent.user, model.users),
-                ("resource", ent.resource, model.resources),
-                ("action", ent.action, model.actions),
-            ):
-                if name not in known:
-                    raise InputError(f"{path}:{i}: unknown {what} {name!r}")
-        out.add(ent)
+        if known and not (row[0] in known[0] and row[1] in known[1] and row[2] in known[2]):
+            what, name = next(
+                (what, name)
+                for what, name, names in zip(_ENT_HEADER, row, known)
+                if name not in names
+            )
+            raise InputError(f"{path}:{i}: unknown {what} {name!r}")
+        out.add(Entitlement._make(row))
     return out

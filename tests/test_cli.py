@@ -7,6 +7,8 @@ import random
 import pytest
 
 from abacfill.cli import build_parser, main
+from abacfill.model import InputError
+from abacfill.policy_io import load_policy
 
 DATA = pathlib.Path(__file__).parent / "data"
 CAMPUS = str(DATA / "campus.json")
@@ -480,3 +482,34 @@ def test_policy_names_must_be_strings(tmp_path, capsys, path, where, value):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert f"{where} must be a string" in err
+
+
+# a schema the loader rejects before it reads any cell: index of the
+# declaration to change, its replacement (None drops it), the message
+SCHEMA_IDS = [
+    (0, {"name": "id", "kind": "multi", "appliesTo": "user"},
+     "the user id attribute must be single-valued"),
+    (5, None, "schema lacks an id attribute for resources"),
+]
+
+
+@pytest.mark.parametrize(
+    "index,declaration,message", SCHEMA_IDS, ids=["multi-valued-id", "no-resource-id"]
+)
+def test_schema_must_declare_single_valued_ids(tmp_path, capsys, index, declaration, message):
+    campus = json.loads(pathlib.Path(CAMPUS).read_text())
+    assert campus["schema"][index]["name"] == "id"
+    if declaration is None:
+        del campus["schema"][index]
+    else:
+        campus["schema"][index] = declaration
+    pol = tmp_path / "p.json"
+    pol.write_text(json.dumps(campus))
+    with pytest.raises(InputError, match=message):
+        load_policy(str(pol))
+    for argv in (["entitlements", "--policy", str(pol)],
+                 ["cluster", "--policy", str(pol)],
+                 ["predict", "--policy", str(pol), "--entitlements", CAMPUS_ENTS]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err

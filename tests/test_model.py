@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 
@@ -13,6 +14,8 @@ from abacfill.model import (
     AttrKind,
     AttrSchema,
     ConfigError,
+    Entitlement,
+    EntitlementIndex,
     InputError,
     Obj,
     ObjectModel,
@@ -143,6 +146,31 @@ def test_policy_validate_checks_rule_shapes():
     bad_con = Rule((), (), (AtomicConstraint("tags", "equal", "owner"),), frozenset({"read"}))
     with pytest.raises(SchemaError):
         Policy(om, (bad_con,)).validate()
+
+
+def test_entitlement_index_matches_a_scan():
+    # users and resources share ids o0.. (the two sides are separate
+    # namespaces), and "nobody" holds no entitlement on either side
+    rng = random.Random(29)
+    shared_id_split = 0
+    for _ in range(60):
+        users = [f"o{i}" for i in range(rng.randint(1, 5))]
+        resources = [f"o{i}" for i in range(rng.randint(1, 5))]
+        actions = ["read", "write", "grade"][: rng.randint(1, 3)]
+        pool = [Entitlement(u, r, a) for u in users for r in resources for a in actions]
+        ents = set(rng.sample(pool, rng.randint(0, len(pool))))
+        index = EntitlementIndex(ents)
+        for oid in users + resources + ["nobody"]:
+            as_user = sorted(e for e in ents if e.user == oid)
+            as_resource = sorted(e for e in ents if e.resource == oid)
+            assert sorted(index.own(Side.USER, oid)) == as_user
+            assert sorted(index.own(Side.RESOURCE, oid)) == as_resource
+            shared_id_split += bool(as_user and as_resource and as_user != as_resource)
+            for a in actions:
+                assert index.resources(oid, a) == {e.resource for e in as_user if e.action == a}
+                assert index.users(oid, a) == {e.user for e in as_resource if e.action == a}
+        assert EntitlementIndex.of(index) is index
+    assert shared_id_split > 0
 
 
 def test_missing_cells_enumeration(campus_policy):

@@ -1,16 +1,20 @@
 """Byte identity of the user-facing outputs.
 
-Each digest is the sha256 of one `abacfill predict` JSON file, or of one
-`abacfill evaluate` CSV or JSON file, as the pipeline wrote it before
-learning took its constraint statistics from value joins.  Performance
-work must leave every byte of them as it is; a change that means to move
-an output updates its digest here and says why.  One has moved: seed 17,
+Each digest is the sha256 of one `abacfill predict` or `abacfill cluster`
+JSON file, or of one `abacfill evaluate` CSV or JSON file.  The predict
+and evaluate digests are as the pipeline wrote them before learning took
+its constraint statistics from value joins; the cluster digests are as
+grouping wrote them while it still summed similarities as fractions.
+Performance work must leave every byte of them as it is; a change that
+means to move an output updates its digest here and says why.  One has moved: seed 17,
 draw 5 predicted trn07b.student wrongly from a condition on a value only
 one group member held; once conditions need two holders that cell is NEI.
 
-The predict inputs follow the benchmark's fill scheme: `generate` with
-seed S, then cells hidden in a model copy with `Random(S * 1000 + draw)`,
-at the CLI's default threshold.
+The predict and cluster inputs follow the benchmark's fill scheme:
+`generate` with seed S, then cells hidden in a model copy with
+`Random(S * 1000 + draw)`, at the CLI's default threshold.  Cluster is
+pinned at a second setting too, threshold 0.1 with decimal weights, whose
+report prints each group's exact member means rounded once.
 """
 
 import hashlib
@@ -34,6 +38,13 @@ PREDICT = {
     ("project", 60, 30, 17, 0): "48e00280ca003c6ff3407bb8fb74c75f26b51e32afd0e320ab43fcaaba44535d",
 }
 
+CLUSTER = {
+    ("university", 20, 6, 17, 0, False): "eed73b8517dd0219556cd44eb204c37b698246e7d11ac446ac8dccf2a02e4a7e",
+    ("university", 20, 6, 17, 5, False): "dbde487788a1fe5f7f7ef0dc9fb3831e80bdbe8c178e9ec29693d08338b06bd2",
+    ("university", 20, 6, 17, 0, True): "a29a5958e90b9130a278407e044efd0996ae0cbbe9485e497aad7fe5ddca34b2",
+    ("university", 20, 6, 17, 5, True): "f3862fb16f934920845162cc00d8b01d5ae6869cc58db96df23aaee8d7be37e0",
+}
+
 EVALUATE = {
     ("university", "4,6", "6,30", 2): (
         "222784c4338a5c2ce74c3cd8a002a9e076b2b1254eaf55763646a7a411550234",
@@ -50,17 +61,39 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def predict_digest(tmp_path, template, scale, percent, seed, draw) -> str:
+def _damaged(tmp_path, template, scale, percent, seed, draw):
+    """The generated policy with cells hidden in a model copy, written to
+    tmp_path: (policy, path of the damaged policy)."""
     policy = generate(GeneratorConfig(template=template, scale=scale, seed=seed))
-    ents = tmp_path / "entitlements.csv"
-    save_entitlements(reference_entitlements(policy), str(ents))
     om = policy.model.copy()
     remove_cells(om, percent / 100.0, random.Random(seed * 1000 + draw))
     damaged = tmp_path / "policy.json"
     save_policy(Policy(om, policy.rules), str(damaged))
+    return policy, damaged
+
+
+def predict_digest(tmp_path, template, scale, percent, seed, draw) -> str:
+    policy, damaged = _damaged(tmp_path, template, scale, percent, seed, draw)
+    ents = tmp_path / "entitlements.csv"
+    save_entitlements(reference_entitlements(policy), str(ents))
     out = tmp_path / "predict.json"
     argv = ["predict", "--policy", str(damaged), "--entitlements", str(ents), "--out", str(out)]
     assert main(argv) == 0
+    return _sha256(out)
+
+
+def cluster_digest(tmp_path, template, scale, percent, seed, draw, weighted) -> str:
+    """`abacfill cluster` at the default threshold, or weighted: threshold
+    0.1 and weights 0.1, 0.3 and 2.5 cycled over the declared attribute
+    names in sorted order (0.1 and 0.3 have no exact binary form)."""
+    policy, damaged = _damaged(tmp_path, template, scale, percent, seed, draw)
+    flags = []
+    if weighted:
+        names = sorted({name for _, name in policy.model.schema.attrs})
+        weights = ",".join(f"{n}={(0.1, 0.3, 2.5)[i % 3]}" for i, n in enumerate(names))
+        flags = ["--st", "0.1", "--weights", weights]
+    out = tmp_path / "cluster.json"
+    assert main(["cluster", "--policy", str(damaged), "--out", str(out), *flags]) == 0
     return _sha256(out)
 
 
@@ -80,3 +113,8 @@ def test_predict_output_is_pinned(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(EVALUATE), ids=lambda c: "-".join(map(str, c)))
 def test_evaluate_output_is_pinned(tmp_path, case):
     assert evaluate_digests(tmp_path, *case) == EVALUATE[case]
+
+
+@pytest.mark.parametrize("case", sorted(CLUSTER), ids=lambda c: "-".join(map(str, c)))
+def test_cluster_output_is_pinned(tmp_path, case):
+    assert cluster_digest(tmp_path, *case) == CLUSTER[case]

@@ -24,6 +24,28 @@ def _groups(om, threshold, weights=None):
     return [g.members for g in cluster_objects(om, config).groups]
 
 
+# weights and thresholds whose decimals need large integer scales
+ODD_WEIGHTS = (0.123456789, 1e-7, 1234.5)
+ODD_THRESHOLDS = THRESHOLDS + (0.999999,)
+WIDE = [f"w{i:02d}" for i in range(24)]
+
+
+def _widened(doc, rng):
+    """The document with its known set cells redrawn from 24 values at
+    sizes from 0 to 23, so that union sizes vary widely and empty sets are
+    common; in every other draw one side's cells all become MISSING."""
+    blank = rng.choice(("users", "resources", None, None))
+    for key in ("users", "resources"):
+        for entry in doc[key]:
+            attrs = entry["attrs"]
+            for name, cell in attrs.items():
+                if key == blank:
+                    attrs[name] = {"missing": True}
+                elif isinstance(cell, list):
+                    attrs[name] = sorted(rng.sample(WIDE, rng.choice((0, 0, 1, 2, 5, 11, 17, 23))))
+    return doc
+
+
 def test_random_policies_match_pairwise_reference():
     rng = random.Random(2604)
     attrs = ("id", "ua_s", "ua_m", "ra_s", "ra_m")
@@ -33,6 +55,13 @@ def test_random_policies_match_pairwise_reference():
         weights = {a: rng.choice((0.1, 0.3, 1.0, 2.5)) for a in attrs} if draw % 2 else {}
         reference = PairwiseReference(om, weights)
         for threshold in THRESHOLDS:
+            assert _groups(om, threshold, weights) == reference.groups(threshold), (draw, threshold)
+    # decimals with long expansions or extreme ratios, on wide and blank cells
+    for draw in range(150):
+        om = policy_from_dict(_widened(random_small_policy(rng, max_side=8), rng)).model
+        weights = {a: rng.choice(ODD_WEIGHTS + (0.1, 1.0)) for a in attrs} if draw % 3 else {}
+        reference = PairwiseReference(om, weights)
+        for threshold in ODD_THRESHOLDS:
             assert _groups(om, threshold, weights) == reference.groups(threshold), (draw, threshold)
 
 
