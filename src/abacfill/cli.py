@@ -12,6 +12,7 @@ configuration problems, 2 for internal failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -411,6 +412,9 @@ def _add_settings_flags(p, st_help):
     )
 
 
+# built once per process: parsing leaves the tree as it was, so a caller
+# that runs many commands in one process pays for building it once
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="abacfill", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

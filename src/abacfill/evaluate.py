@@ -17,11 +17,16 @@ path only to count it as unknown.  A rule costs
 O(users + resources + set elements + joined pairs + uncertain objects x
 the other side); a complete model has no uncertain objects.
 
-That join, `matches`, is the one implementation of constraint truth on
-known cells, and `ValueIndex` the one reader of which object holds which
-value: feature learning takes its conditions, their support and its
-constraint candidates from value indexes, and its constraint statistics
-from joining the ones each group builds once per attribute.
+Constraint truth on known cells has two implementations.  The join,
+`matches`, decides a rule's first constraint and every constraint feature
+learning scores; `eval_atomic_constraint` checks the second and later
+constraints of a rule (the project employee and contractor rules) on each
+joined pair.  `test_join_matches_evaluator_on_random_policies` keeps the
+two equal on every kind-compatible constraint.  `ValueIndex` is the one
+reader of which object holds which value: feature learning takes its
+conditions, their support and its constraint candidates from value
+indexes, and its constraint statistics from joining the ones each group
+builds once per attribute.
 """
 
 from __future__ import annotations

@@ -24,13 +24,11 @@ from dataclasses import dataclass
 
 from .evaluate import policy_meaning
 from .model import (
-    NULL,
     AtomicCondition,
     AtomicConstraint,
     AttrKind,
     AttrSchema,
     ConfigError,
-    Obj,
     ObjectModel,
     Policy,
     Rule,
@@ -87,75 +85,18 @@ def _university(scale: int, rng: random.Random) -> Policy:
         courses = [f"crs{d:02d}{t}" for t in tags]
 
         for tag, course in zip(tags, courses):
-            om.add(
-                Obj(
-                    f"fac{d:02d}{tag}",
-                    U,
-                    {
-                        "id": f"fac{d:02d}{tag}",
-                        "position": "faculty",
-                        "department": dept,
-                        "coursesTaught": frozenset({course}),
-                        "coursesTaken": NULL,
-                    },
-                )
-            )
+            om.new(U, f"fac{d:02d}{tag}", position="faculty", department=dept,
+                   coursesTaught=frozenset({course}))
         for tag in tags:
-            om.add(
-                Obj(
-                    f"stu{d:02d}{tag}",
-                    U,
-                    {
-                        "id": f"stu{d:02d}{tag}",
-                        "position": "student",
-                        "department": dept,
-                        "coursesTaught": NULL,
-                        "coursesTaken": frozenset({rng.choice(courses)}),
-                    },
-                )
-            )
-
+            om.new(U, f"stu{d:02d}{tag}", position="student", department=dept,
+                   coursesTaken=frozenset({rng.choice(courses)}))
+        # gradebooks and materials interleave per course: group ids follow model order
         for tag, course in zip(tags, courses):
-            om.add(
-                Obj(
-                    f"gbk{d:02d}{tag}",
-                    R,
-                    {
-                        "id": f"gbk{d:02d}{tag}",
-                        "department": dept,
-                        "course": course,
-                        "student": NULL,
-                        "type": "gradebook",
-                    },
-                )
-            )
-            om.add(
-                Obj(
-                    f"mat{d:02d}{tag}",
-                    R,
-                    {
-                        "id": f"mat{d:02d}{tag}",
-                        "department": NULL,
-                        "course": course,
-                        "student": NULL,
-                        "type": "materials",
-                    },
-                )
-            )
+            om.new(R, f"gbk{d:02d}{tag}", department=dept, course=course, type="gradebook")
+            om.new(R, f"mat{d:02d}{tag}", course=course, type="materials")
         for tag in tags:
-            om.add(
-                Obj(
-                    f"trn{d:02d}{tag}",
-                    R,
-                    {
-                        "id": f"trn{d:02d}{tag}",
-                        "department": dept,
-                        "course": NULL,
-                        "student": f"stu{d:02d}{tag}",
-                        "type": "transcript",
-                    },
-                )
-            )
+            om.new(R, f"trn{d:02d}{tag}", department=dept, student=f"stu{d:02d}{tag}",
+                   type="transcript")
 
     teaches = AtomicConstraint("coursesTaught", "contains", "course")
     takes = AtomicConstraint("coursesTaken", "contains", "course")
@@ -196,92 +137,22 @@ def _project(scale: int, rng: random.Random) -> Policy:
         staff_areas = ["engineering", "engineering", "design", "design"]
         rng.shuffle(staff_areas)
         contractor_areas = [rng.choice(["engineering", "design"]) for _ in range(2)]
+        projects = frozenset({prj})
 
         for tag in ("a", "b"):
-            om.add(
-                Obj(
-                    f"led{p:02d}{tag}",
-                    U,
-                    {
-                        "id": f"led{p:02d}{tag}",
-                        "role": "leader",
-                        "projects": frozenset({prj}),
-                        "expertise": NULL,
-                        "agency": NULL,
-                    },
-                )
-            )
+            om.new(U, f"led{p:02d}{tag}", role="leader", projects=projects)
         for tag, area in zip(("a", "b", "c", "d"), staff_areas):
-            om.add(
-                Obj(
-                    f"emp{p:02d}{tag}",
-                    U,
-                    {
-                        "id": f"emp{p:02d}{tag}",
-                        "role": "employee",
-                        "projects": frozenset({prj}),
-                        "expertise": area,
-                        "agency": NULL,
-                    },
-                )
-            )
+            om.new(U, f"emp{p:02d}{tag}", role="employee", projects=projects, expertise=area)
         for tag, area in zip(("a", "b"), contractor_areas):
-            om.add(
-                Obj(
-                    f"con{p:02d}{tag}",
-                    U,
-                    {
-                        "id": f"con{p:02d}{tag}",
-                        "role": "contractor",
-                        "projects": frozenset({prj}),
-                        "expertise": area,
-                        "agency": "acme",
-                    },
-                )
-            )
+            om.new(U, f"con{p:02d}{tag}", role="contractor", projects=projects, expertise=area,
+                   agency="acme")
 
         for tag in ("a", "b"):
-            om.add(
-                Obj(
-                    f"bud{p:02d}{tag}",
-                    R,
-                    {
-                        "id": f"bud{p:02d}{tag}",
-                        "project": prj,
-                        "type": "budget",
-                        "area": NULL,
-                        "vendor": NULL,
-                    },
-                )
-            )
+            om.new(R, f"bud{p:02d}{tag}", project=prj, type="budget")
         for tag, area in zip(("a", "b", "c", "d"), ("engineering", "engineering", "design", "design")):
-            om.add(
-                Obj(
-                    f"tsk{p:02d}{tag}",
-                    R,
-                    {
-                        "id": f"tsk{p:02d}{tag}",
-                        "project": prj,
-                        "type": "task",
-                        "area": area,
-                        "vendor": NULL,
-                    },
-                )
-            )
+            om.new(R, f"tsk{p:02d}{tag}", project=prj, type="task", area=area)
         for tag, area in zip(("a", "b"), contractor_areas):
-            om.add(
-                Obj(
-                    f"ext{p:02d}{tag}",
-                    R,
-                    {
-                        "id": f"ext{p:02d}{tag}",
-                        "project": prj,
-                        "type": "extTask",
-                        "area": area,
-                        "vendor": "acme",
-                    },
-                )
-            )
+            om.new(R, f"ext{p:02d}{tag}", project=prj, type="extTask", area=area, vendor="acme")
 
     on_project = AtomicConstraint("projects", "contains", "project")
     area_match = AtomicConstraint("expertise", "equal", "area")
@@ -292,18 +163,9 @@ def _project(scale: int, rng: random.Random) -> Policy:
 
     rules = (
         Rule(leader, (_cond("type", "budget"),), (on_project,), frozenset({"approve"})),
-        Rule(
-            employee,
-            (_cond("type", "task"),),
-            (on_project, area_match),
-            frozenset({"update"}),
-        ),
-        Rule(
-            contractor,
-            (_cond("type", "extTask"),),
-            (on_project, area_match, agency_match),
-            frozenset({"update"}),
-        ),
+        Rule(employee, (_cond("type", "task"),), (on_project, area_match), frozenset({"update"})),
+        Rule(contractor, (_cond("type", "extTask"),), (on_project, area_match, agency_match),
+             frozenset({"update"})),
     )
     return Policy(model=om, rules=rules)
 

@@ -34,18 +34,11 @@ from .prediction import Confidence, PredictionConfig, predict_missing
 
 def eligible_cells(om: ObjectModel) -> list:
     """Cells a removal run may hide: known, applicable, and not the id."""
-    out = []
-    for side in (Side.USER, Side.RESOURCE):
-        table = om.side_objects(side)
-        for oid in sorted(table):
-            for attr in sorted(table[oid].attrs):
-                if attr == "id":
-                    continue
-                v = table[oid].attrs[attr]
-                if v is NULL or v is MISSING:
-                    continue
-                out.append((side, oid, attr))
-    return out
+    return [
+        (side, oid, attr)
+        for side, oid, attr, v in om.cells()
+        if attr != "id" and v is not NULL and v is not MISSING
+    ]
 
 
 # below this many eligible cells a rounded-to-zero plan is bumped to one

@@ -255,6 +255,15 @@ class ObjectModel:
             raise InputError(f"duplicate {obj.side.value} id: {obj.id}")
         table[obj.id] = obj
 
+    def new(self, side: Side, oid: str, /, **cells) -> None:
+        """Add the object oid: its id cell, then every other attribute the
+        side declares, in schema order, NULL where cells names none.  A
+        name the side does not declare is kept, so validate rejects it."""
+        attrs = {"id": oid}
+        attrs.update((a.name, NULL) for a in self.schema.for_side(side) if a.name != "id")
+        attrs.update(cells)
+        self.add(Obj(oid, side, attrs))
+
     def side_objects(self, side: Side) -> dict:
         return self.users if side is Side.USER else self.resources
 
@@ -280,18 +289,21 @@ class ObjectModel:
                         raise SchemaError(f"object {obj.id}: undeclared attribute {name}")
                     check_value(declared[name].kind, value, where=f"{obj.id}.{name}")
 
-    def missing_cells(self) -> list:
-        """All (side, object id, attr name) cells currently marked MISSING,
-        users first, then by object id and attribute name."""
-        out = []
-        for side in (Side.USER, Side.RESOURCE):
+    def cells(self):
+        """Every (side, object id, attr name, value), users first, then by
+        object id and attribute name: the one order in which prediction
+        reports cells and a removal run samples them."""
+        for side in Side:
             table = self.side_objects(side)
             for oid in sorted(table):
-                obj = table[oid]
-                for name in sorted(obj.attrs):
-                    if obj.attrs[name] is MISSING:
-                        out.append((side, oid, name))
-        return out
+                attrs = table[oid].attrs
+                for name in sorted(attrs):
+                    yield side, oid, name, attrs[name]
+
+    def missing_cells(self) -> list:
+        """All (side, object id, attr name) cells currently marked MISSING,
+        in the order of cells()."""
+        return [(side, oid, name) for side, oid, name, v in self.cells() if v is MISSING]
 
 
 @dataclass

@@ -26,7 +26,6 @@ from .model import (
     AttrSchema,
     Entitlement,
     InputError,
-    Obj,
     ObjectModel,
     Policy,
     Rule,
@@ -151,17 +150,16 @@ def policy_from_dict(doc: dict) -> Policy:
     # each cell is checked here, once: the model needs no second walk
     om = ObjectModel(schema=schema, actions=actions)
     for side, key in ((Side.USER, "users"), (Side.RESOURCE, "resources")):
-        declared = [a.name for a in schema.for_side(side)]
         kinds = {a.name: a.kind for a in schema.for_side(side) if a.name != "id"}
         for i, entry in enumerate(_array(doc, key, "policy")):
             where = f"{key}[{i}]"
             if not isinstance(entry, dict) or "id" not in entry:
                 raise InputError(f"{where}: needs an 'id'")
             oid = _string(entry["id"], where, "id")
-            attrs = {"id": oid}
             given = entry.get("attrs", {})
             if not isinstance(given, dict):
                 raise InputError(f"{where}: 'attrs' must be an object")
+            cells = {}
             for name, raw in given.items():
                 kind = kinds.get(name)
                 if kind is None:
@@ -169,12 +167,10 @@ def policy_from_dict(doc: dict) -> Policy:
                         raise InputError(f"{where}: 'id' belongs at the top level")
                     raise InputError(f"{where}: undeclared attribute {name!r}")
                 try:
-                    attrs[name] = _parse_cell(kind, raw)
+                    cells[name] = _parse_cell(kind, raw)
                 except InputError as e:
                     raise InputError(f"{where}.{name}: {e}") from None
-            for name in declared:
-                attrs.setdefault(name, NULL)
-            om.add(Obj(id=oid, side=side, attrs=attrs))
+            om.new(side, oid, **cells)
 
     rules = []
     for i, entry in enumerate(_array(doc, "rules", "policy")):
@@ -269,9 +265,9 @@ def save_entitlements(ents, path: str) -> None:
         fh.write(entitlements_to_csv(ents))
 
 
-def load_entitlements(path: str, model: ObjectModel = None):
-    """Entitlement rows of a CSV file.  Given a model, every row must name
-    one of its users, resources and actions."""
+def load_entitlements(path: str, model: ObjectModel):
+    """Entitlement rows of a CSV file; every row must name one of the
+    model's users, resources and actions."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -279,14 +275,14 @@ def load_entitlements(path: str, model: ObjectModel = None):
         raise InputError(f"cannot read {path}: {e}") from None
     if not rows or rows[0] != _ENT_HEADER:
         raise InputError(f"{path}: first row must be {','.join(_ENT_HEADER)}")
-    known = None if model is None else (model.users, model.resources, frozenset(model.actions))
+    known = (model.users, model.resources, frozenset(model.actions))
     out = set()
     for i, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 3:
             raise InputError(f"{path}:{i}: expected 3 columns")
-        if known and not (row[0] in known[0] and row[1] in known[1] and row[2] in known[2]):
+        if not (row[0] in known[0] and row[1] in known[1] and row[2] in known[2]):
             what, name = next(
                 (what, name)
                 for what, name, names in zip(_ENT_HEADER, row, known)

@@ -20,8 +20,8 @@ def campus_policy():
 
 
 @pytest.fixture
-def campus_entitlements():
-    return load_entitlements(str(DATA / "campus_entitlements.csv"))
+def campus_entitlements(campus_policy):
+    return load_entitlements(str(DATA / "campus_entitlements.csv"), campus_policy.model)
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from abacfill.cli import build_parser, main
-from abacfill.model import InputError
-from abacfill.policy_io import load_policy
+from abacfill.model import NULL, InputError
+from abacfill.policy_io import load_policy, save_policy
 
 DATA = pathlib.Path(__file__).parent / "data"
 CAMPUS = str(DATA / "campus.json")
@@ -179,6 +179,36 @@ def test_evaluate_jobs_do_not_change_output(tmp_path, capsys):
                        "--csv", str(csv_path), "--json", str(json_path))[0] == 0
             outs.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert outs[0] == outs[1]
+
+
+def test_attributes_named_side_and_oid_load_and_round_trip(tmp_path, capsys):
+    doc = {
+        "schema": [
+            {"name": "id", "kind": "single", "appliesTo": "user"},
+            {"name": "oid", "kind": "single", "appliesTo": "user"},
+            {"name": "side", "kind": "single", "appliesTo": "user"},
+            {"name": "id", "kind": "single", "appliesTo": "resource"},
+            {"name": "side", "kind": "multi", "appliesTo": "resource"},
+        ],
+        "actions": ["read"],
+        "users": [{"id": "u1", "attrs": {"side": "left", "oid": "o1"}}, {"id": "u2"}],
+        "resources": [{"id": "r1", "attrs": {"side": ["right"]}}],
+        "rules": [{"uc": [["side", "in", ["left"]]], "rc": [], "c": [], "actions": ["read"]}],
+    }
+    path, again = tmp_path / "policy.json", tmp_path / "again.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "entitlements", "--policy", str(path))
+    assert (code, out, err) == (0, "user,resource,action\nu1,r1,read\n", "")
+    policy = load_policy(str(path))
+    assert list(policy.model.users["u1"].attrs) == ["id", "oid", "side"]
+    assert policy.model.users["u2"].attrs == {"id": "u2", "oid": NULL, "side": NULL}
+    save_policy(policy, str(again))
+    reloaded = load_policy(str(again))
+    for side in ("users", "resources"):
+        table, back = getattr(policy.model, side), getattr(reloaded.model, side)
+        assert {o: t.attrs for o, t in table.items()} == {o: t.attrs for o, t in back.items()}
+    save_policy(reloaded, str(path))
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_evaluate_jobs_default_to_one():

@@ -4,18 +4,15 @@ group structure asserted here was derived from those pairwise values."""
 import pytest
 
 from abacfill.clustering import (
-    Clustering,
     ClusteringConfig,
     active_attributes,
     cluster_objects,
     object_similarity,
     partition_by_signature,
-    refine_group,
     value_similarity,
 )
 from abacfill.model import (
     MISSING,
-    NULL,
     AttrKind,
     AttrSchema,
     ConfigError,

@@ -97,7 +97,7 @@ def test_null_beats_missing_across_sides(campus_policy):
 
 
 def test_supseteq_constraint():
-    from abacfill.model import AttrKind, AttrSchema, Obj, Schema, Side
+    from abacfill.model import Obj, Side
 
     u = Obj("u", Side.USER, {"id": "u", "skills": frozenset({"a", "b", "c"})})
     r = Obj("r", Side.RESOURCE, {"id": "r", "needs": frozenset({"a", "b"})})

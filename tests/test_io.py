@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from abacfill.model import MISSING, NULL, Entitlement, InputError
@@ -134,18 +132,18 @@ def test_entitlement_csv_exact_bytes(campus_entitlements):
     )
 
 
-def test_entitlement_csv_round_trip(tmp_path):
-    ents = {Entitlement("a", "b", "read"), Entitlement("a", "c", "write")}
+def test_entitlement_csv_round_trip(tmp_path, campus_policy):
+    ents = {Entitlement("csFac1", "cs101gb", "modify"), Entitlement("csStu1", "csStu1trans", "modify")}
     path = tmp_path / "e.csv"
     save_entitlements(ents, str(path))
-    assert load_entitlements(str(path)) == ents
+    assert load_entitlements(str(path), campus_policy.model) == ents
 
 
-def test_entitlement_csv_header_required(tmp_path):
+def test_entitlement_csv_header_required(tmp_path, campus_policy):
     path = tmp_path / "bad.csv"
-    path.write_text("usr,res,act\na,b,c\n")
+    path.write_text("usr,res,act\ncsFac1,cs101gb,modify\n")
     with pytest.raises(InputError, match="first row"):
-        load_entitlements(str(path))
+        load_entitlements(str(path), campus_policy.model)
 
 
 def test_policy_json_is_stable_on_disk(tmp_path, campus_policy):

@@ -117,6 +117,64 @@ def test_validate_rejects_id_cell_disagreement():
         om.validate()
 
 
+def test_new_lays_out_id_then_declared_attributes_in_schema_order():
+    s = Schema()
+    s.add(AttrSchema("tags", AttrKind.MULTI, Side.USER))
+    s.add(AttrSchema("id", AttrKind.SINGLE, Side.USER))
+    s.add(AttrSchema("dept", AttrKind.SINGLE, Side.USER))
+    s.add(AttrSchema("id", AttrKind.SINGLE, Side.RESOURCE))
+    om = ObjectModel(schema=s)
+    om.new(Side.USER, "u1", dept="cs")
+    om.new(Side.USER, "u2", dept="ee", tags=frozenset({"x"}))
+    om.new(Side.RESOURCE, "r1")
+    u1, u2, r1 = om.users["u1"], om.users["u2"], om.resources["r1"]
+    assert (u1.id, u1.side, r1.id, r1.side) == ("u1", Side.USER, "r1", Side.RESOURCE)
+    assert list(u1.attrs.items()) == [("id", "u1"), ("tags", NULL), ("dept", "cs")]
+    assert list(u2.attrs.items()) == [("id", "u2"), ("tags", frozenset({"x"})), ("dept", "ee")]
+    assert list(r1.attrs.items()) == [("id", "r1")]
+    om.validate()
+    with pytest.raises(InputError, match="duplicate user id: u1"):
+        om.new(Side.USER, "u1")
+
+
+def test_new_takes_attributes_named_side_and_oid():
+    s = Schema()
+    for name in ("id", "side", "oid"):
+        s.add(AttrSchema(name, AttrKind.SINGLE, Side.USER))
+    s.add(AttrSchema("id", AttrKind.SINGLE, Side.RESOURCE))
+    s.add(AttrSchema("side", AttrKind.MULTI, Side.RESOURCE))
+    om = ObjectModel(schema=s, actions=("read",))
+    om.new(Side.USER, "u1", oid="o1", side="left")
+    om.new(Side.RESOURCE, "r1", side=frozenset({"right"}))
+    assert list(om.users["u1"].attrs.items()) == [("id", "u1"), ("side", "left"), ("oid", "o1")]
+    assert om.resources["r1"].attrs == {"id": "r1", "side": frozenset({"right"})}
+    Policy(om, ()).validate()
+
+
+def test_new_keeps_an_undeclared_name_for_validate():
+    om = _tiny_model()
+    om.new(Side.USER, "u2", dpt="ee")
+    assert om.users["u2"].attrs["dept"] is NULL
+    with pytest.raises(SchemaError, match="undeclared attribute dpt"):
+        om.validate()
+
+
+def test_cells_walk_users_then_ids_then_attribute_names():
+    om = _tiny_model()
+    om.new(Side.USER, "u0", tags=MISSING)
+    assert list(om.cells()) == [
+        (Side.USER, "u0", "dept", NULL),
+        (Side.USER, "u0", "id", "u0"),
+        (Side.USER, "u0", "tags", MISSING),
+        (Side.USER, "u1", "dept", "cs"),
+        (Side.USER, "u1", "id", "u1"),
+        (Side.USER, "u1", "tags", frozenset({"x"})),
+        (Side.RESOURCE, "r1", "id", "r1"),
+        (Side.RESOURCE, "r1", "owner", "u1"),
+    ]
+    assert om.missing_cells() == [(Side.USER, "u0", "tags")]
+
+
 def test_policy_validate_checks_rule_shapes():
     om = _tiny_model()
     ok = Rule(

@@ -1,7 +1,12 @@
 """Byte identity of the user-facing outputs.
 
 Each digest is the sha256 of one `abacfill predict` or `abacfill cluster`
-JSON file, or of one `abacfill evaluate` CSV or JSON file.  The predict
+JSON file, or of one `abacfill evaluate` CSV or JSON file.  The generate
+digests hash the generated policy itself: each object in insertion order
+with its cells in dict order, then the policy as `policy_to_dict` writes it
+and its reference entitlements as CSV.  `save_policy` sorts objects by id,
+so only these see the order in which the generator adds objects and cells;
+grouping numbers its groups in model order.  The predict
 and evaluate digests are as the pipeline wrote them before learning took
 its constraint statistics from value joins; the cluster digests are as
 grouping wrote them while it still summed similarities as fractions.
@@ -18,6 +23,7 @@ report prints each group's exact member means rounded once.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -26,7 +32,21 @@ from abacfill.cli import main
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
 from abacfill.harness import remove_cells
 from abacfill.model import Policy
-from abacfill.policy_io import save_entitlements, save_policy
+from abacfill.policy_io import (
+    entitlements_to_csv,
+    policy_to_dict,
+    save_entitlements,
+    save_policy,
+)
+
+GENERATE = {
+    ("university", 1, 0): "c2c533a001d65d3c3f583d15b4fa10c51ca6c5f895f447d1158e397d042227fd",
+    ("university", 3, 7): "0b38fafb0c246c7ca71fa687aaa89a7d5914913b23e2cc793041b031a8bf07de",
+    ("university", 20, 17): "376f342c1de1a125e85cb5e533334ed10fb7a073ac769ae98f9a4eb2082137e3",
+    ("project", 1, 0): "4af68401074a26a989b6e6430411eb6f4a31e5ae1c8ecdccaff1f0cba971db71",
+    ("project", 3, 7): "8d8f2d0bfd8a24ef1283c9ac926a357565bd7804d0e86bb90c555c7851034e14",
+    ("project", 20, 17): "d14ee7eb0f771172429c15156582c4d91f9a6f7085eb0ac81b470409d12cc133",
+}
 
 PREDICT = {
     ("university", 20, 6, 17, 0): "9f716bc557890e6da0279ba1481b622eb6d50812a8deca19a87eb35665f87364",
@@ -72,6 +92,18 @@ def _damaged(tmp_path, template, scale, percent, seed, draw):
     return policy, damaged
 
 
+def generate_digest(template, scale, seed) -> str:
+    policy = generate(GeneratorConfig(template=template, scale=scale, seed=seed))
+    h = hashlib.sha256()
+    for table in (policy.model.users, policy.model.resources):
+        for obj in table.values():
+            cells = [(n, sorted(v) if isinstance(v, frozenset) else repr(v)) for n, v in obj.attrs.items()]
+            h.update(repr((obj.side.value, obj.id, cells)).encode())
+    h.update(json.dumps(policy_to_dict(policy)).encode())
+    h.update(entitlements_to_csv(reference_entitlements(policy)).encode())
+    return h.hexdigest()
+
+
 def predict_digest(tmp_path, template, scale, percent, seed, draw) -> str:
     policy, damaged = _damaged(tmp_path, template, scale, percent, seed, draw)
     ents = tmp_path / "entitlements.csv"
@@ -103,6 +135,11 @@ def evaluate_digests(tmp_path, template, scales, percents, runs) -> tuple:
             "--runs", str(runs), "--csv", str(csv_path), "--json", str(json_path)]
     assert main(argv) == 0
     return _sha256(csv_path), _sha256(json_path)
+
+
+@pytest.mark.parametrize("case", sorted(GENERATE), ids=lambda c: "-".join(map(str, c)))
+def test_generate_output_is_pinned(case):
+    assert generate_digest(*case) == GENERATE[case]
 
 
 @pytest.mark.parametrize("case", sorted(PREDICT), ids=lambda c: "-".join(map(str, c)))

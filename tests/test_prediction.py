@@ -4,7 +4,7 @@ the taught-course constraint sits at rank 3 in that triple's ranking."""
 
 import pytest
 
-from abacfill.clustering import ClusteringConfig, Group, cluster_objects
+from abacfill.clustering import cluster_objects
 from abacfill.features import Feature, RankedFeature
 from abacfill.model import (
     MISSING,
@@ -22,7 +22,6 @@ from abacfill.model import (
     Side,
 )
 from abacfill.prediction import (
-    CellPrediction,
     Confidence,
     PredictionConfig,
     TripleCache,
