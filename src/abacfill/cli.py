@@ -368,6 +368,10 @@ def _cmd_evaluate(args) -> int:
         raise InputError("need at least one scale and one percent")
     if any(not 0 <= p <= 100 for p in percents):
         raise InputError(f"percents must lie in [0, 100]: {percents}")
+    for flag, values in (("--scales", scales), ("--percents", percents)):
+        dup = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if dup is not None:
+            raise InputError(f"duplicate value in {flag}: {dup:g}")
     subset_ok = not args.exact_multi
     schema = generate(GeneratorConfig(template=args.template)).model.schema
     harness_config = HarnessConfig(

@@ -69,19 +69,17 @@ class ClusteringConfig:
 class Group:
     gid: int
     side: Side
-    members: tuple  # object ids in model order
-
-    def __len__(self) -> int:
-        return len(self.members)
+    members: tuple  # object ids, ascending
 
 
 @dataclass
 class Clustering:
     groups: tuple  # all Groups, users first, gids sequential from 1
-    by_object: dict  # (Side, object id) -> gid
+    users: dict  # user id -> Group
+    resources: dict  # resource id -> Group
 
     def group_of(self, side: Side, oid: str) -> Group:
-        return self.groups[self.by_object[(side, oid)] - 1]
+        return (self.users if side is Side.USER else self.resources)[oid]
 
     def side_groups(self, side: Side):
         return [g for g in self.groups if g.side is side]
@@ -122,7 +120,7 @@ def object_similarity(o1: Obj, o2: Obj, config: ClusteringConfig) -> float:
 
 
 def partition_by_signature(objects) -> list:
-    """Buckets of objects sharing an active-attribute set, first-seen order."""
+    """Buckets of objects sharing an active-attribute set, in input order."""
     buckets = {}
     for obj in objects:
         buckets.setdefault(active_attributes(obj), []).append(obj)
@@ -257,17 +255,16 @@ def refine_group(members: list, threshold: Fraction, weights: _Weights) -> list:
 
 
 def cluster_objects(om: ObjectModel, config: ClusteringConfig = None) -> Clustering:
-    """Cluster both sides of the model.  Group ids run 1..n, users first."""
+    """Cluster both sides of the model, each walked in id order.  Group ids
+    run 1..n, users first."""
     config = config or ClusteringConfig()
     threshold, weights = _as_written(config.threshold), _Weights(config)
     groups = []
-    by_object = {}
+    of = {Side.USER: {}, Side.RESOURCE: {}}  # side -> object id -> Group
     for side in (Side.USER, Side.RESOURCE):
-        objs = list(om.side_objects(side).values())
-        for bucket in partition_by_signature(objs):
+        for bucket in partition_by_signature(om.by_id(side)):
             for part in refine_group(bucket, threshold, weights):
-                gid = len(groups) + 1
-                groups.append(Group(gid, side, tuple(o.id for o in part)))
-                for o in part:
-                    by_object[(side, o.id)] = gid
-    return Clustering(groups=tuple(groups), by_object=by_object)
+                group = Group(len(groups) + 1, side, tuple(o.id for o in part))
+                groups.append(group)
+                of[side].update((o.id, group) for o in part)
+    return Clustering(tuple(groups), of[Side.USER], of[Side.RESOURCE])

@@ -65,6 +65,7 @@ cross-side link.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +94,8 @@ class FeatureConfig:
     coefficient_floor: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.coefficient_floor <= 0:
-            raise ConfigError(f"coefficient floor must be positive: {self.coefficient_floor}")
+        if not 0 < self.coefficient_floor < math.inf:  # false for nan too
+            raise ConfigError(f"coefficient floor must be finite and positive: {self.coefficient_floor}")
 
 
 @dataclass(frozen=True)
@@ -124,16 +125,6 @@ class Feature:
                 return self.constraint.user_attr == attr
             return self.constraint.res_attr == attr
         return self.side is side and self.condition.attr == attr
-
-    def sort_key(self):
-        if self.condition is not None:
-            block = 0 if self.side is Side.USER else 1
-            val = self.condition.val
-            if isinstance(val, frozenset):
-                val = ",".join(sorted(val))
-            return (block, self.condition.attr, self.condition.op, val)
-        c = self.constraint
-        return (2, c.user_attr, c.op, c.res_attr)
 
     def render(self) -> str:
         if self.constraint is not None:
@@ -194,7 +185,7 @@ def constraint_features(om: ObjectModel) -> tuple:
         return {a.name: ValueIndex(objs, a.name) for a in om.schema.for_side(side)}
 
     users, resources = indexes(Side.USER), indexes(Side.RESOURCE)
-    feats = []
+    kept = []
     for ua in om.schema.for_side(Side.USER):
         for ra in om.schema.for_side(Side.RESOURCE):
             op = _OP_FOR_KINDS[(ua.kind, ra.kind)]
@@ -202,8 +193,8 @@ def constraint_features(om: ObjectModel) -> tuple:
             shared = not u.rows.keys().isdisjoint(r.rows)
             empty = op == "supseteq" and u.size and r.empty
             if shared or empty:
-                feats.append(Feature.con(AtomicConstraint(ua.name, op, ra.name)))
-    return tuple(sorted(feats, key=Feature.sort_key))
+                kept.append(AtomicConstraint(ua.name, op, ra.name))
+    return tuple(Feature.con(c) for c in sorted(kept))
 
 
 def is_untainted(obj) -> bool:
@@ -215,7 +206,10 @@ class LearningData:
     """Sufficient statistics of one (user group, resource group, action)
     triple's least-squares fit.  The design they summarize has one 0/1 row
     per untainted (user, resource) member pair and one column per feature;
-    it is never built."""
+    it is never built.  Its columns are in canonical order by construction,
+    which ranking reads off their indexes: user conditions, then resource
+    conditions, as `_conditions_for` sorts them, then constraints as
+    `constraint_features` sorts them."""
 
     features: tuple
     row_count: int
@@ -413,8 +407,9 @@ def rank_features(user_group, res_group, data: LearningData, config: FeatureConf
     informative first: a tuple of RankedFeature, rank is position + 1.
 
     Characterizing features, those true on every row and supported, come
-    first in canonical order, then the rest by descending coefficient,
-    floored.  Raises InsufficientDataError when the pair has no usable rows.
+    first, then the rest by descending coefficient, floored, constraints first
+    in a tie; otherwise in column order.  Raises InsufficientDataError when
+    the pair has no usable rows.
     """
     config = config or FeatureConfig()
     if data.row_count == 0:
@@ -447,7 +442,7 @@ def rank_features(user_group, res_group, data: LearningData, config: FeatureConf
                 subsumed.add(k)
     characterizing -= subsumed
 
-    tier_a = sorted(characterizing, key=lambda j: data.features[j].sort_key())
+    tier_a = sorted(characterizing)
     rest = [
         j
         for j in range(len(data.features))
@@ -460,8 +455,7 @@ def rank_features(user_group, res_group, data: LearningData, config: FeatureConf
     # order form one tie, so solver noise, which can reach 1e-8 in
     # ill-conditioned triples, neither splits a tie nor orders inside one.
     def within_tie(j):
-        f = data.features[j]
-        return (0 if f.is_constraint else 1, f.sort_key())
+        return (not data.features[j].is_constraint, j)
 
     tier_b, tie = [], []
     for j in sorted(rest, key=lambda j: -coefs[j]):

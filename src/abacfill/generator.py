@@ -90,7 +90,7 @@ def _university(scale: int, rng: random.Random) -> Policy:
         for tag in tags:
             om.new(U, f"stu{d:02d}{tag}", position="student", department=dept,
                    coursesTaken=frozenset({rng.choice(courses)}))
-        # gradebooks and materials interleave per course: group ids follow model order
+        # statement order reaches only the generate digests and the rng draws
         for tag, course in zip(tags, courses):
             om.new(R, f"gbk{d:02d}{tag}", department=dept, course=course, type="gradebook")
             om.new(R, f"mat{d:02d}{tag}", course=course, type="materials")

@@ -267,6 +267,11 @@ class ObjectModel:
     def side_objects(self, side: Side) -> dict:
         return self.users if side is Side.USER else self.resources
 
+    def by_id(self, side: Side) -> list:
+        """The side's objects in id order: the one order in which outputs walk a side."""
+        table = self.side_objects(side)
+        return [table[oid] for oid in sorted(table)]
+
     def copy(self) -> "ObjectModel":
         """A model whose cells can be rewritten without touching this one.
         Only the cell dicts are mutable: schema and values are shared."""
@@ -294,11 +299,9 @@ class ObjectModel:
         object id and attribute name: the one order in which prediction
         reports cells and a removal run samples them."""
         for side in Side:
-            table = self.side_objects(side)
-            for oid in sorted(table):
-                attrs = table[oid].attrs
-                for name in sorted(attrs):
-                    yield side, oid, name, attrs[name]
+            for obj in self.by_id(side):
+                for name in sorted(obj.attrs):
+                    yield side, obj.id, name, obj.attrs[name]
 
     def missing_cells(self) -> list:
         """All (side, object id, attr name) cells currently marked MISSING,

@@ -201,14 +201,13 @@ def policy_to_dict(policy: Policy) -> dict:
 
     def dump_side(side: Side):
         out = []
-        for oid in sorted(om.side_objects(side)):
-            obj = om.side_objects(side)[oid]
+        for obj in om.by_id(side):
             attrs = {
                 name: _dump_cell(v)
                 for name, v in sorted(obj.attrs.items())
                 if name != "id"
             }
-            out.append({"id": oid, "attrs": attrs})
+            out.append({"id": obj.id, "attrs": attrs})
         return out
 
     def dump_cond(c: AtomicCondition):

@@ -252,8 +252,8 @@ class PairwiseReference:
         self.similarity = {}  # Side -> (id, id) -> similarity, within buckets
         for side, table in ((Side.USER, om.users), (Side.RESOURCE, om.resources)):
             by_signature = {}
-            for obj in table.values():
-                by_signature.setdefault(_applicable(obj), []).append(obj.id)
+            for oid in sorted(table):
+                by_signature.setdefault(_applicable(table[oid]), []).append(oid)
             self.similarity[side] = {}
             for ids in by_signature.values():
                 sim = {
@@ -315,6 +315,20 @@ class DenseLearningData:
         return int(self.matrix.shape[0])
 
 
+def canonical_key(feature):
+    """A feature's place in the canonical column order: user conditions,
+    then resource conditions, each by attribute, operator and value, then
+    constraints by user attribute, operator and resource attribute."""
+    if feature.condition is not None:
+        block = 0 if feature.side is Side.USER else 1
+        val = feature.condition.val
+        if isinstance(val, frozenset):
+            val = ",".join(sorted(val))
+        return (block, feature.condition.attr, feature.condition.op, val)
+    c = feature.constraint
+    return (2, c.user_attr, c.op, c.res_attr)
+
+
 def all_constraint_features(om) -> tuple:
     """Every kind-compatible (user attribute, resource attribute)
     constraint, in canonical order, whether or not it can hold on any pair:
@@ -326,7 +340,7 @@ def all_constraint_features(om) -> tuple:
             for ua in om.schema.for_side(Side.USER)
             for ra in om.schema.for_side(Side.RESOURCE)
         ),
-        key=Feature.sort_key,
+        key=canonical_key,
     ))
 
 

@@ -124,6 +124,16 @@ def test_features_rejects_unknown_object(capsys):
     assert "unknown user" in err
 
 
+@pytest.mark.parametrize("floor", ["nan", "inf"])
+def test_features_rejects_a_floor_that_is_not_finite(capsys, floor):
+    code, out, err = run(capsys, "features", "--policy", CAMPUS,
+                         "--entitlements", CAMPUS_ENTS,
+                         "--user", "csFac2", "--resource", "cs101gb",
+                         "--action", "modify", "--floor", floor)
+    assert (code, out) == (1, "")
+    assert f"coefficient floor must be finite and positive: {floor}" in err
+
+
 def test_predict_fixture_cells(capsys):
     code, out, _ = run(capsys, "predict", "--policy", CAMPUS,
                        "--entitlements", CAMPUS_ENTS)
@@ -222,6 +232,21 @@ def test_evaluate_rejects_counts_below_one(capsys, flag, value):
     code, _, err = run(capsys, "evaluate", "--template", "university", flag, value)
     assert code == 1
     assert flag in err and "positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "scales, percents, message",
+    [
+        ("2,2", "6", "duplicate value in --scales: 2"),
+        ("2,3", "6,6", "duplicate value in --percents: 6"),
+        ("2", "6,3,6.0", "duplicate value in --percents: 6"),
+    ],
+)
+def test_evaluate_rejects_duplicate_scales_and_percents(capsys, scales, percents, message):
+    code, out, err = run(capsys, "evaluate", "--template", "university",
+                         "--scales", scales, "--percents", percents, "--runs", "1")
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_evaluate_timing_fills_the_time_column(tmp_path, capsys):

@@ -169,7 +169,8 @@ def test_clustering_is_deterministic(campus_policy):
     c1 = cluster_objects(campus_policy.model)
     c2 = cluster_objects(campus_policy.model)
     assert [g.members for g in c1.groups] == [g.members for g in c2.groups]
-    assert c1.by_object == c2.by_object
+    for g in c1.groups:
+        assert [c2.group_of(g.side, m) for m in g.members] == [g] * len(g.members)
 
 
 def test_singleton_object_is_its_own_group():

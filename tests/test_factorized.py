@@ -21,6 +21,7 @@ import pytest
 
 from oracles import (
     all_constraint_features,
+    canonical_key,
     dense_learning_data,
     dense_ranking,
     design_statistics,
@@ -65,6 +66,13 @@ def _ranking_or_none(rank):
         return rank()
     except InsufficientDataError:
         return None
+
+
+def assert_canonical(data):
+    """The columns run in canonical order, which ranking reads off their
+    indexes: strictly ascending canonical keys."""
+    keys = [canonical_key(f) for f in data.features]
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
 
 
 def assert_triple_matches_dense(om, gu, gr, action, entitlements):
@@ -187,11 +195,13 @@ def test_pruned_constraints_rank_as_all_constraints(template, scale, fraction):
         users, resources = summaries[gu.side, gu.gid], summaries[gr.side, gr.gid]
         granted = labels(users, resources, action, entitlements)
         full = assemble(users, resources, every, granted)
+        assert_canonical(full)
         k = len(every)
         assert not full.sums[-k:][dropped].any()
         assert not full.xty[-k:][dropped].any()
         assert not full.gram[-k:][dropped].any()
         data = assemble(users, resources, pruned, granted)
+        assert_canonical(data)
         got = _ranking_or_none(lambda: rank_features(gu, gr, data))
         want = _ranking_or_none(lambda: rank_features(gu, gr, full))
         assert (got is None) == (want is None)
@@ -299,7 +309,9 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
 
     def counted_assemble(*args):
         assembled.append(args)
-        return assemble(*args)
+        data = assemble(*args)
+        assert_canonical(data)
+        return data
 
     monkeypatch.setattr(prediction, "TripleCache", RecordingCache)
     monkeypatch.setattr(prediction, "side_summary", counted_summary)

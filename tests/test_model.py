@@ -274,7 +274,14 @@ def test_rule_render_mentions_every_part():
          "attribute weight must be finite and positive: dept=0.0"),
         (lambda: ClusteringConfig(weights={"dept": -2.0}),
          "attribute weight must be finite and positive: dept=-2.0"),
-        (lambda: FeatureConfig(coefficient_floor=0.0), "coefficient floor must be positive: 0.0"),
+        (lambda: FeatureConfig(coefficient_floor=0.0),
+         "coefficient floor must be finite and positive: 0.0"),
+        (lambda: FeatureConfig(coefficient_floor=float("nan")),
+         "coefficient floor must be finite and positive: nan"),
+        (lambda: FeatureConfig(coefficient_floor=float("inf")),
+         "coefficient floor must be finite and positive: inf"),
+        (lambda: FeatureConfig(coefficient_floor=float("-inf")),
+         "coefficient floor must be finite and positive: -inf"),
         (lambda: PredictionConfig(high_rank_limit=4, medium_rank_limit=3),
          "rank gates must satisfy 0 < high <= medium: 4, 3"),
         (lambda: PredictionConfig(high_rank_limit=0), "rank gates must satisfy 0 < high <= medium: 0, 5"),
@@ -283,7 +290,7 @@ def test_rule_render_mentions_every_part():
         (lambda: GeneratorConfig(template="university", scale=0), "scale must be at least 1: 0"),
     ],
     ids=["threshold-low", "threshold-high", "weight-nan", "weight-zero", "weight-negative",
-         "floor", "gates-order", "gates-zero", "template", "scale"],
+         "floor", "floor-nan", "floor-inf", "floor-neg-inf", "gates-order", "gates-zero", "template", "scale"],
 )
 def test_configs_check_themselves_when_built(make, message):
     with pytest.raises(ConfigError) as exc:

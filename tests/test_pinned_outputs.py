@@ -4,9 +4,9 @@ Each digest is the sha256 of one `abacfill predict` or `abacfill cluster`
 JSON file, or of one `abacfill evaluate` CSV or JSON file.  The generate
 digests hash the generated policy itself: each object in insertion order
 with its cells in dict order, then the policy as `policy_to_dict` writes it
-and its reference entitlements as CSV.  `save_policy` sorts objects by id,
-so only these see the order in which the generator adds objects and cells;
-grouping numbers its groups in model order.  The predict
+and its reference entitlements as CSV.  `save_policy`, `cells()` and grouping
+walk objects by id, so only these see the order in which the generator
+adds objects and cells.  The predict
 and evaluate digests are as the pipeline wrote them before learning took
 its constraint statistics from value joins; the cluster digests are as
 grouping wrote them while it still summed similarities as fractions.

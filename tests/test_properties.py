@@ -142,7 +142,6 @@ def test_clustering_partitions_every_model(seed):
         assert sides == sorted(sides, key=lambda s: 0 if s is Side.USER else 1)
         for g in clustering.groups:
             for m in g.members:
-                assert clustering.by_object[(g.side, m)] == g.gid
                 assert clustering.group_of(g.side, m) is g
 
         # members of one group always share an applicable-attribute signature

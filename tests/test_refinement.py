@@ -82,8 +82,8 @@ def _check_report(capsys, path, reference, expected, threshold, weights):
     flags = ["--weights", ",".join(f"{n}={w}" for n, w in weights.items())] if weights else []
     assert main(["cluster", "--policy", str(path), "--st", repr(threshold), *flags]) == 0
     groups = json.loads(capsys.readouterr().out)["groups"]
-    # the file lists objects by id, so only the model order of members differs
-    assert sorted(sorted(g["members"]) for g in groups) == sorted(map(sorted, expected))
+    # grouping walks objects by id, so the file forms the model's groups in order
+    assert [tuple(g["members"]) for g in groups] == expected
     for g in groups:
         members = g["members"]
         assert g["pairs"] == len(members) * (len(members) - 1) // 2
