@@ -20,7 +20,7 @@ from . import __version__
 from .clustering import ClusteringConfig, active_attributes, cluster_objects, member_means
 from .features import FeatureConfig, build_learning_data, rank_features
 from .generator import TEMPLATES, GeneratorConfig, generate, reference_entitlements
-from .harness import HarnessConfig, eligible_cells, evaluate_matrix, tally
+from .harness import HarnessConfig, eligible_cells, evaluate_matrix, percent_key, tally
 from .model import AbacError, InputError, Side
 from .policy_io import (
     entitlements_to_csv,
@@ -285,7 +285,8 @@ def _cmd_predict(args) -> int:
 
 def _matrix_csv(template, scales, percents, matrix, timing: bool) -> str:
     header = ["dataset", "objects", "attributes", "entitlements", "accuracy"]
-    header += [f"cov{p:g}" for p in percents]
+    # every decimal of the key, so that distinct keys name distinct columns
+    header += [f"cov{p:.6f}".rstrip("0").rstrip(".") for p in percents]
     header += ["time_s"]
     lines = [",".join(header)]
     for scale in scales:
@@ -331,7 +332,7 @@ def _matrix_json(template, scales, percents, runs, settings, matrix, timing: boo
             )
         row = {
             "scale": r.scale,
-            "percent": round(r.fraction * 100, 6),
+            "percent": percent_key(r.fraction),
             "run": r.run_index,
             "seed": r.seed,
             "removed": r.removed,
@@ -368,6 +369,10 @@ def _cmd_evaluate(args) -> int:
         raise InputError("need at least one scale and one percent")
     if any(not 0 <= p <= 100 for p in percents):
         raise InputError(f"percents must lie in [0, 100]: {percents}")
+    fractions = [p / 100.0 for p in percents]
+    # from here on a percent is its key: the duplicate check, the pooling
+    # and the output all read it
+    percents = [percent_key(f) for f in fractions]
     for flag, values in (("--scales", scales), ("--percents", percents)):
         dup = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if dup is not None:
@@ -382,7 +387,7 @@ def _cmd_evaluate(args) -> int:
     matrix = evaluate_matrix(
         args.template,
         scales,
-        [p / 100.0 for p in percents],
+        fractions,
         args.runs,
         base_seed=settings["seed"],
         config=harness_config,

@@ -23,10 +23,11 @@ learning scores; `eval_atomic_constraint` checks the second and later
 constraints of a rule (the project employee and contractor rules) on each
 joined pair.  `test_join_matches_evaluator_on_random_policies` keeps the
 two equal on every kind-compatible constraint.  `ValueIndex` is the one
-reader of which object holds which value: feature learning takes its
-conditions, their support and its constraint candidates from value
-indexes, and its constraint statistics from joining the ones each group
-builds once per attribute.
+reader of the positions of the objects that hold a value: feature
+learning takes its conditions and their support from value indexes, and
+its constraint statistics from joining the ones each group builds once
+per attribute.  Its constraint candidates need only each attribute's
+keys, which it reads off the attribute's distinct cells.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class ValueIndex:
         self.rows, self.size, self.empty = {}, {}, []
         rows = self.rows
         for r, obj in enumerate(objs):
-            v = obj.value(attr)
+            v = obj.attrs.get(attr, NULL)  # Obj.value, without a call per cell
             if v is NULL:
                 continue
             if v is MISSING:

@@ -33,18 +33,20 @@ triple has only zero statistics.  Learning one triple costs
 O(conditions^2 + entitlements + matched pairs).  The statistics are
 integers, so the fit centers them exactly.
 
-Which object holds which value is read through one reader,
-`evaluate.ValueIndex`: one over a group's members per attribute gives the
-group's conditions, their holders and their support, one over each whole
-side gives the constraint candidates, and one over a group's rows per
-attribute feeds the constraint joins.
+Where positions matter, which object holds which value is read through
+one reader, `evaluate.ValueIndex`: one over a group's members per
+attribute gives the group's conditions, their holders and their support,
+and one over a group's rows per attribute feeds the constraint joins.  The
+constraint candidates need no positions, only the keys each attribute of
+a side holds, so `constraint_features` reads those off the attribute's
+distinct cells and no index over a whole side is built.
 
 A triple's data splits into per-group pieces: `side_summary` holds what
-depends on one group only (its conditions, rows, 0/1 condition matrix with
-its gram, sums, all-true and supported columns, and a value index per
-attribute over the rows, built on first use), `labels` the triple's
-granted pairs, and `assemble` the statistics from two summaries, the
-constraint features and the labels.
+depends on one group only (its conditions, rows and each row's position,
+0/1 condition matrix with its gram, sums, all-true and supported columns,
+and a value index per attribute over the rows, built on first use),
+`labels` the triple's granted pairs, and `assemble` the statistics from
+two summaries, the constraint features and the labels.
 `build_learning_data` runs the three for one triple; prediction's
 `TripleCache` builds each group's summary and value indexes once per
 cache, and settles a triple with no rows or no granted pair from its
@@ -74,6 +76,7 @@ from .evaluate import ValueIndex, matches
 from .model import (
     CONSTRAINT_KINDS,
     MISSING,
+    NULL,
     AtomicCondition,
     AtomicConstraint,
     AttrKind,
@@ -166,6 +169,19 @@ def _conditions_for(schema, side: Side, members) -> tuple:
 _OP_FOR_KINDS = {kinds: op for op, kinds in CONSTRAINT_KINDS.items()}
 
 
+def _known_keys(objs, attr: str) -> tuple:
+    """What constraint candidates need of one attribute over objs: the keys
+    a `ValueIndex` would hold (known values and set elements), whether any
+    cell is a known set and whether any is the empty set.  Read off the
+    attribute's distinct cells, so each set's elements are walked once
+    however many objects hold it."""
+    cells = {obj.attrs.get(attr, NULL) for obj in objs}
+    cells -= {NULL, MISSING}
+    sets = [v for v in cells if isinstance(v, frozenset)]
+    keys = {v for v in cells if not isinstance(v, frozenset)}.union(*sets)
+    return keys, bool(sets), frozenset() in cells
+
+
 def constraint_features(om: ObjectModel) -> tuple:
     """One constraint per kind-compatible (user attribute, resource
     attribute) pair that can hold on some pair of the model, in canonical
@@ -174,31 +190,32 @@ def constraint_features(om: ObjectModel) -> tuple:
     On known cells, equal, in and contains hold only on a pair that shares
     a value, and supseteq only where the user holds every element of the
     resource's set: a shared element, or an empty resource set against any
-    known user set.  A `ValueIndex` over each whole side per attribute
-    gives the shared keys, the known sets and the empty ones.  Any other
-    constraint holds on no pair of any triple, so its column is all zero,
-    its exact coefficient 0 and it is never all-true: it could never rank,
-    and it is left out.
+    known user set.  `_known_keys` gives each attribute's keys, known sets
+    and empty sets, one pass over each side per attribute; no positions are
+    indexed, since no join is made.  Any other constraint holds on no pair
+    of any triple, so its column is all zero, its exact coefficient 0 and
+    it is never all-true: it could never rank, and it is left out.
     """
-    def indexes(side):
+    def known(side):
         objs = list(om.side_objects(side).values())
-        return {a.name: ValueIndex(objs, a.name) for a in om.schema.for_side(side)}
+        return {a.name: _known_keys(objs, a.name) for a in om.schema.for_side(side)}
 
-    users, resources = indexes(Side.USER), indexes(Side.RESOURCE)
+    users, resources = known(Side.USER), known(Side.RESOURCE)
     kept = []
     for ua in om.schema.for_side(Side.USER):
         for ra in om.schema.for_side(Side.RESOURCE):
             op = _OP_FOR_KINDS[(ua.kind, ra.kind)]
-            u, r = users[ua.name], resources[ra.name]
-            shared = not u.rows.keys().isdisjoint(r.rows)
-            empty = op == "supseteq" and u.size and r.empty
+            (ukeys, user_sets, _), (rkeys, _, res_empty) = users[ua.name], resources[ra.name]
+            shared = not ukeys.isdisjoint(rkeys)
+            empty = op == "supseteq" and user_sets and res_empty
             if shared or empty:
                 kept.append(AtomicConstraint(ua.name, op, ra.name))
     return tuple(Feature.con(c) for c in sorted(kept))
 
 
 def is_untainted(obj) -> bool:
-    return all(v is not MISSING for v in obj.attrs.values())
+    """Does the object have no unknown cell?"""
+    return MISSING not in obj.attrs.values()
 
 
 @dataclass
@@ -237,6 +254,7 @@ class SideSummary:
     sums: np.ndarray  # column sums of A, int64
     all_true: np.ndarray  # (conditions,) bool: true on every row
     supported: np.ndarray  # (conditions,) bool: every member holds the value or lacks the cell
+    position: dict  # id -> position of the object in rows
     indexes: dict = field(default_factory=dict)  # attribute -> ValueIndex over the rows
 
     def index(self, attr: str) -> ValueIndex:
@@ -257,15 +275,18 @@ def side_summary(om: ObjectModel, group) -> SideSummary:
     untainted = np.array([is_untainted(m) for m in members], dtype=bool)
     rows = [m for m, keep in zip(members, untainted) if keep]
     A = A[untainted]
-    return SideSummary(conditions, rows, A, _int_product(A.T, A), A.sum(0), A.all(0), supported)
+    position = {m.id: j for j, m in enumerate(rows)}
+    return SideSummary(
+        conditions, rows, A, _int_product(A.T, A), A.sum(0), A.all(0), supported, position
+    )
 
 
 def labels(users: SideSummary, resources: SideSummary, action, entitlements) -> np.ndarray:
     """Ascending flat positions u * len(resources.rows) + r of the row pairs
-    that hold the action."""
+    that hold the action, read through the resource summary's positions."""
     index = EntitlementIndex.of(entitlements)
     nr = len(resources.rows)
-    column = {r.id: j for j, r in enumerate(resources.rows)}
+    column = resources.position
     granted = [
         i * nr + column[rid]
         for i, u in enumerate(users.rows)
@@ -305,25 +326,25 @@ def assemble(users: SideSummary, resources: SideSummary, constraints, granted) -
     k = len(pairs)
     held = [j for j, p in enumerate(pairs) if len(p)]
 
+    # the nine blocks are written into one array, in the order of the
+    # features: user conditions, resource conditions, constraints
+    du, dr = len(su), len(sr)
+    c0 = du + dr
+    gram = np.zeros((c0 + k, c0 + k), dtype=np.int64)
+    U, R = slice(0, du), slice(du, c0)
+    np.multiply(users.gram, nr, out=gram[U, U])
+    np.multiply(resources.gram, nu, out=gram[R, R])
+    np.outer(su, sr, out=gram[U, R])
+    gram[R, U] = gram[U, R].T
     # a condition column repeats its side's value across the other side, so
     # its cross terms with a constraint need only the constraint's per-side counts
-    uc = np.zeros((len(su), k), dtype=np.int64)
-    rc = np.zeros((len(sr), k), dtype=np.int64)
-    cc = np.zeros((k, k), dtype=np.int64)
     for a, i in enumerate(held):
-        uc[:, i] = Au.T @ np.bincount(pairs[i] // nr, minlength=nu)
-        rc[:, i] = Ar.T @ np.bincount(pairs[i] % nr, minlength=nr)
-        cc[i, i] = len(pairs[i])
+        c = c0 + i
+        gram[U, c] = gram[c, U] = Au.T @ np.bincount(pairs[i] // nr, minlength=nu)
+        gram[R, c] = gram[c, R] = Ar.T @ np.bincount(pairs[i] % nr, minlength=nr)
+        gram[c, c] = len(pairs[i])
         for j in held[a + 1:]:
-            cc[i, j] = cc[j, i] = _overlap(pairs[i], pairs[j])
-    ur = np.outer(su, sr)
-    gram = np.block(
-        [
-            [users.gram * nr, ur, uc],
-            [ur.T, resources.gram * nu, rc],
-            [uc.T, rc.T, cc],
-        ]
-    )
+            gram[c, c0 + j] = gram[c0 + j, c] = _overlap(pairs[i], pairs[j])
     counts = np.array([len(p) for p in pairs], dtype=np.int64)
     sums = np.concatenate([su * nr, sr * nu, counts])
     xty = np.concatenate([

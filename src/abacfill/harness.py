@@ -187,9 +187,16 @@ class MatrixResult:
     policies: dict  # scale -> (policy, reference entitlements)
 
     def pooled(self, scale: int, fraction: float):
-        """(coverage, accuracy) over all runs of one (scale, fraction)."""
-        rows = [r for r in self.runs if r.scale == scale and abs(r.fraction - fraction) < 1e-12]
-        return tally(rows)
+        """(coverage, accuracy) over all runs of one scale whose fraction
+        has the same `percent_key` as fraction."""
+        key = percent_key(fraction)
+        return tally([r for r in self.runs if r.scale == scale and percent_key(r.fraction) == key])
+
+
+def percent_key(fraction: float) -> float:
+    """The percent a removal fraction is reported as, rounded to 6 decimals:
+    fractions with one key are one setting of a sweep."""
+    return round(fraction * 100, 6)
 
 
 def run_seed(base_seed: int, scale: int, fraction: float, run_index: int) -> int:

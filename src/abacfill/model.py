@@ -12,6 +12,7 @@ strings; either may instead hold one of the two sentinels above.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -86,6 +87,14 @@ class Schema:
     """
 
     attrs: dict = field(default_factory=dict)  # (Side, name) -> AttrSchema
+    # Side -> {"id": NULL, then each other declared name: NULL} in
+    # declaration order, the cells a new object starts from; kept by add
+    _blank: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._blank = {side: {"id": NULL} for side in Side}
+        for side, name in self.attrs:
+            self._blank[side][name] = NULL
 
     def add(self, spec: AttrSchema) -> None:
         key = (spec.applies_to, spec.name)
@@ -94,6 +103,12 @@ class Schema:
                 f"duplicate attribute declaration: {spec.name} for {spec.applies_to.value}s"
             )
         self.attrs[key] = spec
+        self._blank[spec.applies_to][spec.name] = NULL
+
+    def blank(self, side: Side) -> dict:
+        """A fresh cell dict for a new object of the side: id, then every
+        other attribute the side declares, in declaration order, all NULL."""
+        return self._blank[side].copy()
 
     def for_side(self, side: Side) -> list:
         return [a for (s, _), a in self.attrs.items() if s is side]
@@ -156,16 +171,18 @@ class EntitlementIndex:
     of a (resource, action), and each object's own entitlements."""
 
     def __init__(self, entitlements):
-        self._resources = {}  # (user, action) -> set of resource ids
-        self._users = {}  # (resource, action) -> set of user ids
-        self._own_users = {}  # user id -> [Entitlement]
-        self._own_resources = {}  # resource id -> [Entitlement]
+        # each key's set or list is made once, by its first entitlement;
+        # the readers use get, so a key nobody added never appears
+        self._resources = defaultdict(set)  # (user, action) -> set of resource ids
+        self._users = defaultdict(set)  # (resource, action) -> set of user ids
+        self._own_users = defaultdict(list)  # user id -> [Entitlement]
+        self._own_resources = defaultdict(list)  # resource id -> [Entitlement]
         for e in entitlements:
             user, resource, action = e
-            self._resources.setdefault((user, action), set()).add(resource)
-            self._users.setdefault((resource, action), set()).add(user)
-            self._own_users.setdefault(user, []).append(e)
-            self._own_resources.setdefault(resource, []).append(e)
+            self._resources[user, action].add(resource)
+            self._users[resource, action].add(user)
+            self._own_users[user].append(e)
+            self._own_resources[resource].append(e)
 
     @classmethod
     def of(cls, entitlements) -> "EntitlementIndex":
@@ -259,8 +276,8 @@ class ObjectModel:
         """Add the object oid: its id cell, then every other attribute the
         side declares, in schema order, NULL where cells names none.  A
         name the side does not declare is kept, so validate rejects it."""
-        attrs = {"id": oid}
-        attrs.update((a.name, NULL) for a in self.schema.for_side(side) if a.name != "id")
+        attrs = self.schema.blank(side)
+        attrs["id"] = oid
         attrs.update(cells)
         self.add(Obj(oid, side, attrs))
 
@@ -305,8 +322,16 @@ class ObjectModel:
 
     def missing_cells(self) -> list:
         """All (side, object id, attr name) cells currently marked MISSING,
-        in the order of cells()."""
-        return [(side, oid, name) for side, oid, name, v in self.cells() if v is MISSING]
+        in the order of cells().  Only the objects that hold one have their
+        cells walked."""
+        return [
+            (side, obj.id, name)
+            for side in Side
+            for obj in self.by_id(side)
+            if MISSING in obj.attrs.values()
+            for name in sorted(obj.attrs)
+            if obj.attrs[name] is MISSING
+        ]
 
 
 @dataclass

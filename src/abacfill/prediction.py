@@ -146,23 +146,28 @@ def relevant_group_triples(
     return [triples[k] for k in sorted(triples)]
 
 
-def _gather_constraint_values(om, entitlements, side, oid, gu, gr, action, constraint):
+def _gather_constraint_values(om, clustering, entitlements, side, oid, gu, gr, action, constraint):
     """Counterpart values linked to our unknown cell by the constraint.
 
     Counterparts are the other group's members entitled with our object
-    under the triple's action.  Multi-valued counterpart cells contribute
-    every element, single-valued ones their value.
+    under the triple's action: the object's entitled ids, walked in id
+    order, that the clustering puts in that group.  Multi-valued
+    counterpart cells contribute every element, single-valued ones their
+    value.  Cost: sorting the object's entitled ids under the action,
+    whatever the size of the group.
     """
     if side is Side.USER:
         linked = entitlements.resources(oid, action)
-        counterpart_ids = [r for r in gr.members if r in linked]
+        group, groups = gr, clustering.resources
         table, other_attr = om.resources, constraint.res_attr
     else:
         linked = entitlements.users(oid, action)
-        counterpart_ids = [u for u in gu.members if u in linked]
+        group, groups = gu, clustering.users
         table, other_attr = om.users, constraint.user_attr
     values = []
-    for cid in counterpart_ids:
+    for cid in sorted(linked):
+        if groups.get(cid) is not group:
+            continue
         v = table[cid].value(other_attr)
         if v is NULL or v is MISSING:
             continue
@@ -227,7 +232,8 @@ def predict_cell(
                 continue
             if rf.feature.is_constraint:
                 values = _gather_constraint_values(
-                    om, cache.entitlements, side, oid, gu, gr, action, rf.feature.constraint
+                    om, clustering, cache.entitlements, side, oid, gu, gr, action,
+                    rf.feature.constraint,
                 )
             else:
                 cond = rf.feature.condition

@@ -10,7 +10,11 @@ package's three-valued evaluator and candidate features, so that it checks
 only the factorization and the fit; a condition's support is the
 evaluator's verdict on every group member.  The full constraint list is every
 kind-compatible attribute pair, the candidates learning had before it left
-out the constraints that can hold on no pair.
+out the constraints that can hold on no pair.  The walk references are the
+slower readers that a predict pass replaced with one pass each: constraint
+candidates from a positional value index over each whole side, unknown
+cells from a filter over every cell, and a constraint's counterpart values
+from a walk over every member of the counterpart group.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from unittest import mock
 import numpy as np
 
 from abacfill import features as features_module
-from abacfill.evaluate import Tri, eval_atomic_condition, eval_atomic_constraint
+from abacfill.evaluate import Tri, ValueIndex, eval_atomic_condition, eval_atomic_constraint
 from abacfill.features import (
     RIDGE,
     Feature,
@@ -205,6 +209,26 @@ def random_small_policy(rng, max_side=4):
         "resources": resources,
         "rules": rules,
     }
+
+
+def with_cross_side_values(rng, doc) -> dict:
+    """The document with some resource ids equal to user ids and some cells
+    holding an id of the other side, so that every id constraint holds on
+    some pairs; user cells take resource ids and resource cells user ids."""
+    names = {key: [e["id"] for e in doc[key]] for key in ("users", "resources")}
+    for entry in doc["resources"]:
+        if rng.random() < 0.3:
+            entry["id"] = "u" + entry["id"][1:]
+    for key, other in (("users", "resources"), ("resources", "users")):
+        for entry in doc[key]:
+            for name, v in entry["attrs"].items():
+                if rng.random() >= 0.3:
+                    continue
+                if isinstance(v, str):
+                    entry["attrs"][name] = rng.choice(names[other])
+                elif isinstance(v, list):
+                    entry["attrs"][name] = sorted(set(v) | {rng.choice(names[other])})
+    return doc
 
 
 # --- pairwise clustering reference ---
@@ -472,3 +496,59 @@ def dense_ranking(om, user_group, res_group, dense: DenseLearningData, config=No
     ], dtype=bool)
     with mock.patch.object(features_module, "fit_least_squares", fit):
         return features_module.rank_features(user_group, res_group, data, config)
+
+
+# --- walk references for a predict pass's readers ---
+
+
+def value_index_constraint_features(om) -> tuple:
+    """The constraint candidates read off a `ValueIndex` over each whole side
+    per attribute: kept when the two attributes share a key, or, for
+    supseteq, when some user holds a known set and some resource the empty
+    set."""
+    op_for_kinds = {kinds: op for op, kinds in CONSTRAINT_KINDS.items()}
+
+    def indexes(side):
+        objs = list(om.side_objects(side).values())
+        return {a.name: ValueIndex(objs, a.name) for a in om.schema.for_side(side)}
+
+    users, resources = indexes(Side.USER), indexes(Side.RESOURCE)
+    kept = []
+    for ua in om.schema.for_side(Side.USER):
+        for ra in om.schema.for_side(Side.RESOURCE):
+            op = op_for_kinds[(ua.kind, ra.kind)]
+            u, r = users[ua.name], resources[ra.name]
+            shared = not u.rows.keys().isdisjoint(r.rows)
+            empty = op == "supseteq" and u.size and r.empty
+            if shared or empty:
+                kept.append(AtomicConstraint(ua.name, op, ra.name))
+    return tuple(Feature.con(c) for c in sorted(kept))
+
+
+def scanned_missing_cells(om) -> list:
+    """Every MISSING cell, found by filtering all of `cells()`."""
+    return [(side, oid, name) for side, oid, name, v in om.cells() if v is MISSING]
+
+
+def member_walk_constraint_values(om, entitlements, side, oid, gu, gr, action, constraint):
+    """The counterpart values a constraint links to an object's cell, found
+    by walking every member of the counterpart group and keeping those
+    entitled with the object under the action."""
+    if side is Side.USER:
+        linked = entitlements.resources(oid, action)
+        counterpart_ids = [r for r in gr.members if r in linked]
+        table, other_attr = om.resources, constraint.res_attr
+    else:
+        linked = entitlements.users(oid, action)
+        counterpart_ids = [u for u in gu.members if u in linked]
+        table, other_attr = om.users, constraint.user_attr
+    values = []
+    for cid in counterpart_ids:
+        v = table[cid].value(other_attr)
+        if v is NULL or v is MISSING:
+            continue
+        if isinstance(v, frozenset):
+            values.extend(v)
+        else:
+            values.append(v)
+    return values

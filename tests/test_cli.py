@@ -240,6 +240,9 @@ def test_evaluate_rejects_counts_below_one(capsys, flag, value):
         ("2,2", "6", "duplicate value in --scales: 2"),
         ("2,3", "6,6", "duplicate value in --percents: 6"),
         ("2", "6,3,6.0", "duplicate value in --percents: 6"),
+        # one key per percent: the 6 decimals the output prints
+        ("2", "6,6.0000000000001", "duplicate value in --percents: 6"),
+        ("2", "3,12.0000004,12", "duplicate value in --percents: 12"),
     ],
 )
 def test_evaluate_rejects_duplicate_scales_and_percents(capsys, scales, percents, message):
@@ -247,6 +250,21 @@ def test_evaluate_rejects_duplicate_scales_and_percents(capsys, scales, percents
                          "--scales", scales, "--percents", percents, "--runs", "1")
     assert (code, out) == (1, "")
     assert message in err
+
+
+def test_evaluate_names_each_percent_by_its_key(tmp_path, capsys):
+    """Percents that differ only past 6 significant digits get a column
+    and detail rows of their own, each pooling its own run."""
+    csv_path, json_path = tmp_path / "k.csv", tmp_path / "k.json"
+    code, _, _ = run(capsys, "evaluate", "--template", "university", "--scales", "1",
+                     "--runs", "1", "--percents", "20.000001,20.000002",
+                     "--csv", str(csv_path), "--json", str(json_path))
+    assert code == 0
+    header = csv_path.read_text().splitlines()[0].split(",")
+    assert header[5:7] == ["cov20.000001", "cov20.000002"]
+    doc = json.loads(json_path.read_text())
+    assert doc["percents"] == [20.000001, 20.000002]
+    assert [row["percent"] for row in doc["detail"]] == [20.000001, 20.000002]
 
 
 def test_evaluate_timing_fills_the_time_column(tmp_path, capsys):

@@ -28,6 +28,7 @@ from oracles import (
     exact_ridge_fit,
     extent_supports,
     random_small_policy,
+    with_cross_side_values,
 )
 
 from abacfill import prediction
@@ -434,26 +435,6 @@ def test_encoder_on_empty_sides():
     assert matches(con, ValueIndex(users, "x"), ValueIndex([], "y")).size == 0
 
 
-def _with_cross_side_values(rng, doc) -> dict:
-    """The document with some resource ids equal to user ids and some cells
-    holding an id of the other side, so that every id constraint holds on
-    some pairs; user cells take resource ids and resource cells user ids."""
-    names = {key: [e["id"] for e in doc[key]] for key in ("users", "resources")}
-    for entry in doc["resources"]:
-        if rng.random() < 0.3:
-            entry["id"] = "u" + entry["id"][1:]
-    for key, other in (("users", "resources"), ("resources", "users")):
-        for entry in doc[key]:
-            for name, v in entry["attrs"].items():
-                if rng.random() >= 0.3:
-                    continue
-                if isinstance(v, str):
-                    entry["attrs"][name] = rng.choice(names[other])
-                elif isinstance(v, list):
-                    entry["attrs"][name] = sorted(set(v) | {rng.choice(names[other])})
-    return doc
-
-
 def _cell_shape(v) -> str:
     if v is NULL:
         return "null"
@@ -473,7 +454,7 @@ def test_join_matches_evaluator_on_random_policies(max_side):
     rng = random.Random(max_side)
     seen = Counter()
     for _ in range(120):
-        doc = _with_cross_side_values(rng, random_small_policy(rng, max_side=max_side))
+        doc = with_cross_side_values(rng, random_small_policy(rng, max_side=max_side))
         om = policy_from_dict(doc).model
         users, resources = list(om.users.values()), list(om.resources.values())
         for f in all_constraint_features(om):
@@ -518,7 +499,7 @@ def test_left_out_constraints_hold_on_no_pair_of_random_policies():
     rng = random.Random(11)
     seen = Counter()
     for _ in range(150):
-        doc = _with_cross_side_values(rng, random_small_policy(rng, max_side=6))
+        doc = with_cross_side_values(rng, random_small_policy(rng, max_side=6))
         om = policy_from_dict(doc).model
         kept = constraint_features(om)
         users, resources = list(om.users.values()), list(om.resources.values())
