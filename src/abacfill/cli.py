@@ -6,7 +6,10 @@ pair, predict unknown cells, and run removal sweeps.  Settings resolve in
 three layers: built-in defaults, then a JSON config file, then flags.
 
 Exit codes: 0 on success (declined predictions included), 1 for input or
-configuration problems, 2 for internal failures.
+configuration problems, 2 for internal failures.  A file that cannot be
+read, is not UTF-8 text or not valid JSON (nested too deeply included), and
+an output path that cannot be written, are input problems: exit 1 with a
+message naming the path.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ from .harness import HarnessConfig, eligible_cells, evaluate_matrix, percent_key
 from .model import AbacError, InputError, Side
 from .policy_io import (
     entitlements_to_csv,
+    json_text,
     load_entitlements,
     load_policy,
     policy_to_dict,
-    save_policy,
+    read_json,
+    write_text,
 )
 from .prediction import Confidence, PredictionConfig, predict_missing
 
@@ -83,13 +88,7 @@ def _config_number(path: str, key: str, value, integer: bool = False):
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path} is not valid JSON: {e}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: config must be a JSON object")
     unknown = sorted(set(doc) - set(CONFIG_KEYS))
@@ -141,14 +140,13 @@ def _prediction_config(settings) -> PredictionConfig:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def _emit_json(doc, out_path: str | None) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+    _emit(json_text(doc) + "\n", out_path)
 
 
 def _render_value(value):
@@ -159,8 +157,11 @@ def _render_value(value):
     return value
 
 
+_CONFIDENCE_NAMES = {Confidence.HIGH: "High", Confidence.MEDIUM: "Medium", Confidence.NEI: "NEI"}
+
+
 def _confidence_name(c: Confidence) -> str:
-    return {Confidence.HIGH: "High", Confidence.MEDIUM: "Medium", Confidence.NEI: "NEI"}[c]
+    return _CONFIDENCE_NAMES[c]
 
 
 # ------------------------------------------------------------- subcommands
@@ -169,10 +170,7 @@ def _confidence_name(c: Confidence) -> str:
 def _cmd_generate(args) -> int:
     settings = _settings(args)
     policy = generate(GeneratorConfig(template=args.template, scale=args.scale, seed=settings["seed"]))
-    if args.out:
-        save_policy(policy, args.out)
-    else:
-        _emit(json.dumps(policy_to_dict(policy), indent=2) + "\n", None)
+    _emit(json_text(policy_to_dict(policy), sort_keys=False) + "\n", args.out)
     if args.entitlements_out:
         _emit(entitlements_to_csv(reference_entitlements(policy)), args.entitlements_out)
     return 0

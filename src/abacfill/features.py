@@ -41,16 +41,17 @@ constraint candidates need no positions, only the keys each attribute of
 a side holds, so `constraint_features` reads those off the attribute's
 distinct cells and no index over a whole side is built.
 
-A triple's data splits into per-group pieces: `side_summary` holds what
-depends on one group only (its conditions, rows and each row's position,
-0/1 condition matrix with its gram, sums, all-true and supported columns,
-and a value index per attribute over the rows, built on first use),
-`labels` the triple's granted pairs, and `assemble` the statistics from
-two summaries, the constraint features and the labels.
-`build_learning_data` runs the three for one triple; prediction's
-`TripleCache` builds each group's summary and value indexes once per
-cache, and settles a triple with no rows or no granted pair from its
-labels, before anything else of it is built.
+A triple's data splits into per-group pieces: `side_rows` holds a
+group's rows and each row's position, `side_summary` adds what else
+depends on one group only (its conditions, 0/1 condition matrix with its
+gram, sums, all-true and supported columns, and a value index per
+attribute over the rows, built on first use), `labels` the triple's
+granted pairs, read off the two groups' rows alone, and `assemble` the
+statistics from two summaries, the constraint features and the labels.
+`build_learning_data` runs them for one triple; prediction's `TripleCache`
+builds each group's rows, summary and value indexes once per cache, and
+settles a triple with no rows or no granted pair from its labels, before
+anything else of it, its groups' summaries included, is built.
 
 The ranking puts structurally certain features ahead of fitted ones:
 
@@ -244,17 +245,31 @@ def _int_product(a, b) -> np.ndarray:
 
 
 @dataclass
-class SideSummary:
+class SideRows:
+    """A group's untainted members, its side of every triple's rows, and
+    each one's position among them: all that `labels` reads of a group."""
+
+    rows: list  # untainted members, in member order
+    position: dict  # id -> position of the object in rows
+
+
+def side_rows(om: ObjectModel, group) -> SideRows:
+    """The group's rows and their positions."""
+    table = om.side_objects(group.side)
+    rows = [m for m in map(table.__getitem__, group.members) if is_untainted(m)]
+    return SideRows(rows, {m.id: j for j, m in enumerate(rows)})
+
+
+@dataclass
+class SideSummary(SideRows):
     """What every triple of one group needs from that group's side."""
 
     conditions: tuple  # condition features, in canonical order
-    rows: list  # untainted members
     A: np.ndarray  # (rows, conditions) bool
     gram: np.ndarray  # A'A, int64
     sums: np.ndarray  # column sums of A, int64
     all_true: np.ndarray  # (conditions,) bool: true on every row
     supported: np.ndarray  # (conditions,) bool: every member holds the value or lacks the cell
-    position: dict  # id -> position of the object in rows
     indexes: dict = field(default_factory=dict)  # attribute -> ValueIndex over the rows
 
     def index(self, attr: str) -> ValueIndex:
@@ -264,26 +279,27 @@ class SideSummary:
         return self.indexes[attr]
 
 
-def side_summary(om: ObjectModel, group) -> SideSummary:
-    """The group's side of every triple it takes part in."""
+def side_summary(om: ObjectModel, group, rows: SideRows = None) -> SideSummary:
+    """The group's side of every triple it takes part in; rows, when given,
+    are `side_rows` of the group, which the summary then reuses."""
     table = om.side_objects(group.side)
     members = [table[i] for i in group.members]
+    if rows is None:
+        rows = side_rows(om, group)
     conditions, holders, supported = _conditions_for(om.schema, group.side, members)
     A = np.zeros((len(members), len(conditions)), dtype=bool)
     for j, held in enumerate(holders):
         A[held, j] = True
-    untainted = np.array([is_untainted(m) for m in members], dtype=bool)
-    rows = [m for m, keep in zip(members, untainted) if keep]
-    A = A[untainted]
-    position = {m.id: j for j, m in enumerate(rows)}
+    A = A[np.array([m.id in rows.position for m in members], dtype=bool)]
     return SideSummary(
-        conditions, rows, A, _int_product(A.T, A), A.sum(0), A.all(0), supported, position
+        rows.rows, rows.position, conditions, A, _int_product(A.T, A), A.sum(0), A.all(0),
+        supported,
     )
 
 
-def labels(users: SideSummary, resources: SideSummary, action, entitlements) -> np.ndarray:
+def labels(users: SideRows, resources: SideRows, action, entitlements) -> np.ndarray:
     """Ascending flat positions u * len(resources.rows) + r of the row pairs
-    that hold the action, read through the resource summary's positions."""
+    that hold the action, read through the resource rows' positions."""
     index = EntitlementIndex.of(entitlements)
     nr = len(resources.rows)
     column = resources.position

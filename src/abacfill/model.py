@@ -276,10 +276,21 @@ class ObjectModel:
         """Add the object oid: its id cell, then every other attribute the
         side declares, in schema order, NULL where cells names none.  A
         name the side does not declare is kept, so validate rejects it."""
-        attrs = self.schema.blank(side)
-        attrs["id"] = oid
-        attrs.update(cells)
-        self.add(Obj(oid, side, attrs))
+        self.maker(side)(oid, cells)
+
+    def maker(self, side: Side):
+        """A function of (oid, cells) that adds what new(side, oid,
+        **cells) adds, with the side's blank cells looked up once: a loader
+        adding many objects of one side pays for that lookup once."""
+        blank = self.schema.blank(side)
+
+        def make(oid: str, cells: dict) -> None:
+            attrs = blank.copy()
+            attrs["id"] = oid
+            attrs.update(cells)
+            self.add(Obj(oid, side, attrs))
+
+        return make
 
     def side_objects(self, side: Side) -> dict:
         return self.users if side is Side.USER else self.resources

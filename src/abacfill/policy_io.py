@@ -7,8 +7,17 @@ rejected everywhere so stray placeholder text cannot masquerade as a value.
 
 Loading checks each cell once, as it parses it, against the schema, which
 must declare a single-valued id on both sides; the loaded model needs no
-second walk over its cells.  Entitlement rows are checked against the
-model's users, resources and actions in one test per row.
+second walk over its cells.  A plain string for a single-valued attribute
+and a null are stored after one test; every other cell is parsed.
+Entitlement rows are checked as sets: their lengths, and their users,
+resources and actions against the model's.  Only a file that fails is
+walked row by row, to name its first bad line.
+
+A file that cannot be read, is not UTF-8 text or is not valid JSON, nested
+too deeply included, and a path that cannot be written raise InputError
+naming the path.  `json_text` writes every JSON file and output: the text
+of `json.dumps(doc, indent=2, sort_keys=...)`, without `json`'s
+pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 from .model import (
     MISSING,
@@ -118,6 +129,46 @@ def _array(entry: dict, key: str, where: str) -> list:
     return value
 
 
+def _cell(kinds: dict, name, raw, key: str, i: int):
+    """The cell raw encodes for attribute name of object key[i]; an
+    InputError located at key[i] if it does not fit the declared kind."""
+    kind = kinds.get(name)
+    if kind is None:
+        if name == "id":
+            raise InputError(f"{key}[{i}]: 'id' belongs at the top level")
+        raise InputError(f"{key}[{i}]: undeclared attribute {name!r}")
+    try:
+        return _parse_cell(kind, raw)
+    except InputError as e:
+        raise InputError(f"{key}[{i}].{name}: {e}") from None
+
+
+def _load_side(om: ObjectModel, side: Side, entries: list, key: str) -> None:
+    """Add the side's objects to om, checking each cell once, as it is read:
+    the model needs no second walk.  The side's kinds and blank cells are
+    looked up once.  A plain string for a single-valued attribute, not "?",
+    and a null for a declared one are stored after one test each; any
+    other cell goes through `_parse_cell`."""
+    kinds = {a.name: a.kind for a in om.schema.for_side(side) if a.name != "id"}
+    single = {name for name, kind in kinds.items() if kind is AttrKind.SINGLE}
+    new = om.maker(side)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise InputError(f"{key}[{i}]: needs an 'id'")
+        oid = entry["id"]
+        if not isinstance(oid, str):
+            raise InputError(f"{key}[{i}]: id must be a string")
+        given = entry.get("attrs", {})
+        if not isinstance(given, dict):
+            raise InputError(f"{key}[{i}]: 'attrs' must be an object")
+        new(oid, {
+            name: raw if raw.__class__ is str and name in single and raw != "?"
+            else NULL if raw is None and name in kinds
+            else _cell(kinds, name, raw, key, i)
+            for name, raw in given.items()
+        })
+
+
 def policy_from_dict(doc: dict) -> Policy:
     if not isinstance(doc, dict):
         raise InputError("policy document must be a JSON object")
@@ -147,30 +198,9 @@ def policy_from_dict(doc: dict) -> Policy:
     if len(set(actions)) != len(actions):
         raise InputError("duplicate action names")
 
-    # each cell is checked here, once: the model needs no second walk
     om = ObjectModel(schema=schema, actions=actions)
     for side, key in ((Side.USER, "users"), (Side.RESOURCE, "resources")):
-        kinds = {a.name: a.kind for a in schema.for_side(side) if a.name != "id"}
-        for i, entry in enumerate(_array(doc, key, "policy")):
-            where = f"{key}[{i}]"
-            if not isinstance(entry, dict) or "id" not in entry:
-                raise InputError(f"{where}: needs an 'id'")
-            oid = _string(entry["id"], where, "id")
-            given = entry.get("attrs", {})
-            if not isinstance(given, dict):
-                raise InputError(f"{where}: 'attrs' must be an object")
-            cells = {}
-            for name, raw in given.items():
-                kind = kinds.get(name)
-                if kind is None:
-                    if name == "id":
-                        raise InputError(f"{where}: 'id' belongs at the top level")
-                    raise InputError(f"{where}: undeclared attribute {name!r}")
-                try:
-                    cells[name] = _parse_cell(kind, raw)
-                except InputError as e:
-                    raise InputError(f"{where}.{name}: {e}") from None
-            om.new(side, oid, **cells)
+        _load_side(om, side, _array(doc, key, "policy"), key)
 
     rules = []
     for i, entry in enumerate(_array(doc, "rules", "policy")):
@@ -233,21 +263,146 @@ def policy_to_dict(policy: Policy) -> dict:
     }
 
 
-def load_policy(path: str) -> Policy:
+def read_json(path: str):
+    """The JSON document in the file at path; InputError when the file
+    cannot be read, is not UTF-8 text or is not valid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from None
-    return policy_from_dict(doc)
+    except RecursionError:
+        raise InputError(f"{path} is not valid JSON: nested too deeply") from None
+
+
+def write_text(path: str, text: str, newline: str = None) -> None:
+    """Write text to the file at path as UTF-8; InputError when it cannot
+    be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from None
+
+
+def load_policy(path: str) -> Policy:
+    return policy_from_dict(read_json(path))
 
 
 def save_policy(policy: Policy, path: str) -> None:
-    text = json.dumps(policy_to_dict(policy), indent=2, sort_keys=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_text(path, json_text(policy_to_dict(policy), sort_keys=False) + "\n")
+
+
+_INFINITY = float("inf")
+
+
+def _float_text(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INFINITY:
+        return "Infinity"
+    if o == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _quote(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(o, out, nl: str, sort_keys: bool) -> None:
+    """Append the text of o, at the indent that ends nl, through out.
+
+    The type tests are `json`'s, in its order; an exact dict or list is
+    recognized first, which no earlier test could have matched."""
+    if o.__class__ is dict:
+        _write_object(o, out, nl, sort_keys)
+    elif o.__class__ is list:
+        _write_array(o, out, nl, sort_keys)
+    elif isinstance(o, str):
+        out(_quote(o))
+    elif o is None:
+        out("null")
+    elif o is True:
+        out("true")
+    elif o is False:
+        out("false")
+    elif isinstance(o, int):
+        out(int.__repr__(o))
+    elif isinstance(o, float):
+        out(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        _write_array(o, out, nl, sort_keys)
+    elif isinstance(o, dict):
+        _write_object(o, out, nl, sort_keys)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _write_array(o, out, nl: str, sort_keys: bool) -> None:
+    if not o:
+        out("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for v in o:
+        if v.__class__ is str:
+            out(sep + _quote(v))
+        else:
+            out(sep)
+            _write_json(v, out, inner, sort_keys)
+        sep = "," + inner
+    out(nl + "]")
+
+
+def _write_object(o, out, nl: str, sort_keys: bool) -> None:
+    if not o:
+        out("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for k, v in sorted(o.items()) if sort_keys else o.items():
+        head = sep + (_quote(k) if k.__class__ is str else _key_text(k)) + ": "
+        if v.__class__ is str:
+            out(head + _quote(v))
+        elif v is None:
+            out(head + "null")
+        else:
+            out(head)
+            _write_json(v, out, inner, sort_keys)
+        sep = "," + inner
+    out(nl + "}")
+
+
+def json_text(doc, sort_keys: bool = True) -> str:
+    """Exactly `json.dumps(doc, indent=2, sort_keys=sort_keys)`, written
+    without `json`'s pure-Python encoder, which `indent` selects.
+
+    Strings go through `json`'s own `encode_basestring_ascii`, C where the
+    interpreter has it; numbers, NaN and the infinities, keys and the
+    layout follow `json`, and a value or key `json` cannot write raises the
+    same TypeError.  A document that contains itself raises RecursionError,
+    where `json` raises ValueError.
+    """
+    chunks = []
+    _write_json(doc, chunks.append, "\n", sort_keys)
+    return "".join(chunks)
 
 
 def entitlements_to_csv(ents) -> str:
@@ -260,8 +415,7 @@ def entitlements_to_csv(ents) -> str:
 
 
 def save_entitlements(ents, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(entitlements_to_csv(ents))
+    write_text(path, entitlements_to_csv(ents), newline="")
 
 
 def load_entitlements(path: str, model: ObjectModel):
@@ -272,21 +426,30 @@ def load_entitlements(path: str, model: ObjectModel):
             rows = list(csv.reader(fh))
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8 text: {e}") from None
     if not rows or rows[0] != _ENT_HEADER:
         raise InputError(f"{path}: first row must be {','.join(_ENT_HEADER)}")
-    known = (model.users, model.resources, frozenset(model.actions))
-    out = set()
+    known = (model.users.keys(), model.resources.keys(), frozenset(model.actions))
+    # the rows are checked as sets; only a file that fails that check is
+    # walked row by row, to name its first bad line
+    body = list(filter(None, rows[1:]))
+    if not (set(map(len, body)) <= {3} and all(
+        names >= set(column) for names, column in zip(known, zip(*body))
+    )):
+        _first_bad_row(path, rows, known)
+    # Entitlement._make without its length test, which the check above made
+    return set(map(tuple.__new__, repeat(Entitlement), body))
+
+
+def _first_bad_row(path: str, rows: list, known: tuple) -> None:
+    """Raise InputError naming the first data row of rows that has other
+    than 3 columns or a name outside known."""
     for i, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 3:
             raise InputError(f"{path}:{i}: expected 3 columns")
-        if not (row[0] in known[0] and row[1] in known[1] and row[2] in known[2]):
-            what, name = next(
-                (what, name)
-                for what, name, names in zip(_ENT_HEADER, row, known)
-                if name not in names
-            )
-            raise InputError(f"{path}:{i}: unknown {what} {name!r}")
-        out.add(Entitlement._make(row))
-    return out
+        for what, name, names in zip(_ENT_HEADER, row, known):
+            if name not in names:
+                raise InputError(f"{path}:{i}: unknown {what} {name!r}")

@@ -31,6 +31,7 @@ from .features import (  # noqa: F401 - perfbench traces build_learning_data by 
     constraint_features,
     labels,
     rank_features,
+    side_rows,
     side_summary,
 )
 from .model import (
@@ -95,27 +96,37 @@ class CellPrediction:
 class TripleCache:
     """Memoizes learned rankings per (user group, resource group, action).
 
-    Holds the one entitlement index that learning and lookup share, one
-    side summary per group (its conditions with their support, condition
-    matrix and value index per attribute, built once however many triples
-    the group takes part in, on either side of the join) and the constraint
-    features, which every triple shares.  A triple whose list of granted
-    pairs is empty, which includes a triple with no rows, is settled as
-    None from that list alone: nothing else of it is built.  Rankings use
-    the default `FeatureConfig`.
+    Holds the one entitlement index that learning and lookup share, each
+    group's rows and their positions, one side summary per group (its
+    conditions with their support, condition matrix and value index per
+    attribute, built once however many triples the group takes part in, on
+    either side of the join) and the constraint features, which every
+    triple shares.  A triple is settled from its two groups' rows first:
+    when its list of granted pairs is empty, which includes a triple with
+    no rows, it is None and nothing else of it is built.  A group's summary
+    is built when the first triple that has a granted pair needs it, so a
+    group that only settled triples touch has none.  Rankings use the
+    default `FeatureConfig`.
     """
 
     def __init__(self, om: ObjectModel, entitlements):
         self.om = om
         self.entitlements = EntitlementIndex.of(entitlements)
         self._constraints = constraint_features(om)
+        self._rows = {}
         self._summaries = {}
         self._store = {}
+
+    def _side_rows(self, group: Group):
+        key = (group.side, group.gid)
+        if key not in self._rows:
+            self._rows[key] = side_rows(self.om, group)
+        return self._rows[key]
 
     def _summary(self, group: Group):
         key = (group.side, group.gid)
         if key not in self._summaries:
-            self._summaries[key] = side_summary(self.om, group)
+            self._summaries[key] = side_summary(self.om, group, self._side_rows(group))
         return self._summaries[key]
 
     def ranked(self, gu: Group, gr: Group, action: str):
@@ -123,11 +134,10 @@ class TripleCache:
         rows: none at all, or none granted (rank_features would refuse)."""
         key = (gu.gid, gr.gid, action)
         if key not in self._store:
-            users, resources = self._summary(gu), self._summary(gr)
-            granted = labels(users, resources, action, self.entitlements)
+            granted = labels(self._side_rows(gu), self._side_rows(gr), action, self.entitlements)
             ranked = None
             if len(granted):
-                data = assemble(users, resources, self._constraints, granted)
+                data = assemble(self._summary(gu), self._summary(gr), self._constraints, granted)
                 ranked = rank_features(gu, gr, data)
             self._store[key] = ranked
         return self._store[key]

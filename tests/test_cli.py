@@ -359,6 +359,52 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def _reader_argv(flag, path):
+    """A predict command on the campus fixture that reads path through flag."""
+    argv = ["predict", "--policy", CAMPUS, "--entitlements", CAMPUS_ENTS]
+    if flag == "--config":
+        return argv + [flag, path]
+    argv[argv.index(flag) + 1] = path
+    return argv
+
+
+@pytest.mark.parametrize("flag", ["--policy", "--entitlements", "--config"])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    code, _, err = run(capsys, *_reader_argv(flag, str(bad)))
+    assert code == 1
+    assert f"{bad} is not UTF-8 text: " in err
+
+
+@pytest.mark.parametrize("flag", ["--policy", "--config"])
+def test_json_nested_too_deeply_is_an_input_error(tmp_path, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a":' * 100000 + "\n")
+    code, _, err = run(capsys, *_reader_argv(flag, str(deep)))
+    assert code == 1
+    assert f"{deep} is not valid JSON: nested too deeply" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--out"),
+    ("generate", "--entitlements-out"),
+    ("predict", "--out"),
+    ("evaluate", "--csv"),
+    ("evaluate", "--json"),
+])
+def test_output_that_cannot_be_written_is_an_input_error(tmp_path, capsys, command, flag):
+    out = tmp_path / "no-such-dir" / "x.out"
+    args = {
+        "generate": ["--template", "university"],
+        "predict": ["--policy", CAMPUS, "--entitlements", CAMPUS_ENTS],
+        "evaluate": ["--template", "university", "--runs", "1", "--percents", "3"],
+    }[command]
+    code, _, err = run(capsys, command, *args, flag, str(out))
+    assert code == 1
+    assert f"cannot write {out}: " in err
+
+
 def test_bad_usage_exits_one(capsys):
     assert run(capsys, "cluster")[0] == 1
     assert run(capsys, "evaluate", "--template", "zoo")[0] == 1

@@ -283,9 +283,10 @@ def test_assemble_allocates_no_pair_sized_array():
 @pytest.mark.parametrize("template,scale", CONSULTED)
 def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, fraction, st):
     """predict_missing's cache ranks every triple it consults as the
-    one-triple path does, builds each group's summary once and assembles
-    nothing for a triple its labels settle.  The CLI's default threshold,
-    0.25, makes smaller groups and many triples with no granted pair."""
+    one-triple path does, builds each group's summary once, only for a group
+    that a triple with a granted pair takes part in, and assembles nothing
+    for a triple its labels settle.  The CLI's default threshold, 0.25,
+    makes smaller groups and many triples with no granted pair."""
     om, clustering, entitlements = _consulted_setup(
         template, scale, fraction, ClusteringConfig(threshold=st)
     )
@@ -304,9 +305,11 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
             seen[3] += len(assembled) - before
             return got
 
-    def counted_summary(om, group):
+    def counted_summary(om, group, rows):
         summaries[(group.side, group.gid)] += 1
-        return side_summary(om, group)
+        summary = side_summary(om, group, rows)
+        assert summary.rows == side_summary(om, group).rows
+        return summary
 
     def counted_assemble(*args):
         assembled.append(args)
@@ -321,8 +324,14 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
 
     assert len(caches) == 1 and consulted
     assert max(summaries.values()) == 1
+    learned = {
+        (g.side, g.gid) for gu, gr, got, _ in consulted.values() if got is not None for g in (gu, gr)
+    }
+    assert set(summaries) == learned
     if st == 0.25:
         assert any(got is None for _, _, got, _ in consulted.values())
+        touched = {(g.side, g.gid) for gu, gr, _, _ in consulted.values() for g in (gu, gr)}
+        assert touched - learned
     for key in sorted(consulted):
         gu, gr, got, assemblies = consulted[key]
         action = key[2]

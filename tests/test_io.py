@@ -103,6 +103,22 @@ def test_undeclared_attribute_rejected():
         policy_from_dict(doc)
 
 
+@pytest.mark.parametrize("name, raw, message", [
+    ("rank", None, "users[0]: undeclared attribute 'rank'"),
+    ("rank", ["a"], "users[0]: undeclared attribute 'rank'"),
+    ("id", "u2", "users[0]: 'id' belongs at the top level"),
+    ("id", None, "users[0]: 'id' belongs at the top level"),
+])
+def test_undeclared_names_rejected_whatever_the_cell(name, raw, message):
+    """A name the side does not declare is rejected whatever its cell,
+    nulls included, which loading stores after one test."""
+    doc = _base_doc()
+    doc["users"][0]["attrs"][name] = raw
+    with pytest.raises(InputError) as info:
+        policy_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_duplicate_ids_rejected():
     doc = _base_doc()
     doc["users"].append({"id": "u1", "attrs": {}})
@@ -152,3 +168,29 @@ def test_policy_json_is_stable_on_disk(tmp_path, campus_policy):
     save_policy(campus_policy, str(p1))
     save_policy(load_policy(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("faults, line, message", [
+    (["csFac1,cs101gb", "nobody,cs101gb,modify"], 4, "expected 3 columns"),
+    (["nobody,cs101gb,modify", "csFac1,cs101gb"], 4, "unknown user 'nobody'"),
+    (["csFac1,cs101gb,fly", "nobody,nothing,modify"], 4, "unknown action 'fly'"),
+])
+def test_entitlement_loader_names_the_first_bad_line(tmp_path, campus_policy, faults, line, message):
+    """Rows are checked as sets first; a file that fails names its first
+    bad line, counting blank lines, as a row-by-row check would."""
+    path = tmp_path / "e.csv"
+    first, second = faults
+    path.write_text(f"user,resource,action\ncsFac1,cs101gb,modify\n\n{first}\n\n\n{second}\n")
+    with pytest.raises(InputError) as info:
+        load_entitlements(str(path), campus_policy.model)
+    assert str(info.value) == f"{path}:{line}: {message}"
+
+
+def test_entitlement_loader_skips_blank_lines(tmp_path, campus_policy):
+    path = tmp_path / "e.csv"
+    path.write_text("user,resource,action\n\ncsFac1,cs101gb,modify\n\n")
+    loaded = load_entitlements(str(path), campus_policy.model)
+    assert loaded == {Entitlement("csFac1", "cs101gb", "modify")}
+    assert all(type(e) is Entitlement for e in loaded)
+    path.write_text("user,resource,action\n\n")
+    assert load_entitlements(str(path), campus_policy.model) == set()
