@@ -480,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-multi", action="store_true",
                    help="score multi-valued predictions by set equality instead of subset")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="concurrent runs on threads (default 1)")
+                   help="processes that share the removal runs, capped by the runs and "
+                        "by the CPUs this process may use (default 1)")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock columns (breaks byte-for-byte reproducibility)")
     p.add_argument("--csv", metavar="FILE", help="summary CSV path (default: stdout)")

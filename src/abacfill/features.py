@@ -50,7 +50,7 @@ granted pairs, read off the two groups' rows alone, and `assemble` the
 statistics from two summaries, the constraint features and the labels.
 `build_learning_data` runs them for one triple; prediction's `TripleCache`
 builds each group's rows, summary and value indexes once per cache, and
-settles a triple with no rows or no granted pair from its labels, before
+settles a triple with no rows or no granted pair before its labels or
 anything else of it, its groups' summaries included, is built.
 
 The ranking puts structurally certain features ahead of fitted ones:

@@ -8,13 +8,19 @@ scores each hidden cell.  A single-valued prediction must match exactly; a
 multi-valued one counts as correct when it is a non-empty subset of the
 true set (exact equality when subset scoring is off).  Unpredicted cells
 lower coverage but not accuracy.
+
+A sweep's runs are independent and seeded, so `evaluate_matrix` splits
+them between the calling process and up to `jobs` - 1 forked children, which
+read the policies they inherited and send back only their results.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import generator
@@ -204,6 +210,90 @@ def run_seed(base_seed: int, scale: int, fraction: float, run_index: int) -> int
     return base_seed * 1_000_003 + scale * 10_007 + int(round(fraction * 1000)) * 101 + run_index
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """How many processes run a grid of `tasks` runs at `--jobs` jobs: jobs,
+    capped by the tasks and by the CPUs this process may run on, and 1
+    where processes cannot be forked."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, tasks, cpus))
+
+
+def interleave(shares: list) -> list:
+    """Items back in task order from the shares tasks[w::len(shares)]."""
+    out = [None] * sum(map(len, shares))
+    for w, share in enumerate(shares):
+        out[w::len(shares)] = share
+    return out
+
+
+def _child(run, share, conn) -> None:
+    """A forked worker: run its share and send back the results, or the
+    exception that stopped it."""
+    # the parent alone answers an interrupt, by ending its children with
+    # SIGTERM; a handler the caller installed for that must not keep one alive
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    try:
+        reply = ("ok", [run(task) for task in share])
+    except Exception as e:  # noqa: BLE001 - re-raised in the parent
+        reply = ("error", e)
+    conn.send(reply)
+    conn.close()
+
+
+def _receive(w: int, child, conn) -> list:
+    """Worker w's results, its exception re-raised, or an error naming it
+    when it died before sending."""
+    try:
+        status, payload = conn.recv()
+    except (EOFError, OSError):
+        child.join()
+        raise RuntimeError(
+            f"removal worker {w} exited with code {child.exitcode} before sending its runs"
+        ) from None
+    child.join()
+    if status == "error":
+        raise payload
+    return payload
+
+
+def run_shared(run, tasks: list, jobs: int) -> list:
+    """[run(task) for task in tasks], split between worker_count processes.
+
+    The parent runs share 0 while each forked child runs one other share
+    and sends its results down a one-way pipe; nothing is sent to a child.
+    With one worker no process is started.  The parent ends and joins every
+    child it started, also when a run fails or it is interrupted.
+    """
+    n = worker_count(jobs, len(tasks))
+    shares = [tasks[w::n] for w in range(n)]
+    children = []
+    try:
+        if n > 1:
+            ctx = multiprocessing.get_context("fork")
+            for w in range(1, n):
+                recv_end, send_end = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_child, args=(run, shares[w], send_end),
+                                    name=f"abacfill-worker-{w}")
+                child.start()
+                send_end.close()
+                children.append((w, child, recv_end))
+        results = [[run(task) for task in shares[0]]]
+        results += [_receive(w, child, conn) for w, child, conn in children]
+        return interleave(results)
+    finally:
+        for _, child, conn in children:
+            conn.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
+
+
 def evaluate_matrix(
     template: str,
     scales,
@@ -218,8 +308,9 @@ def evaluate_matrix(
     Each scale's policy is generated from the named template with seed
     base_seed + scale, and its reference entitlements and their index are
     built once and shared by the scale's runs.  Runs never modify the
-    policy, so up to `jobs` of them run at a time on threads; results come
-    back in grid order whatever `jobs` is.
+    policy, so `run_shared` splits them between up to `jobs` processes;
+    each run is seeded, so results, which come back in grid order, are the
+    same whatever `jobs` is.
     """
     policies, indexes = {}, {}
     for scale in scales:
@@ -237,6 +328,4 @@ def evaluate_matrix(
         return evaluate_run(policy, indexes[scale], fraction, seed, scale, run_index, config)
 
     tasks = [(s, f, i) for s in scales for f in fractions for i in range(runs)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(one, tasks))
-    return MatrixResult(template=template, runs=results, policies=policies)
+    return MatrixResult(template=template, runs=run_shared(one, tasks, jobs), policies=policies)

@@ -101,12 +101,14 @@ class TripleCache:
     conditions with their support, condition matrix and value index per
     attribute, built once however many triples the group takes part in, on
     either side of the join) and the constraint features, which every
-    triple shares.  A triple is settled from its two groups' rows first:
-    when its list of granted pairs is empty, which includes a triple with
-    no rows, it is None and nothing else of it is built.  A group's summary
-    is built when the first triple that has a granted pair needs it, so a
-    group that only settled triples touch has none.  Rankings use the
-    default `FeatureConfig`.
+    triple shares.  A triple is settled first: when no user row of it holds
+    the action on any of its resource rows, which includes a triple with no
+    rows, it is None and nothing else of it is built.  That takes one
+    disjointness test between the resource rows and the resources that the
+    user group's rows reach under the action, a set kept per (user group,
+    action).  A group's summary is built when the first triple that has a
+    granted pair needs it, so a group that only settled triples touch has
+    none.  Rankings use the default `FeatureConfig`.
     """
 
     def __init__(self, om: ObjectModel, entitlements):
@@ -114,6 +116,7 @@ class TripleCache:
         self.entitlements = EntitlementIndex.of(entitlements)
         self._constraints = constraint_features(om)
         self._rows = {}
+        self._reach = {}
         self._summaries = {}
         self._store = {}
 
@@ -122,6 +125,16 @@ class TripleCache:
         if key not in self._rows:
             self._rows[key] = side_rows(self.om, group)
         return self._rows[key]
+
+    def _reached(self, gu: Group, action: str) -> set:
+        """Resource ids that some row of the user group holds action on."""
+        key = (gu.gid, action)
+        if key not in self._reach:
+            resources = self.entitlements.resources
+            self._reach[key] = set().union(
+                *(resources(u.id, action) for u in self._side_rows(gu).rows)
+            )
+        return self._reach[key]
 
     def _summary(self, group: Group):
         key = (group.side, group.gid)
@@ -134,9 +147,10 @@ class TripleCache:
         rows: none at all, or none granted (rank_features would refuse)."""
         key = (gu.gid, gr.gid, action)
         if key not in self._store:
-            granted = labels(self._side_rows(gu), self._side_rows(gr), action, self.entitlements)
+            resources = self._side_rows(gr)
             ranked = None
-            if len(granted):
+            if not self._reached(gu, action).isdisjoint(resources.position):
+                granted = labels(self._side_rows(gu), resources, action, self.entitlements)
                 data = assemble(self._summary(gu), self._summary(gr), self._constraints, granted)
                 ranked = rank_features(gu, gr, data)
             self._store[key] = ranked

@@ -284,13 +284,14 @@ def test_assemble_allocates_no_pair_sized_array():
 def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, fraction, st):
     """predict_missing's cache ranks every triple it consults as the
     one-triple path does, builds each group's summary once, only for a group
-    that a triple with a granted pair takes part in, and assembles nothing
-    for a triple its labels settle.  The CLI's default threshold, 0.25,
-    makes smaller groups and many triples with no granted pair."""
+    that a triple with a granted pair takes part in, and lists labels and
+    assembles only for a triple with a granted pair.  The CLI's default
+    threshold, 0.25, makes smaller groups and many triples with no granted
+    pair."""
     om, clustering, entitlements = _consulted_setup(
         template, scale, fraction, ClusteringConfig(threshold=st)
     )
-    caches, summaries, assembled, consulted = [], Counter(), [], {}
+    caches, summaries, assembled, labelled, consulted = [], Counter(), [], [], {}
 
     class RecordingCache(prediction.TripleCache):
         def __init__(self, *args, **kwargs):
@@ -298,12 +299,18 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
             caches.append(self)
 
         def ranked(self, gu, gr, action):
-            before = len(assembled)
+            before = len(assembled), len(labelled)
             got = super().ranked(gu, gr, action)
-            seen = consulted.setdefault((gu.gid, gr.gid, action), [gu, gr, got, 0])
+            seen = consulted.setdefault((gu.gid, gr.gid, action), [gu, gr, got, 0, 0])
             assert seen[2] is got
-            seen[3] += len(assembled) - before
+            seen[3] += len(assembled) - before[0]
+            seen[4] += len(labelled) - before[1]
             return got
+
+    def counted_labels(*args):
+        granted = labels(*args)
+        labelled.append(len(granted))
+        return granted
 
     def counted_summary(om, group, rows):
         summaries[(group.side, group.gid)] += 1
@@ -320,25 +327,27 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
     monkeypatch.setattr(prediction, "TripleCache", RecordingCache)
     monkeypatch.setattr(prediction, "side_summary", counted_summary)
     monkeypatch.setattr(prediction, "assemble", counted_assemble)
+    monkeypatch.setattr(prediction, "labels", counted_labels)
     predict_missing(om, clustering, entitlements)
 
     assert len(caches) == 1 and consulted
+    assert labelled and all(labelled)  # every labels call found a granted pair
     assert max(summaries.values()) == 1
     learned = {
-        (g.side, g.gid) for gu, gr, got, _ in consulted.values() if got is not None for g in (gu, gr)
+        (g.side, g.gid) for gu, gr, got, *_ in consulted.values() if got is not None for g in (gu, gr)
     }
     assert set(summaries) == learned
     if st == 0.25:
-        assert any(got is None for _, _, got, _ in consulted.values())
-        touched = {(g.side, g.gid) for gu, gr, _, _ in consulted.values() for g in (gu, gr)}
+        assert any(got is None for _, _, got, *_ in consulted.values())
+        touched = {(g.side, g.gid) for gu, gr, *_ in consulted.values() for g in (gu, gr)}
         assert touched - learned
     for key in sorted(consulted):
-        gu, gr, got, assemblies = consulted[key]
+        gu, gr, got, assemblies, labellings = consulted[key]
         action = key[2]
         want = _ranking_or_none(
             lambda: rank_features(gu, gr, build_learning_data(om, gu, gr, action, entitlements))
         )
-        assert assemblies == (0 if got is None else 1), key
+        assert assemblies == labellings == (0 if got is None else 1), key
         if want is None:
             assert got is None, key
             continue

@@ -6,10 +6,17 @@ by hand: six users and nine resources, minus ids and inapplicable slots
 student, and so on).
 """
 
+import dataclasses
+import json
+import multiprocessing
+import os
 import random
+import time
 
 import pytest
 
+from abacfill import harness
+from abacfill.cli import main
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
 from abacfill.harness import (
     DESK_SCALE_CELLS,
@@ -18,14 +25,20 @@ from abacfill.harness import (
     eligible_cells,
     evaluate_matrix,
     evaluate_run,
+    interleave,
     remove_cells,
     removal_count,
     restore_cells,
     run_seed,
     score_prediction,
+    worker_count,
 )
-from abacfill.model import MISSING, NULL, AttrKind, ConfigError, EntitlementIndex, Side
+from abacfill.model import MISSING, NULL, AttrKind, ConfigError, EntitlementIndex, InputError, Side
 from abacfill.policy_io import policy_to_dict
+
+forks = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
 
 
 @pytest.fixture
@@ -202,3 +215,147 @@ def test_harness_config_defaults():
     cfg = HarnessConfig()
     assert cfg.clustering.threshold == 0.1
     assert cfg.subset_ok is True
+
+
+# --- sharing a grid between processes ---
+
+
+def test_worker_count_is_capped_by_jobs_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert worker_count(1, 45) == 1
+    assert worker_count(3, 45) == 3
+    assert worker_count(64, 45) == 4  # the CPUs this process may run on
+    assert worker_count(4, 2) == 2  # no worker without a task
+    assert worker_count(4, 0) == 1
+
+
+def test_worker_count_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert worker_count(8, 45) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(8, 45) == 1
+
+
+def test_worker_count_is_one_without_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert worker_count(4, 45) == 1
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("count", [0, 1, 7, 10, 11])
+def test_interleave_undoes_the_shares(n, count):
+    tasks = [f"t{i}" for i in range(count)]
+    shares = [tasks[w::n] for w in range(n)]
+    assert sum(map(len, shares)) == count
+    assert all(len(share) - len(shares[-1]) in (0, 1) for share in shares)
+    assert interleave(shares) == tasks
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two workers at --jobs 2 whatever the host, and no child left after."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    yield
+    assert multiprocessing.active_children() == []
+
+
+def _fields(run):
+    return {k: v for k, v in dataclasses.asdict(run).items() if k != "elapsed"}
+
+
+@forks
+def test_matrix_runs_equal_at_one_and_two_jobs(two_cpus):
+    # nine tasks: the parent's share has one more than the child's
+    got = [
+        evaluate_matrix("university", scales=(1, 2, 3), fractions=(0.06,), runs=3, base_seed=4,
+                        jobs=jobs)
+        for jobs in (1, 2)
+    ]
+    assert [(r.scale, r.run_index) for r in got[1].runs] == [
+        (s, i) for s in (1, 2, 3) for i in range(3)
+    ]
+    assert [_fields(r) for r in got[0].runs] == [_fields(r) for r in got[1].runs]
+
+
+@forks
+def test_timing_columns_at_two_jobs(two_cpus, tmp_path, capsys):
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(["evaluate", "--template", "university", "--scales", "1,2", "--percents", "6",
+                 "--runs", "2", "--jobs", "2", "--timing",
+                 "--csv", str(csv_path), "--json", str(json_path)]) == 0
+    assert capsys.readouterr().err == ""
+    for line in csv_path.read_text().splitlines()[1:]:
+        assert float(line.split(",")[-1]) > 0
+    detail = json.loads(json_path.read_text())["detail"]
+    assert len(detail) == 4 and all(row["elapsed_s"] > 0 for row in detail)
+
+
+def _failing_run(monkeypatch, tmp_path, fail):
+    """evaluate_run that calls fail() on run index 1, which at --jobs 2 is
+    the child's share of a one-setting, two-run grid; it records the pid
+    that failed."""
+    real = harness.evaluate_run
+
+    def run(policy, ents, fraction, seed, scale, run_index, config):
+        if run_index == 1:
+            (tmp_path / "failed_in").write_text(str(os.getpid()))
+            fail()
+        return real(policy, ents, fraction, seed, scale, run_index, config)
+
+    monkeypatch.setattr(harness, "evaluate_run", run)
+
+
+def _evaluate(capsys, jobs):
+    code = main(["evaluate", "--template", "university", "--scales", "1", "--percents", "6",
+                 "--runs", "2", "--jobs", str(jobs), "--csv", os.devnull])
+    return code, capsys.readouterr().err
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+@forks
+@pytest.mark.parametrize("exc, code, message", [
+    (InputError("bad cell"), 1, "error: bad cell\n"),
+    (ValueError("lost"), 2, "internal error: ValueError: lost\n"),
+])
+def test_error_in_a_child_reads_as_at_one_job(two_cpus, monkeypatch, tmp_path, capsys,
+                                              exc, code, message):
+    _failing_run(monkeypatch, tmp_path, _raise(exc))
+    assert _evaluate(capsys, 1) == (code, message)
+    assert int((tmp_path / "failed_in").read_text()) == os.getpid()
+    assert _evaluate(capsys, 2) == (code, message)
+    assert int((tmp_path / "failed_in").read_text()) != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+@forks
+def test_child_that_dies_without_sending_exits_2(two_cpus, monkeypatch, tmp_path, capsys):
+    _failing_run(monkeypatch, tmp_path, lambda: os._exit(3))
+    code, err = _evaluate(capsys, 2)
+    assert code == 2
+    assert err.startswith("internal error: ")
+    assert "worker 1 exited with code 3" in err
+    assert multiprocessing.active_children() == []
+
+
+@forks
+def test_interrupt_in_the_parent_ends_its_children(two_cpus, monkeypatch, tmp_path):
+    def run(policy, ents, fraction, seed, scale, run_index, config):
+        if run_index == 0:  # the parent's share
+            raise KeyboardInterrupt
+        time.sleep(60)  # the child's share, until the parent ends it
+
+    monkeypatch.setattr(harness, "evaluate_run", run)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        evaluate_matrix("university", scales=(1,), fractions=(0.06,), runs=2, jobs=2)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
