@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -492,9 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # a command leaves no cyclic garbage, so the cyclic collector's scans are
+    # paused while it runs; reference counting frees all that it drops
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except AbacError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -504,6 +508,9 @@ def main(argv=None) -> int:
     except Exception as e:  # noqa: BLE001 - last-resort invariant guard
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

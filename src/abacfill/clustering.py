@@ -12,10 +12,14 @@ are refined again until stable.
 
 Members of a bucket share their applicable attributes, so refinement never
 compares two members: each member's summed similarity to the others is one
-sum per attribute, read off the bucket's value counts (and, for sets, an
-element index over its distinct sets).  A refinement pass costs
-O(members x attributes + set overlaps), where set overlaps counts the pairs
-of distinct sets in an attribute that share an element.
+sum per attribute, read off a tally of the group's value counts (and, for
+sets, an element index over its distinct sets and each one's summed
+overlap).  A bucket's first round costs O(members x attributes + set
+overlaps), where set overlaps counts the pairs of distinct sets in an
+attribute that share an element.  The movers get a fresh tally; the
+stayers keep their group's, with the movers' counts and overlaps
+subtracted, so a stayers' round costs O(stayers x attributes + the
+movers' set overlaps).
 
 The threshold comparison is exact, in integers.  Each attribute's summed
 similarities are integers in a unit of their own: halves for strings and
@@ -87,7 +91,7 @@ class Clustering:
 
 def active_attributes(obj: Obj) -> frozenset:
     """Attributes that apply to the object.  Unknown cells still apply."""
-    return frozenset(name for name, v in obj.attrs.items() if v is not NULL)
+    return frozenset([name for name, v in obj.attrs.items() if v is not NULL])
 
 
 def value_similarity(a, b) -> float:
@@ -127,51 +131,6 @@ def partition_by_signature(objects) -> list:
     return list(buckets.values())
 
 
-def _summed_similarity(values: list) -> tuple:
-    """One attribute's similarity of each member to all the others, summed.
-
-    Returns (sums, unit): the member with cell v sums exactly to
-    sums[v] / unit, with integer sums.  A MISSING cell scores 1/2 against
-    everyone, so the unit is even.  Strings count in halves: a string
-    matches the strings equal to it.  A set scores the Jaccard overlap
-    against each set it shares an element with, computed once per distinct
-    set through an element index; two empty sets score 1.  Sets count in
-    units of twice the lcm of the union sizes that occur.
-    """
-    counts = Counter(values)
-    missing = counts.pop(MISSING, 0)
-    if all(isinstance(v, str) for v in counts):
-        # a single value's sum depends only on how many members share it
-        sums = {v: 2 * (c - 1) + missing for v, c in counts.items()}
-        sums[MISSING] = len(values) - 1
-        return sums, 2
-    as_set = {v: frozenset({v}) if isinstance(v, str) else v for v in counts}
-    sets = Counter()
-    for v, c in counts.items():
-        sets[as_set[v]] += c
-    holders = {}  # element -> distinct sets holding it
-    for d in sets:
-        for e in d:
-            holders.setdefault(e, []).append(d)
-    overlaps = {}  # distinct set x -> {|x | set|: summed intersection sizes}
-    for x in sets:
-        shared = Counter()  # distinct set -> |x & set|
-        for e in x:
-            shared.update(holders[e])
-        by_union = overlaps[x] = Counter()
-        for d, i in shared.items():
-            by_union[len(x) + len(d) - i] += sets[d] * i
-    half = math.lcm(*{u for by_union in overlaps.values() for u in by_union})
-    unit = 2 * half
-    set_sums = {}
-    for x, by_union in overlaps.items():
-        agree = sum(n * (unit // u) for u, n in by_union.items()) if x else sets[x] * unit
-        set_sums[x] = agree - unit + missing * half
-    sums = {v: set_sums[x] for v, x in as_set.items()}
-    sums[MISSING] = (len(values) - 1) * half
-    return sums, unit
-
-
 def _as_written(x) -> Fraction:
     """The number as the decimal it prints as.  The binary float nearest
     0.1 lies above 1/10, so a mean of exactly 1/10 would fall below it."""
@@ -190,49 +149,118 @@ class _Weights(dict):
         return w
 
 
-def _summed_similarities(members: list, weights: _Weights) -> tuple:
-    """(totals, unit): member i's similarity to the others (the weighted
-    mean over attributes), summed over them, is exactly totals[i] / unit,
-    with integer totals and unit.  unit is one integer scale for every
-    attribute times the signature's total weight."""
-    weight_sum = Fraction(0)
-    columns = []  # (weight, member cells, sums, unit)
-    for name in sorted(active_attributes(members[0])):
-        w = weights[name]
-        weight_sum += w
-        if name == "id":
-            continue  # no two members share an id: only its weight counts
-        values = [o.attrs[name] for o in members]
-        columns.append((w, values, *_summed_similarity(values)))
-    scale = math.lcm(weight_sum.denominator, *(w.denominator * u for w, _, _, u in columns))
-    totals = [0] * len(members)
-    for w, values, sums, unit in columns:
-        factor = w.numerator * (scale // (w.denominator * unit))
-        scaled = {v: factor * s for v, s in sums.items()}
-        totals = [t + scaled[v] for t, v in zip(totals, values)]
-    return totals, weight_sum.numerator * (scale // weight_sum.denominator)
+class _Column:
+    """One attribute's cells in a group under refinement, and what each
+    cell's similarity to the others, summed, is read from: the counts of
+    the values and of MISSING cells.  A MISSING cell scores 1/2 against
+    everyone, and strings count in halves: a string matches the strings
+    equal to it.  For sets the column also keeps an element -> distinct
+    values index, and agree[x]: the summed Jaccard overlap of the distinct
+    set x with every cell, in units of twice the lcm of the union sizes
+    that occur.  Taking cells out never adds a union size, so that unit
+    stays exact as members leave."""
+
+    def __init__(self, cells: list):
+        self.cells = cells
+        counts = self.counts = Counter(cells)
+        self.missing = counts.pop(MISSING, 0)
+        self.unit, self.agree = 2, None
+        if all(isinstance(v, str) for v in counts):
+            return
+        self.as_set = {v: frozenset((v,)) if isinstance(v, str) else v for v in counts}
+        self.holders = {}  # element -> distinct values holding it
+        for v, s in self.as_set.items():
+            for e in s:
+                self.holders.setdefault(e, []).append(v)
+        overlaps = {v: self._overlaps(v) for v in counts}
+        unit = self.unit = 2 * math.lcm(*{u for by in overlaps.values() for _, u in by.values()})
+        self.agree = {v: sum(counts[d] * i * unit // u for d, (i, u) in by.items())
+                      for v, by in overlaps.items()}
+
+    def _overlaps(self, v) -> dict:
+        """d -> (|v & d|, |v | d|) for each distinct value d sharing an
+        element with v; two empty sets agree fully, as 1 / 1."""
+        size, as_set = len(self.as_set[v]), self.as_set
+        if not size:
+            return {v: (1, 1)}
+        shared = {}
+        for e in as_set[v]:
+            for d in self.holders[e]:
+                shared[d] = shared.get(d, 0) + 1
+        return {d: (i, size + len(as_set[d]) - i) for d, i in shared.items()}
+
+    def sums(self, factor: int) -> dict:
+        """Cell value -> factor times its summed similarity to the other
+        cells, counted in 1/unit."""
+        unit = self.unit
+        if self.agree is None:
+            sums = {v: factor * (2 * (c - 1) + self.missing) for v, c in self.counts.items()}
+        else:
+            base, agree = self.missing * unit // 2 - unit, self.agree
+            sums = {v: factor * (agree[v] + base) for v in self.counts}
+        sums[MISSING] = factor * (len(self.cells) - 1) * unit // 2
+        return sums
+
+    def drop(self, keep: list, gone: list) -> None:
+        """Keep the cells at the positions `keep`; take the cells `gone`
+        out of the counts, and each one's overlaps out of agree."""
+        self.cells = [self.cells[i] for i in keep]
+        out = Counter(gone)
+        self.missing -= out.pop(MISSING, 0)
+        for v, c in out.items():
+            self.counts[v] -= c  # a count may reach 0; no cell reads it then
+            if self.agree is not None:
+                for d, (i, u) in self._overlaps(v).items():
+                    self.agree[d] -= c * i * self.unit // u
+
+
+class _Tally:
+    """A group's columns, one per non-id attribute, each with its factor
+    onto one integer scale: member i's similarity to the others (the
+    weighted mean over attributes), summed over them, is exactly
+    totals()[i] / unit.  The id adds only its weight, since no two members
+    share an id."""
+
+    def __init__(self, members: list, weights: _Weights):
+        self.members = members
+        names = sorted(active_attributes(members[0]))
+        weight_sum = sum((weights[name] for name in names), Fraction(0))
+        columns = [(weights[n], _Column([o.attrs[n] for o in members])) for n in names if n != "id"]
+        scale = math.lcm(weight_sum.denominator, *(w.denominator * c.unit for w, c in columns))
+        self.columns = [(w.numerator * (scale // (w.denominator * c.unit)), c) for w, c in columns]
+        self.unit = weight_sum.numerator * (scale // weight_sum.denominator)
+
+    def totals(self) -> list:
+        totals = [0] * len(self.members)
+        for factor, column in self.columns:
+            scaled = column.sums(factor)
+            totals = [t + scaled[v] for t, v in zip(totals, column.cells)]
+        return totals
+
+    def below(self, threshold: Fraction) -> list:
+        """Whether each member's mean similarity to the others is below the
+        threshold, decided in exact integer arithmetic."""
+        # mean < threshold  <=>  total < threshold * (n - 1) * unit  <=>  total < bar,
+        # bar being that product rounded up
+        bar = -(-threshold.numerator * (len(self.members) - 1) * self.unit // threshold.denominator)
+        return [t < bar for t in self.totals()]
+
+    def drop(self, moved: list) -> None:
+        """Take the members where moved is true out of the tally."""
+        keep = [i for i, m in enumerate(moved) if not m]
+        gone = [i for i, m in enumerate(moved) if m]
+        self.members = [self.members[i] for i in keep]
+        for _, column in self.columns:
+            column.drop(keep, [column.cells[i] for i in gone])
 
 
 def member_means(members: list, config: ClusteringConfig) -> list:
     """Each member's exact mean similarity to the other members, as a
     Fraction: the quantity refinement compares with the threshold.  Needs
     at least two members."""
-    totals, unit = _summed_similarities(members, _Weights(config))
-    others = unit * (len(members) - 1)
-    return [Fraction(t, others) for t in totals]
-
-
-def _split(members: list, threshold: Fraction, weights: _Weights) -> tuple:
-    """(stay, movers): a member moves when its mean similarity to the
-    others is below the threshold, decided in exact integer arithmetic."""
-    totals, unit = _summed_similarities(members, weights)
-    # mean < threshold  <=>  total < threshold * (n - 1) * unit  <=>  total < bar,
-    # bar being that product rounded up
-    bar = -(-threshold.numerator * (len(members) - 1) * unit // threshold.denominator)
-    stay, movers = [], []
-    for obj, t in zip(members, totals):
-        (movers if t < bar else stay).append(obj)
-    return stay, movers
+    tally = _Tally(members, _Weights(config))
+    others = tally.unit * (len(members) - 1)
+    return [Fraction(t, others) for t in tally.totals()]
 
 
 def refine_group(members: list, threshold: Fraction, weights: _Weights) -> list:
@@ -240,17 +268,20 @@ def refine_group(members: list, threshold: Fraction, weights: _Weights) -> list:
 
     All members below the threshold leave together as one new group, and
     both halves are refined again, the stayers first.  A split that would
-    move nobody or everybody is a fixed point.
+    move nobody or everybody is a fixed point.  The movers get a tally of
+    their own; the stayers keep the group's, with the movers taken out.
     """
     out = []
-    work = [members]
+    work = [_Tally(members, weights)]
     while work:
-        group = work.pop()
-        stay, movers = _split(group, threshold, weights) if len(group) > 1 else (group, [])
-        if not movers or not stay:
-            out.append(group)
-        else:
-            work += [movers, stay]  # stay pops first: its subtree ends before movers
+        tally = work.pop()
+        moved = tally.below(threshold) if len(tally.members) > 1 else [False]
+        if all(moved) or not any(moved):
+            out.append(tally.members)
+            continue
+        movers = _Tally([o for o, m in zip(tally.members, moved) if m], weights)
+        tally.drop(moved)
+        work += [movers, tally]  # stay pops first: its subtree ends before movers
     return out
 
 

@@ -16,7 +16,6 @@ read the policies they inherited and send back only their results.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import signal
@@ -214,6 +213,9 @@ def worker_count(jobs: int, tasks: int) -> int:
     """How many processes run a grid of `tasks` runs at `--jobs` jobs: jobs,
     capped by the tasks and by the CPUs this process may run on, and 1
     where processes cannot be forked."""
+    if jobs == 1 or tasks <= 1:
+        return 1
+    import multiprocessing  # here, not at the top: only a run that forks pays for it
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -275,6 +277,7 @@ def run_shared(run, tasks: list, jobs: int) -> list:
     children = []
     try:
         if n > 1:
+            import multiprocessing
             ctx = multiprocessing.get_context("fork")
             for w in range(1, n):
                 recv_end, send_end = ctx.Pipe(duplex=False)

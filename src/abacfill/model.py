@@ -171,18 +171,14 @@ class EntitlementIndex:
     of a (resource, action), and each object's own entitlements."""
 
     def __init__(self, entitlements):
-        # each key's set or list is made once, by its first entitlement;
-        # the readers use get, so a key nobody added never appears
+        # each key's set is made once, by its first entitlement; the
+        # readers use get, so a key nobody added never appears
         self._resources = defaultdict(set)  # (user, action) -> set of resource ids
         self._users = defaultdict(set)  # (resource, action) -> set of user ids
-        self._own_users = defaultdict(list)  # user id -> [Entitlement]
-        self._own_resources = defaultdict(list)  # resource id -> [Entitlement]
-        for e in entitlements:
-            user, resource, action = e
+        for user, resource, action in entitlements:
             self._resources[user, action].add(resource)
             self._users[resource, action].add(user)
-            self._own_users[user].append(e)
-            self._own_resources[resource].append(e)
+        self._actions = sorted({action for _, action in self._resources})
 
     @classmethod
     def of(cls, entitlements) -> "EntitlementIndex":
@@ -196,8 +192,10 @@ class EntitlementIndex:
         return self._users.get((resource, action), frozenset())
 
     def own(self, side: Side, oid: str) -> list:
-        own = self._own_users if side is Side.USER else self._own_resources
-        return own.get(oid, [])
+        """The object's entitlements, by action, in no order within one."""
+        if side is Side.USER:
+            return [Entitlement(oid, r, a) for a in self._actions for r in self.resources(oid, a)]
+        return [Entitlement(u, oid, a) for a in self._actions for u in self.users(oid, a)]
 
 
 class AtomicCondition(NamedTuple):

@@ -11,6 +11,8 @@ import json
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -243,6 +245,17 @@ def test_worker_count_is_one_without_fork(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert worker_count(4, 45) == 1
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only a run that forks imports it; predict and --jobs 1 never pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, abacfill.cli; "
+            "print(sorted(m for m in sys.modules if 'multiprocessing' in m))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("n", [3, 5])

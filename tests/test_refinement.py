@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from abacfill import clustering
 from abacfill.cli import main
 from abacfill.clustering import ClusteringConfig, cluster_objects
 from abacfill.generator import GeneratorConfig, generate
@@ -63,6 +64,63 @@ def test_random_policies_match_pairwise_reference():
         reference = PairwiseReference(om, weights)
         for threshold in ODD_THRESHOLDS:
             assert _groups(om, threshold, weights) == reference.groups(threshold), (draw, threshold)
+
+
+def _layered(rng, size):
+    """A document whose objects draw their set cells from three families of
+    3, 6 and 12 values, each cell perturbed by up to two values, with some
+    cells MISSING or empty: groups that split, then split again among the
+    members that stayed."""
+    doc = random_small_policy(rng, max_side=2)
+    families = [rng.sample(WIDE, k) for k in (3, 6, 12)]
+    for key, single, multi in (("users", "ua_s", "ua_m"), ("resources", "ra_s", "ra_m")):
+        doc[key] = []
+        for i in range(size):
+            r = rng.random()
+            cells = set(rng.choice(families)) ^ set(rng.sample(WIDE, rng.randint(0, 2)))
+            attrs = {single: {"missing": True} if rng.random() < 0.2 else rng.choice("ab"),
+                     multi: {"missing": True} if r < 0.15 else [] if r < 0.25 else sorted(cells)}
+            doc[key].append({"id": f"{key[0]}{i}", "attrs": attrs})
+    return doc
+
+
+def test_stayers_split_again_as_the_pairwise_reference(tmp_path, capsys, monkeypatch):
+    # a stayers' round works on the group's tally with the movers taken
+    # out; count the rounds in which such a tally splits again
+    taken_out = set()
+    resplits = []
+    drop, below = clustering._Tally.drop, clustering._Tally.below
+
+    def counting_drop(tally, moved):
+        taken_out.add(id(tally))
+        return drop(tally, moved)
+
+    def counting_below(tally, threshold):
+        moved = below(tally, threshold)
+        if id(tally) in taken_out and any(moved) and not all(moved):
+            resplits.append(threshold)
+        return moved
+
+    monkeypatch.setattr(clustering._Tally, "drop", counting_drop)
+    monkeypatch.setattr(clustering._Tally, "below", counting_below)
+    rng = random.Random(2610)
+    attrs = ("id", "ua_s", "ua_m", "ra_s", "ra_m")
+    checked = 0
+    for draw in range(60):
+        doc = _layered(rng, rng.randint(6, 24))
+        om = policy_from_dict(doc).model
+        weights = {a: rng.choice(ODD_WEIGHTS + (0.1, 0.3, 1.0)) for a in attrs} if draw % 3 else {}
+        reference = PairwiseReference(om, weights)
+        for threshold in ODD_THRESHOLDS:
+            resplits.clear()
+            expected = reference.groups(threshold)
+            assert _groups(om, threshold, weights) == expected, (draw, threshold)
+            if resplits:
+                path = tmp_path / "layered.json"
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                _check_report(capsys, path, reference, expected, threshold, weights)
+                checked += 1
+    assert checked >= 40
 
 
 def _damaged(template, scale, fraction, path):
