@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .clustering import ClusteringConfig, active_attributes, cluster_objects, member_means
-from .features import FeatureConfig, build_learning_data, rank_features
+from .features import FeatureConfig, rank_features
 from .generator import TEMPLATES, GeneratorConfig, generate, reference_entitlements
 from .harness import HarnessConfig, eligible_cells, evaluate_matrix, percent_key, tally
 from .model import AbacError, InputError, Side
@@ -35,7 +35,7 @@ from .policy_io import (
     read_json,
     write_text,
 )
-from .prediction import Confidence, PredictionConfig, predict_missing
+from .prediction import Confidence, PredictionConfig, TripleCache, predict_missing
 
 CONFIG_KEYS = ("st", "weights", "ntcf", "seed")
 
@@ -227,7 +227,7 @@ def _cmd_features(args) -> int:
         feature_config = FeatureConfig(coefficient_floor=args.floor)
     else:
         feature_config = FeatureConfig()
-    data = build_learning_data(policy.model, ug, rg, args.action, entitlements)
+    data = TripleCache(policy.model, entitlements).learning_data(ug, rg, args.action)
     ranked = rank_features(ug, rg, data, feature_config)
     _emit_json(
         {

@@ -41,17 +41,11 @@ constraint candidates need no positions, only the keys each attribute of
 a side holds, so `constraint_features` reads those off the attribute's
 distinct cells and no index over a whole side is built.
 
-A triple's data splits into per-group pieces: `side_rows` holds a
-group's rows and each row's position, `side_summary` adds what else
-depends on one group only (its conditions, 0/1 condition matrix with its
-gram, sums, all-true and supported columns, and a value index per
-attribute over the rows, built on first use), `labels` the triple's
-granted pairs, read off the two groups' rows alone, and `assemble` the
-statistics from two summaries, the constraint features and the labels.
-`build_learning_data` runs them for one triple; prediction's `TripleCache`
-builds each group's rows, summary and value indexes once per cache, and
-settles a triple with no rows or no granted pair before its labels or
-anything else of it, its groups' summaries included, is built.
+A triple's data splits into per-group pieces: one `GroupSide` per group
+holds all that depends on that group only, `labels` lists the triple's
+granted pairs and `build_learning_data` makes the statistics.  Prediction's
+`TripleCache` is the one path from a triple to its data, for `predict` and
+`abacfill features` alike.
 
 The ranking puts structurally certain features ahead of fitted ones:
 
@@ -69,7 +63,7 @@ cross-side link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,63 +238,51 @@ def _int_product(a, b) -> np.ndarray:
     return (np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)).astype(np.int64)
 
 
-@dataclass
-class SideRows:
-    """A group's untainted members, its side of every triple's rows, and
-    each one's position among them: all that `labels` reads of a group."""
+class GroupSide:
+    """One group's side of every triple it takes part in, built in two steps.
 
-    rows: list  # untainted members, in member order
-    position: dict  # id -> position of the object in rows
+    Construction keeps the group's rows, its untainted members in member
+    order, and each row's position: all that settling a triple and
+    `labels` read.  A member with an unknown cell is no row, since its
+    feature columns could not be evaluated definitely, but its known values
+    still feed the conditions.  `summarize` fills in the rest once.
+    """
 
+    conditions = None  # condition features in canonical order, once summarized
 
-def side_rows(om: ObjectModel, group) -> SideRows:
-    """The group's rows and their positions."""
-    table = om.side_objects(group.side)
-    rows = [m for m in map(table.__getitem__, group.members) if is_untainted(m)]
-    return SideRows(rows, {m.id: j for j, m in enumerate(rows)})
+    def __init__(self, om: ObjectModel, group):
+        self.om, self.group = om, group
+        table = om.side_objects(group.side)
+        self.rows = [m for m in map(table.__getitem__, group.members) if is_untainted(m)]
+        self.position = {m.id: j for j, m in enumerate(self.rows)}
+        self._indexes = {}  # attribute -> ValueIndex over the rows
 
-
-@dataclass
-class SideSummary(SideRows):
-    """What every triple of one group needs from that group's side."""
-
-    conditions: tuple  # condition features, in canonical order
-    A: np.ndarray  # (rows, conditions) bool
-    gram: np.ndarray  # A'A, int64
-    sums: np.ndarray  # column sums of A, int64
-    all_true: np.ndarray  # (conditions,) bool: true on every row
-    supported: np.ndarray  # (conditions,) bool: every member holds the value or lacks the cell
-    indexes: dict = field(default_factory=dict)  # attribute -> ValueIndex over the rows
+    def summarize(self) -> "GroupSide":
+        """Fill in, on the first call, the conditions with their support
+        and the rows' (rows, conditions) bool matrix A with its gram A'A,
+        column sums and all-true columns; returns the side."""
+        if self.conditions is None:
+            om, side = self.om, self.group.side
+            members = list(map(om.side_objects(side).__getitem__, self.group.members))
+            conditions, holders, self.supported = _conditions_for(om.schema, side, members)
+            A = np.zeros((len(members), len(conditions)), dtype=bool)
+            for j, held in enumerate(holders):
+                A[held, j] = True
+            A = A[np.array([m.id in self.position for m in members], dtype=bool)]
+            self.A, self.gram = A, _int_product(A.T, A)
+            self.sums, self.all_true, self.conditions = A.sum(0), A.all(0), conditions
+        return self
 
     def index(self, attr: str) -> ValueIndex:
         """The rows' value index on attr, built on first use."""
-        if attr not in self.indexes:
-            self.indexes[attr] = ValueIndex(self.rows, attr)
-        return self.indexes[attr]
+        if attr not in self._indexes:
+            self._indexes[attr] = ValueIndex(self.rows, attr)
+        return self._indexes[attr]
 
 
-def side_summary(om: ObjectModel, group, rows: SideRows = None) -> SideSummary:
-    """The group's side of every triple it takes part in; rows, when given,
-    are `side_rows` of the group, which the summary then reuses."""
-    table = om.side_objects(group.side)
-    members = [table[i] for i in group.members]
-    if rows is None:
-        rows = side_rows(om, group)
-    conditions, holders, supported = _conditions_for(om.schema, group.side, members)
-    A = np.zeros((len(members), len(conditions)), dtype=bool)
-    for j, held in enumerate(holders):
-        A[held, j] = True
-    A = A[np.array([m.id in rows.position for m in members], dtype=bool)]
-    return SideSummary(
-        rows.rows, rows.position, conditions, A, _int_product(A.T, A), A.sum(0), A.all(0),
-        supported,
-    )
-
-
-def labels(users: SideRows, resources: SideRows, action, entitlements) -> np.ndarray:
+def labels(users: GroupSide, resources: GroupSide, action, index: EntitlementIndex) -> np.ndarray:
     """Ascending flat positions u * len(resources.rows) + r of the row pairs
     that hold the action, read through the resource rows' positions."""
-    index = EntitlementIndex.of(entitlements)
     nr = len(resources.rows)
     column = resources.position
     granted = [
@@ -322,15 +304,18 @@ def _overlap(a, b) -> int:
     return int(np.count_nonzero(b[at] == a))
 
 
-def assemble(users: SideSummary, resources: SideSummary, constraints, granted) -> LearningData:
-    """The fit statistics of one triple from its two side summaries, its
-    constraint features and its granted pairs, as `labels` lists them.
+def build_learning_data(users: GroupSide, resources: GroupSide, constraints,
+                        granted) -> LearningData:
+    """The fit statistics of one triple from its two group sides, which it
+    summarizes if they are not yet, its constraint features and its granted
+    pairs, as `labels` lists them.
 
     Features run in canonical order, user conditions, resource conditions,
     then constraints: the blocks of the statistics.  Each constraint's true
     pairs come from joining the two sides' value indexes; a constraint true
     on no pair has only zero entries.
     """
+    users, resources = users.summarize(), resources.summarize()
     nu, nr = len(users.rows), len(resources.rows)
     Au, Ar = users.A, resources.A
     su, sr = users.sums, resources.sums
@@ -382,19 +367,6 @@ def assemble(users: SideSummary, resources: SideSummary, constraints, granted) -
         all_true=all_true,
         supported=supported,
     )
-
-
-def build_learning_data(om, user_group, res_group, action, entitlements) -> LearningData:
-    """Fit statistics over untainted member pairs; features enumerated from
-    all members.
-
-    An object with any unknown cell is left out of the rows: its feature
-    columns could not be evaluated definitely.  Its known values still feed
-    feature enumeration.
-    """
-    users, resources = side_summary(om, user_group), side_summary(om, res_group)
-    granted = labels(users, resources, action, entitlements)
-    return assemble(users, resources, constraint_features(om), granted)
 
 
 def fit_least_squares(n, sums, gram, xty, ysum):

@@ -178,14 +178,19 @@ def policy_from_dict(doc: dict) -> Policy:
 
     schema = Schema()
     for i, item in enumerate(_array(doc, "schema", "policy")):
+        where = f"schema[{i}]"
+        if not isinstance(item, dict):
+            raise InputError(f"{where}: must be an object")
+        for key in ("kind", "appliesTo", "name"):
+            if key not in item:
+                raise InputError(f"{where}: lacks '{key}'")
+        if item["kind"] not in ("single", "multi"):
+            raise InputError(f"{where}: kind must be single or multi")
+        if item["appliesTo"] not in ("user", "resource"):
+            raise InputError(f"{where}: appliesTo must be user or resource")
+        name = _string(item["name"], where, "name")
         try:
-            kind = AttrKind(item["kind"])
-            side = Side(item["appliesTo"])
-            name = _string(item["name"], f"schema[{i}]", "name")
-        except (KeyError, ValueError, TypeError) as e:
-            raise InputError(f"schema[{i}]: {e}") from None
-        try:
-            schema.add(AttrSchema(name, kind, side))
+            schema.add(AttrSchema(name, AttrKind(item["kind"]), Side(item["appliesTo"])))
         except SchemaError as e:
             raise InputError(str(e)) from None
     try:

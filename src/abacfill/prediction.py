@@ -25,14 +25,13 @@ import enum
 from dataclasses import dataclass
 
 from .clustering import Clustering, Group
-from .features import (  # noqa: F401 - perfbench traces build_learning_data by this name
-    assemble,
+from .features import (
+    GroupSide,
+    LearningData,
     build_learning_data,
     constraint_features,
     labels,
     rank_features,
-    side_rows,
-    side_summary,
 )
 from .model import (
     MISSING,
@@ -94,37 +93,32 @@ class CellPrediction:
 
 
 class TripleCache:
-    """Memoizes learned rankings per (user group, resource group, action).
+    """The one path from a (user group, resource group, action) triple to
+    its learning data, and its ranking, memoized.
 
-    Holds the one entitlement index that learning and lookup share, each
-    group's rows and their positions, one side summary per group (its
-    conditions with their support, condition matrix and value index per
-    attribute, built once however many triples the group takes part in, on
-    either side of the join) and the constraint features, which every
-    triple shares.  A triple is settled first: when no user row of it holds
-    the action on any of its resource rows, which includes a triple with no
-    rows, it is None and nothing else of it is built.  That takes one
-    disjointness test between the resource rows and the resources that the
-    user group's rows reach under the action, a set kept per (user group,
-    action).  A group's summary is built when the first triple that has a
-    granted pair needs it, so a group that only settled triples touch has
-    none.  Rankings use the default `FeatureConfig`.
+    Holds the entitlement index that learning and lookup share, the
+    constraint features, which every triple shares, and one `GroupSide` per
+    group.  `ranked` settles a triple first: when no user row of it holds
+    the action on any of its resource rows, it is None and nothing else of
+    it is built.  That takes one disjointness test with the resources that
+    the user group's rows reach under the action, a set kept per (user
+    group, action), so a group that only settled triples touch is never
+    summarized.  Rankings use the default `FeatureConfig`.
     """
 
     def __init__(self, om: ObjectModel, entitlements):
         self.om = om
         self.entitlements = EntitlementIndex.of(entitlements)
         self._constraints = constraint_features(om)
-        self._rows = {}
+        self._sides = {}
         self._reach = {}
-        self._summaries = {}
         self._store = {}
 
-    def _side_rows(self, group: Group):
+    def _side(self, group: Group) -> GroupSide:
         key = (group.side, group.gid)
-        if key not in self._rows:
-            self._rows[key] = side_rows(self.om, group)
-        return self._rows[key]
+        if key not in self._sides:
+            self._sides[key] = GroupSide(self.om, group)
+        return self._sides[key]
 
     def _reached(self, gu: Group, action: str) -> set:
         """Resource ids that some row of the user group holds action on."""
@@ -132,27 +126,24 @@ class TripleCache:
         if key not in self._reach:
             resources = self.entitlements.resources
             self._reach[key] = set().union(
-                *(resources(u.id, action) for u in self._side_rows(gu).rows)
+                *(resources(u.id, action) for u in self._side(gu).rows)
             )
         return self._reach[key]
 
-    def _summary(self, group: Group):
-        key = (group.side, group.gid)
-        if key not in self._summaries:
-            self._summaries[key] = side_summary(self.om, group, self._side_rows(group))
-        return self._summaries[key]
+    def learning_data(self, gu: Group, gr: Group, action: str) -> LearningData:
+        """The triple's fit statistics over its untainted member pairs."""
+        users, resources = self._side(gu), self._side(gr)
+        granted = labels(users, resources, action, self.entitlements)
+        return build_learning_data(users, resources, self._constraints, granted)
 
     def ranked(self, gu: Group, gr: Group, action: str):
         """RankedFeature tuple for the triple, or None when it has no usable
         rows: none at all, or none granted (rank_features would refuse)."""
         key = (gu.gid, gr.gid, action)
         if key not in self._store:
-            resources = self._side_rows(gr)
             ranked = None
-            if not self._reached(gu, action).isdisjoint(resources.position):
-                granted = labels(self._side_rows(gu), resources, action, self.entitlements)
-                data = assemble(self._summary(gu), self._summary(gr), self._constraints, granted)
-                ranked = rank_features(gu, gr, data)
+            if not self._reached(gu, action).isdisjoint(self._side(gr).position):
+                ranked = rank_features(gu, gr, self.learning_data(gu, gr, action))
             self._store[key] = ranked
         return self._store[key]
 

@@ -32,10 +32,10 @@ from abacfill.features import (
     RIDGE,
     Feature,
     FeatureConfig,
+    GroupSide,
     LearningData,
     constraint_features,
     is_untainted,
-    side_summary,
 )
 from abacfill.model import (
     CONSTRAINT_KINDS,
@@ -387,8 +387,8 @@ def dense_learning_data(om, user_group, res_group, action, entitlements) -> Dens
     user_members = [om.users[i] for i in user_group.members]
     res_members = [om.resources[i] for i in res_group.members]
     features = (
-        side_summary(om, user_group).conditions
-        + side_summary(om, res_group).conditions
+        GroupSide(om, user_group).summarize().conditions
+        + GroupSide(om, res_group).summarize().conditions
         + constraint_features(om)
     )
     entitlements = set(entitlements)

@@ -28,14 +28,13 @@ from abacfill.clustering import ClusteringConfig, cluster_objects
 from abacfill.evaluate import policy_meaning
 from abacfill.features import (
     FeatureConfig,
-    build_learning_data,
     rank_features,
 )
 from abacfill.generator import GeneratorConfig, generate
 from abacfill.harness import HarnessConfig, evaluate_matrix
 from abacfill.model import Side
 from abacfill.policy_io import policy_from_dict
-from abacfill.prediction import Confidence, PredictionConfig, predict_missing
+from abacfill.prediction import Confidence, PredictionConfig, TripleCache, predict_missing
 
 SCALES = (1, 2, 3)
 FRACTIONS = (0.03, 0.06, 0.09)
@@ -69,9 +68,7 @@ def test_criterion_1_golden_fixture(campus_policy, campus_entitlements):
 
     ug = clustering.group_of(Side.USER, "csFac2")
     rg = clustering.group_of(Side.RESOURCE, "cs101gb")
-    data = build_learning_data(
-        campus_policy.model, ug, rg, "modify", campus_entitlements
-    )
+    data = TripleCache(campus_policy.model, campus_entitlements).learning_data(ug, rg, "modify")
     ranked = rank_features(ug, rg, data, FeatureConfig())
     top3 = {rf.feature.render() for rf in list(ranked)[:3]}
     assert top3 == {

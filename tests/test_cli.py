@@ -632,3 +632,38 @@ def test_schema_must_declare_single_valued_ids(tmp_path, capsys, index, declarat
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert message in err
+
+
+# a malformed schema declaration: the mutation of declaration 1 and the
+# message it gets, never one of Python's own
+SCHEMA_ENTRIES = [
+    (("set", ("schema", 1), "position"), "schema[1]: must be an object"),
+    (("set", ("schema", 1), None), "schema[1]: must be an object"),
+    (("set", ("schema", 1), ["position"]), "schema[1]: must be an object"),
+    (("drop", ("schema", 1, "kind")), "schema[1]: lacks 'kind'"),
+    (("drop", ("schema", 1, "appliesTo")), "schema[1]: lacks 'appliesTo'"),
+    (("drop", ("schema", 1, "name")), "schema[1]: lacks 'name'"),
+    (("set", ("schema", 1, "kind"), "both"), "schema[1]: kind must be single or multi"),
+    (("set", ("schema", 1, "kind"), ["single"]), "schema[1]: kind must be single or multi"),
+    (("set", ("schema", 1, "appliesTo"), "both"),
+     "schema[1]: appliesTo must be user or resource"),
+    (("set", ("schema", 1, "appliesTo"), None),
+     "schema[1]: appliesTo must be user or resource"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutation,message", SCHEMA_ENTRIES,
+    ids=["string", "null", "array", "no-kind", "no-appliesTo", "no-name", "kind-both",
+         "kind-array", "appliesTo-both", "appliesTo-null"],
+)
+def test_schema_declarations_get_plain_messages(tmp_path, capsys, mutation, message):
+    campus = json.loads(pathlib.Path(CAMPUS).read_text())
+    pol = tmp_path / "p.json"
+    pol.write_text(json.dumps(_mutated(campus, *mutation)))
+    for argv in (["entitlements", "--policy", str(pol)],
+                 ["cluster", "--policy", str(pol)],
+                 ["predict", "--policy", str(pol), "--entitlements", CAMPUS_ENTS]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err

@@ -35,12 +35,11 @@ from abacfill import prediction
 from abacfill.clustering import ClusteringConfig, Group, cluster_objects
 from abacfill.evaluate import Tri, ValueIndex, eval_atomic_constraint, matches
 from abacfill.features import (
-    assemble,
+    GroupSide,
     build_learning_data,
     constraint_features,
     labels,
     rank_features,
-    side_summary,
 )
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
 from abacfill.harness import HarnessConfig, remove_cells
@@ -59,7 +58,7 @@ from abacfill.model import (
     Side,
 )
 from abacfill.policy_io import policy_from_dict
-from abacfill.prediction import predict_missing, relevant_group_triples
+from abacfill.prediction import TripleCache, predict_missing, relevant_group_triples
 
 
 def _ranking_or_none(rank):
@@ -77,7 +76,7 @@ def assert_canonical(data):
 
 
 def assert_triple_matches_dense(om, gu, gr, action, entitlements):
-    data = build_learning_data(om, gu, gr, action, entitlements)
+    data = TripleCache(om, entitlements).learning_data(gu, gr, action)
     dense = dense_learning_data(om, gu, gr, action, entitlements)
     want = design_statistics(dense.matrix, dense.labels, dense.features)
     assert data.features == dense.features
@@ -187,21 +186,22 @@ def test_pruned_constraints_rank_as_all_constraints(template, scale, fraction):
     assert set(pruned) < set(every)
     dropped = np.array([f not in pruned for f in every])
     summaries = {}
+    index = EntitlementIndex(entitlements)
     triples = _consulted_triples(om, clustering, entitlements)
     assert triples
     for gu, gr, action in triples:
         for group in (gu, gr):
             if (group.side, group.gid) not in summaries:
-                summaries[group.side, group.gid] = side_summary(om, group)
+                summaries[group.side, group.gid] = GroupSide(om, group).summarize()
         users, resources = summaries[gu.side, gu.gid], summaries[gr.side, gr.gid]
-        granted = labels(users, resources, action, entitlements)
-        full = assemble(users, resources, every, granted)
+        granted = labels(users, resources, action, index)
+        full = build_learning_data(users, resources, every, granted)
         assert_canonical(full)
         k = len(every)
         assert not full.sums[-k:][dropped].any()
         assert not full.xty[-k:][dropped].any()
         assert not full.gram[-k:][dropped].any()
-        data = assemble(users, resources, pruned, granted)
+        data = build_learning_data(users, resources, pruned, granted)
         assert_canonical(data)
         got = _ranking_or_none(lambda: rank_features(gu, gr, data))
         want = _ranking_or_none(lambda: rank_features(gu, gr, full))
@@ -222,7 +222,7 @@ def test_pruned_constraints_rank_as_all_constraints(template, scale, fraction):
 def _assert_support_matches_evaluator(om, clustering, seen):
     """Each group's supported mask is the evaluator's per-member check."""
     for group in clustering.groups:
-        summary = side_summary(om, group)
+        summary = GroupSide(om, group).summarize()
         table = om.side_objects(group.side)
         members = [table[i] for i in group.members]
         want = [extent_supports(members, f.condition) for f in summary.conditions]
@@ -248,7 +248,7 @@ def test_side_support_matches_evaluator_on_random_policies():
     assert seen[True] and seen[False]
 
 
-def test_assemble_allocates_no_pair_sized_array():
+def test_build_learning_data_allocates_no_pair_sized_array():
     """Learning a triple allocates a small multiple of the gram it returns,
     never a users x resources array per constraint: the constraint and
     label statistics come from lists of the pairs they hold on."""
@@ -256,22 +256,23 @@ def test_assemble_allocates_no_pair_sized_array():
         "project", 60, 0.06, ClusteringConfig(threshold=0.1)
     )
     constraints = constraint_features(om)
+    index = EntitlementIndex(entitlements)
     summaries = {}
 
     def summary(group):
         key = (group.side, group.gid)
         if key not in summaries:
-            summaries[key] = side_summary(om, group)
+            summaries[key] = GroupSide(om, group).summarize()
         return summaries[key]
 
     triples = _consulted_triples(om, clustering, entitlements)
     assert triples
     for gu, gr, action in triples:
         users, resources = summary(gu), summary(gr)
-        granted = labels(users, resources, action, entitlements)
+        granted = labels(users, resources, action, index)
         tracemalloc.start()
         try:
-            data = assemble(users, resources, constraints, granted)
+            data = build_learning_data(users, resources, constraints, granted)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -285,7 +286,7 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
     """predict_missing's cache ranks every triple it consults as the
     one-triple path does, builds each group's summary once, only for a group
     that a triple with a granted pair takes part in, and lists labels and
-    assembles only for a triple with a granted pair.  The CLI's default
+    builds learning data only for a triple with a granted pair.  The CLI's default
     threshold, 0.25, makes smaller groups and many triples with no granted
     pair."""
     om, clustering, entitlements = _consulted_setup(
@@ -312,23 +313,26 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
         labelled.append(len(granted))
         return granted
 
-    def counted_summary(om, group, rows):
-        summaries[(group.side, group.gid)] += 1
-        summary = side_summary(om, group, rows)
-        assert summary.rows == side_summary(om, group).rows
-        return summary
+    summarize = GroupSide.summarize
 
-    def counted_assemble(*args):
+    def counted_summarize(side):
+        if side.conditions is None:  # the first call fills the summary in
+            summaries[(side.group.side, side.group.gid)] += 1
+            assert side.rows == GroupSide(om, side.group).rows
+        return summarize(side)
+
+    def counted_build(*args):
         assembled.append(args)
-        data = assemble(*args)
+        data = build_learning_data(*args)
         assert_canonical(data)
         return data
 
     monkeypatch.setattr(prediction, "TripleCache", RecordingCache)
-    monkeypatch.setattr(prediction, "side_summary", counted_summary)
-    monkeypatch.setattr(prediction, "assemble", counted_assemble)
+    monkeypatch.setattr(GroupSide, "summarize", counted_summarize)
+    monkeypatch.setattr(prediction, "build_learning_data", counted_build)
     monkeypatch.setattr(prediction, "labels", counted_labels)
     predict_missing(om, clustering, entitlements)
+    monkeypatch.undo()
 
     assert len(caches) == 1 and consulted
     assert labelled and all(labelled)  # every labels call found a granted pair
@@ -344,9 +348,9 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
     for key in sorted(consulted):
         gu, gr, got, assemblies, labellings = consulted[key]
         action = key[2]
-        want = _ranking_or_none(
-            lambda: rank_features(gu, gr, build_learning_data(om, gu, gr, action, entitlements))
-        )
+        # a fresh cache per triple: the one-triple path shares nothing
+        data = TripleCache(om, entitlements).learning_data(gu, gr, action)
+        want = _ranking_or_none(lambda: rank_features(gu, gr, data))
         assert assemblies == labellings == (0 if got is None else 1), key
         if want is None:
             assert got is None, key
@@ -536,7 +540,7 @@ def test_all_tainted_side_gives_no_rows():
     clustering = cluster_objects(om)
     for gu in clustering.side_groups(Side.USER):
         for gr in clustering.side_groups(Side.RESOURCE):
-            data = build_learning_data(om, gu, gr, "read", set())
+            data = TripleCache(om, set()).learning_data(gu, gr, "read")
             assert data.row_count == 0
             assert data.all_true.all()
             assert_triple_matches_dense(om, gu, gr, "read", set())
@@ -587,12 +591,13 @@ def test_one_value_index_serves_every_constraint_on_its_attribute():
             assert np.array_equal(got, np.array(want)), con.render()
 
 
-def test_side_summary_builds_each_index_once():
+def test_group_side_builds_each_index_once():
     om = _shared_index_model()
-    summary = side_summary(om, Group(1, Side.RESOURCE, tuple(om.resources)))
+    summary = GroupSide(om, Group(1, Side.RESOURCE, tuple(om.resources))).summarize()
+    assert summary.summarize().A is summary.A  # summarized once
     assert summary.index("ym") is summary.index("ym")
     assert summary.index("ym") is not summary.index("ys")
     assert [r.id for r in summary.rows] == list(om.resources)
-    users = side_summary(om, Group(2, Side.USER, tuple(om.users)))
+    users = GroupSide(om, Group(2, Side.USER, tuple(om.users))).summarize()
     assert users.index("xm") is users.index("xm")
     assert [u.id for u in users.rows] == list(om.users)

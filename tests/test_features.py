@@ -18,11 +18,10 @@ from abacfill.clustering import ClusteringConfig, Group, cluster_objects
 from abacfill.features import (
     Feature,
     FeatureConfig,
-    build_learning_data,
+    GroupSide,
     constraint_features,
     is_untainted,
     rank_features,
-    side_summary,
 )
 from abacfill.model import (
     MISSING,
@@ -39,6 +38,7 @@ from abacfill.model import (
     Schema,
     Side,
 )
+from abacfill.prediction import TripleCache
 
 
 @pytest.fixture
@@ -57,8 +57,8 @@ def _group(clustering, gid):
 def _candidates(om, user_ids, res_ids) -> tuple:
     """The candidate features learning fits for a group of the given users
     and one of the given resources, in canonical order."""
-    users = side_summary(om, Group(1, Side.USER, tuple(user_ids)))
-    resources = side_summary(om, Group(2, Side.RESOURCE, tuple(res_ids)))
+    users = GroupSide(om, Group(1, Side.USER, tuple(user_ids))).summarize()
+    resources = GroupSide(om, Group(2, Side.RESOURCE, tuple(res_ids))).summarize()
     return users.conditions + resources.conditions + constraint_features(om)
 
 
@@ -217,7 +217,7 @@ def test_learning_rows_exclude_tainted_members(campus_groups, campus_entitlement
     assert all(uid != "csFac1" for uid, _ in dense.pairs)
     positives = {p for p, y in zip(dense.pairs, dense.labels) if y == 1.0}
     assert positives == {("csFac2", "cs601gb"), ("eeFac1", "ee101gb"), ("eeFac2", "ee601gb")}
-    data = build_learning_data(*args)
+    data = TripleCache(om, campus_entitlements).learning_data(*args[1:4])
     assert data.row_count == 15
     assert data.positives == 3
 
@@ -227,8 +227,8 @@ def test_learning_matrix_is_binary(campus_groups, campus_entitlements):
     args = (om, _group(clustering, 1), _group(clustering, 3), "modify", campus_entitlements)
     assert set(np.unique(dense_learning_data(*args).matrix)) <= {0.0, 1.0}
     # a column is 0/1 exactly when its sum of squares equals its sum
-    assert side_summary(om, args[1]).A.dtype == bool
-    data = build_learning_data(*args)
+    assert GroupSide(om, args[1]).summarize().A.dtype == bool
+    data = TripleCache(om, campus_entitlements).learning_data(*args[1:4])
     assert np.array_equal(np.diag(data.gram), data.sums)
     assert ((data.sums >= 0) & (data.sums <= data.row_count)).all()
 
@@ -296,7 +296,7 @@ def test_fit_edge_shapes():
 def test_campus_ranking(campus_groups, campus_entitlements):
     om, clustering = campus_groups
     gu, gr = _group(clustering, 1), _group(clustering, 3)
-    data = build_learning_data(om, gu, gr, "modify", campus_entitlements)
+    data = TripleCache(om, campus_entitlements).learning_data(gu, gr, "modify")
     ranked = rank_features(gu, gr, data)
     rendered = [rf.feature.render() for rf in ranked]
     assert rendered == [
@@ -315,7 +315,7 @@ def test_ranking_requires_rows(campus_groups):
     gu, gr = _group(clustering, 1), _group(clustering, 3)
     for uid in gu.members:
         om.users[uid].attrs["department"] = MISSING
-    data = build_learning_data(om, gu, gr, "modify", set())
+    data = TripleCache(om, set()).learning_data(gu, gr, "modify")
     with pytest.raises(InsufficientDataError):
         rank_features(gu, gr, data)
 
@@ -342,7 +342,7 @@ def _rank_guard_case(second_dept):
     gu = clustering.side_groups(Side.USER)[0]
     gr = clustering.side_groups(Side.RESOURCE)[0]
     ents = {Entitlement("a", "r", "read")}
-    data = build_learning_data(om, gu, gr, "read", ents)
+    data = TripleCache(om, ents).learning_data(gu, gr, "read")
     assert data.row_count == 1
     return {rf.feature.render() for rf in rank_features(gu, gr, data)}
 
@@ -365,7 +365,7 @@ def test_conflicting_known_value_blocks_even_with_two_supporters():
     gu = clustering.side_groups(Side.USER)[0]
     assert set(gu.members) == {"a", "b", "c"}
     gr = clustering.side_groups(Side.RESOURCE)[0]
-    data = build_learning_data(om, gu, gr, "read", {Entitlement("a", "r", "read")})
+    data = TripleCache(om, {Entitlement("a", "r", "read")}).learning_data(gu, gr, "read")
     ranked = rank_features(gu, gr, data)
     assert "user.dept in {cs}" not in {rf.feature.render() for rf in ranked}
 
@@ -390,7 +390,7 @@ def test_characterizing_constraint_subsumes_one_sided_constants():
     gu = clustering.side_groups(Side.USER)[0]
     gr = clustering.side_groups(Side.RESOURCE)[0]
     ents = {Entitlement(u, r, "read") for u in ("a", "b") for r in ("x", "y")}
-    data = build_learning_data(om, gu, gr, "read", ents)
+    data = TripleCache(om, ents).learning_data(gu, gr, "read")
     ranked = rank_features(gu, gr, data)
     rendered = [rf.feature.render() for rf in ranked]
     assert rendered == ["dept equal dept"]
@@ -404,7 +404,7 @@ def test_characterizing_constraint_allowed_with_single_row():
     clustering = cluster_objects(om)
     gu = clustering.side_groups(Side.USER)[0]
     gr = clustering.side_groups(Side.RESOURCE)[0]
-    data = build_learning_data(om, gu, gr, "read", {Entitlement("a", "r", "read")})
+    data = TripleCache(om, {Entitlement("a", "r", "read")}).learning_data(gu, gr, "read")
     assert data.row_count == 1
     ranked = rank_features(gu, gr, data)
     rendered = {rf.feature.render() for rf in ranked}
@@ -415,7 +415,7 @@ def test_characterizing_constraint_allowed_with_single_row():
 def test_coefficient_floor_excludes_noise(campus_groups, campus_entitlements):
     om, clustering = campus_groups
     gu, gr = _group(clustering, 1), _group(clustering, 3)
-    data = build_learning_data(om, gu, gr, "modify", campus_entitlements)
+    data = TripleCache(om, campus_entitlements).learning_data(gu, gr, "modify")
     ranked = rank_features(gu, gr, data, FeatureConfig(coefficient_floor=0.5))
     assert len(ranked) == 3  # the taught-course link is far above any floor
     strict = rank_features(gu, gr, data, FeatureConfig(coefficient_floor=1.5))
@@ -428,7 +428,7 @@ def test_solver_noise_does_not_split_a_tie(campus_groups, monkeypatch):
     # each student modifies their own transcript; each department has one
     # student, so the department link holds on exactly the granted pairs too
     ents = {Entitlement(s, f"{s}trans", "modify") for s in ("csStu1", "eeStu1")}
-    data = build_learning_data(om, gu, gr, "modify", ents)
+    data = TripleCache(om, ents).learning_data(gu, gr, "modify")
     tied = ["department equal department", "id equal student"]
     ranked = rank_features(gu, gr, data)
     fitted = [rf for rf in ranked if not rf.characterizing]
