@@ -34,18 +34,18 @@ O(conditions^2 + entitlements + matched pairs).  The statistics are
 integers, so the fit centers them exactly.
 
 Where positions matter, which object holds which value is read through
-one reader, `evaluate.ValueIndex`: one over a group's members per
-attribute gives the group's conditions, their holders and their support,
-and one over a group's rows per attribute feeds the constraint joins.  The
+one reader, `evaluate.ValueIndex`, built once per (group, attribute) over
+the group's rows for its conditions and its constraint joins; the members
+with an unknown cell are counted through an index of their own.  The
 constraint candidates need no positions, only the keys each attribute of
 a side holds, so `constraint_features` reads those off the attribute's
 distinct cells and no index over a whole side is built.
 
 A triple's data splits into per-group pieces: one `GroupSide` per group
 holds all that depends on that group only, `labels` lists the triple's
-granted pairs and `build_learning_data` makes the statistics.  Prediction's
-`TripleCache` is the one path from a triple to its data, for `predict` and
-`abacfill features` alike.
+granted pairs off a reach map and `build_learning_data` makes the
+statistics.  Prediction's `TripleCache` is the one path from a triple to
+its data, for `predict` and `abacfill features` alike.
 
 The ranking puts structurally certain features ahead of fitted ones:
 
@@ -76,7 +76,6 @@ from .model import (
     AtomicConstraint,
     AttrKind,
     ConfigError,
-    EntitlementIndex,
     InsufficientDataError,
     ObjectModel,
     Side,
@@ -130,34 +129,36 @@ class Feature:
         return f"{self.side.value}.{self.condition.render()}"
 
 
-def _conditions_for(schema, side: Side, members) -> tuple:
+def _conditions_for(group_side: "GroupSide") -> tuple:
     """The group's conditions in canonical order, each one's holders as
-    positions in members, and whether each is supported.
+    positions in its rows, and whether each is supported.
 
     One condition per value that at least two members hold as a known
-    value, a cell's value or an element of its set, read off a
-    `ValueIndex` over the members per attribute.  A member counts as a
-    holder whatever its other cells are, so a member with another unknown
-    cell, which the rows leave out, still counts.  A value only one member
-    holds designates that member rather than describing the group, and id
-    never yields conditions for the same reason.
+    value, a cell's value or an element of its set: its holders among the
+    rows are read off the rows' index on the attribute, and the members
+    with an unknown cell, which are no rows, are counted through a
+    `ValueIndex` of their own, whatever their other cells are.  A value only
+    one member holds designates that member rather than describing the
+    group, and id never yields conditions for the same reason.
 
     A condition is supported when every member holds its value or has that
     cell unknown: no member has a conflicting value or an inapplicable
     cell, which would make the condition false on it.
     """
+    schema, side, tainted = group_side.om.schema, group_side.group.side, group_side.tainted
     conditions, holders, supported = [], [], []
     for attr in sorted(a.name for a in schema.for_side(side) if a.name != "id"):
-        index = ValueIndex(members, attr)
+        rows, others = group_side.index(attr).rows, ValueIndex(tainted, attr)
         multi = schema.kind(side, attr) is AttrKind.MULTI
-        for v in sorted(index.rows):
-            held = index.rows[v]
-            if len(held) < 2:
+        for v in sorted(rows.keys() | others.rows.keys()):
+            held = rows.get(v, [])
+            count = len(held) + len(others.rows.get(v, ()))
+            if count < 2:
                 continue
             op, val = ("contains", v) if multi else ("in", frozenset({v}))
             conditions.append(Feature.cond(side, AtomicCondition(attr, op, val)))
             holders.append(held)
-            supported.append(len(held) + index.missing == len(members))
+            supported.append(count + others.missing == len(group_side.group.members))
     return tuple(conditions), holders, np.array(supported, dtype=bool)
 
 
@@ -241,11 +242,13 @@ def _int_product(a, b) -> np.ndarray:
 class GroupSide:
     """One group's side of every triple it takes part in, built in two steps.
 
-    Construction keeps the group's rows, its untainted members in member
-    order, and each row's position: all that settling a triple and
-    `labels` read.  A member with an unknown cell is no row, since its
-    feature columns could not be evaluated definitely, but its known values
-    still feed the conditions.  `summarize` fills in the rest once.
+    Construction splits the members once, in member order, into `rows`,
+    the untainted members, and `tainted`, the few with an unknown cell,
+    whose feature columns could not be evaluated definitely, and keeps each
+    row's position: all that settling a triple and `labels` read.
+    `summarize` fills in the rest once.  `index(attr)` is the one index per
+    attribute, over the rows, that the conditions and the constraint joins
+    both read.
     """
 
     conditions = None  # condition features in canonical order, once summarized
@@ -253,7 +256,9 @@ class GroupSide:
     def __init__(self, om: ObjectModel, group):
         self.om, self.group = om, group
         table = om.side_objects(group.side)
-        self.rows = [m for m in map(table.__getitem__, group.members) if is_untainted(m)]
+        self.rows, self.tainted = [], []
+        for m in map(table.__getitem__, group.members):
+            (self.rows if is_untainted(m) else self.tainted).append(m)
         self.position = {m.id: j for j, m in enumerate(self.rows)}
         self._indexes = {}  # attribute -> ValueIndex over the rows
 
@@ -262,13 +267,10 @@ class GroupSide:
         and the rows' (rows, conditions) bool matrix A with its gram A'A,
         column sums and all-true columns; returns the side."""
         if self.conditions is None:
-            om, side = self.om, self.group.side
-            members = list(map(om.side_objects(side).__getitem__, self.group.members))
-            conditions, holders, self.supported = _conditions_for(om.schema, side, members)
-            A = np.zeros((len(members), len(conditions)), dtype=bool)
+            conditions, holders, self.supported = _conditions_for(self)
+            A = np.zeros((len(self.rows), len(conditions)), dtype=bool)
             for j, held in enumerate(holders):
                 A[held, j] = True
-            A = A[np.array([m.id in self.position for m in members], dtype=bool)]
             self.A, self.gram = A, _int_product(A.T, A)
             self.sums, self.all_true, self.conditions = A.sum(0), A.all(0), conditions
         return self
@@ -280,17 +282,12 @@ class GroupSide:
         return self._indexes[attr]
 
 
-def labels(users: GroupSide, resources: GroupSide, action, index: EntitlementIndex) -> np.ndarray:
+def labels(reach: dict, resources: GroupSide) -> np.ndarray:
     """Ascending flat positions u * len(resources.rows) + r of the row pairs
-    that hold the action, read through the resource rows' positions."""
+    that hold the action, read off the user group's reach map under it
+    (resource id -> positions of the user rows that hold it there)."""
     nr = len(resources.rows)
-    column = resources.position
-    granted = [
-        i * nr + column[rid]
-        for i, u in enumerate(users.rows)
-        for rid in index.resources(u.id, action)
-        if rid in column
-    ]
+    granted = [i * nr + r for rid, r in resources.position.items() for i in reach.get(rid, ())]
     return np.sort(np.array(granted, dtype=np.int64))
 
 

@@ -97,13 +97,14 @@ class TripleCache:
     its learning data, and its ranking, memoized.
 
     Holds the entitlement index that learning and lookup share, the
-    constraint features, which every triple shares, and one `GroupSide` per
-    group.  `ranked` settles a triple first: when no user row of it holds
-    the action on any of its resource rows, it is None and nothing else of
-    it is built.  That takes one disjointness test with the resources that
-    the user group's rows reach under the action, a set kept per (user
-    group, action), so a group that only settled triples touch is never
-    summarized.  Rankings use the default `FeatureConfig`.
+    constraint features, which every triple shares, one `GroupSide` per
+    group and one reach map per (user group, action): resource id -> the
+    positions of the group's rows that hold the action on it.  `ranked`
+    settles a triple first: when no user row of it holds the action on any
+    of its resource rows, it is None and nothing else of it is built.  That
+    takes one disjointness test of the reach map's keys with the resource
+    rows, so a group that only settled triples touch is never summarized;
+    `labels` reads the same map.  Rankings use the default `FeatureConfig`.
     """
 
     def __init__(self, om: ObjectModel, entitlements):
@@ -120,20 +121,21 @@ class TripleCache:
             self._sides[key] = GroupSide(self.om, group)
         return self._sides[key]
 
-    def _reached(self, gu: Group, action: str) -> set:
-        """Resource ids that some row of the user group holds action on."""
+    def reach(self, gu: Group, action: str) -> dict:
+        """Resource id -> positions of the user group's rows that hold
+        action on it, in ascending order; built on first use."""
         key = (gu.gid, action)
         if key not in self._reach:
-            resources = self.entitlements.resources
-            self._reach[key] = set().union(
-                *(resources(u.id, action) for u in self._side(gu).rows)
-            )
+            reach = self._reach[key] = {}
+            for i, u in enumerate(self._side(gu).rows):
+                for rid in self.entitlements.resources(u.id, action):
+                    reach.setdefault(rid, []).append(i)
         return self._reach[key]
 
     def learning_data(self, gu: Group, gr: Group, action: str) -> LearningData:
         """The triple's fit statistics over its untainted member pairs."""
         users, resources = self._side(gu), self._side(gr)
-        granted = labels(users, resources, action, self.entitlements)
+        granted = labels(self.reach(gu, action), resources)
         return build_learning_data(users, resources, self._constraints, granted)
 
     def ranked(self, gu: Group, gr: Group, action: str):
@@ -142,7 +144,7 @@ class TripleCache:
         key = (gu.gid, gr.gid, action)
         if key not in self._store:
             ranked = None
-            if not self._reached(gu, action).isdisjoint(self._side(gr).position):
+            if not self.reach(gu, action).keys().isdisjoint(self._side(gr).position):
                 ranked = rank_features(gu, gr, self.learning_data(gu, gr, action))
             self._store[key] = ranked
         return self._store[key]

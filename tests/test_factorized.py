@@ -186,7 +186,7 @@ def test_pruned_constraints_rank_as_all_constraints(template, scale, fraction):
     assert set(pruned) < set(every)
     dropped = np.array([f not in pruned for f in every])
     summaries = {}
-    index = EntitlementIndex(entitlements)
+    cache = TripleCache(om, entitlements)
     triples = _consulted_triples(om, clustering, entitlements)
     assert triples
     for gu, gr, action in triples:
@@ -194,7 +194,7 @@ def test_pruned_constraints_rank_as_all_constraints(template, scale, fraction):
             if (group.side, group.gid) not in summaries:
                 summaries[group.side, group.gid] = GroupSide(om, group).summarize()
         users, resources = summaries[gu.side, gu.gid], summaries[gr.side, gr.gid]
-        granted = labels(users, resources, action, index)
+        granted = labels(cache.reach(gu, action), resources)
         full = build_learning_data(users, resources, every, granted)
         assert_canonical(full)
         k = len(every)
@@ -256,7 +256,7 @@ def test_build_learning_data_allocates_no_pair_sized_array():
         "project", 60, 0.06, ClusteringConfig(threshold=0.1)
     )
     constraints = constraint_features(om)
-    index = EntitlementIndex(entitlements)
+    cache = TripleCache(om, entitlements)
     summaries = {}
 
     def summary(group):
@@ -269,7 +269,7 @@ def test_build_learning_data_allocates_no_pair_sized_array():
     assert triples
     for gu, gr, action in triples:
         users, resources = summary(gu), summary(gr)
-        granted = labels(users, resources, action, index)
+        granted = labels(cache.reach(gu, action), resources)
         tracemalloc.start()
         try:
             data = build_learning_data(users, resources, constraints, granted)
@@ -359,6 +359,31 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
         assert [rf.feature for rf in got] == [rf.feature for rf in want]
         assert [rf.coefficient for rf in got] == [rf.coefficient for rf in want]
         assert [rf.characterizing for rf in got] == [rf.characterizing for rf in want]
+
+
+def test_triple_cache_reads_each_user_rows_resources_once(monkeypatch):
+    """Settling a triple and listing its granted pairs both read the user
+    group's reach map under the action, so a cache that ranks every triple
+    a draw consults asks the entitlement index for a user row's resources
+    under an action at most once.  The CLI's default threshold, 0.25,
+    leaves some triples settled with no granted pair."""
+    om, clustering, entitlements = _consulted_setup(
+        "university", 8, 0.30, ClusteringConfig(threshold=0.25)
+    )
+    triples = _consulted_triples(om, clustering, entitlements)
+    asked = Counter()
+    resources = EntitlementIndex.resources
+
+    def counted(index, user, action):
+        asked[user, action] += 1
+        return resources(index, user, action)
+
+    monkeypatch.setattr(EntitlementIndex, "resources", counted)
+    cache = TripleCache(om, entitlements)
+    ranked = [cache.ranked(gu, gr, action) for gu, gr, action in triples]
+    monkeypatch.undo()
+    assert any(r is not None for r in ranked) and any(r is None for r in ranked)
+    assert asked and max(asked.values()) == 1, asked.most_common(3)
 
 
 # --- the constraint join, one operator at a time ---

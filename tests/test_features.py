@@ -155,13 +155,26 @@ def test_a_member_with_another_unknown_cell_is_a_holder():
     # u1 is left out of the rows by its unknown tags, but its known dept
     # still makes it cs's second holder, as it would back the condition
     # when ranking checks that two members support it
-    om = _holder_model(
-        [{"dept": "cs", "tags": frozenset({"x"})}, {"dept": "cs", "tags": MISSING}], []
-    )
+    cells = [{"dept": "cs", "tags": frozenset({"x"})}, {"dept": "cs", "tags": MISSING}]
+    om = _holder_model(cells, [])
     assert not is_untainted(om.users["u1"])
     assert "user.dept in {cs}" in _rendered(om)
+    # the row u0 is its one holder among the rows: a single True in its
+    # column, and supported while every member holds cs
+    assert _dept_cs_column(om) == ([True], True)
+    # a third member with another value leaves cs two holders, unsupported
+    three = _holder_model(cells + [{"dept": "ee", "tags": frozenset({"x"})}], [])
+    assert _dept_cs_column(three) == ([True, False], False)
     om.users["u1"].attrs["dept"] = MISSING
     assert "user.dept in {cs}" not in _rendered(om)
+
+
+def _dept_cs_column(om):
+    """The rows' column of user.dept in {cs} over all users, and whether
+    it is supported."""
+    side = GroupSide(om, Group(1, Side.USER, tuple(om.users))).summarize()
+    j = [f.render() for f in side.conditions].index("user.dept in {cs}")
+    return side.A[:, j].tolist(), bool(side.supported[j])
 
 
 def test_supseteq_against_an_empty_resource_set_stays_a_candidate():

@@ -2,7 +2,8 @@
 slower walks in oracles.py they replaced: constraint candidates, unknown
 cells, untainted objects and a constraint's counterpart values.  Also the
 cell layout of new objects as the schema grows, and that one prediction
-builds no value index over a whole side."""
+builds no value index over a whole side and puts no object in two value
+indexes of one attribute."""
 
 import random
 from collections import Counter
@@ -158,7 +159,7 @@ def test_one_prediction_builds_no_value_index_over_a_whole_side():
 
     class Recording(real):
         def __init__(self, objs, attr):
-            built.append(frozenset((o.side, o.id) for o in objs))
+            built.append((attr, frozenset((o.side, o.id) for o in objs)))
             super().__init__(objs, attr)
 
     with mock.patch.object(features_module, "ValueIndex", Recording):
@@ -168,4 +169,12 @@ def test_one_prediction_builds_no_value_index_over_a_whole_side():
     for side, table in ((Side.USER, om.users), (Side.RESOURCE, om.resources)):
         whole = frozenset((side, oid) for oid in table)
         assert all(len(g.members) < len(table) for g in clustering.side_groups(side))
-        assert whole not in built
+        assert whole not in {objs for _, objs in built}
+    # a group's rows are indexed once per attribute, for its conditions and
+    # its joins alike, and its members with an unknown cell in an index of
+    # their own: no object is in two indexes of one attribute
+    indexed = Counter((attr, obj) for attr, objs in built for obj in objs)
+    assert indexed and max(indexed.values()) == 1, indexed.most_common(3)
+    tainted = {(o.side, o.id) for t in (om.users, om.resources) for o in t.values()
+               if not is_untainted(o)}
+    assert tainted & {obj for _, obj in indexed}
