@@ -2,13 +2,20 @@
 
     python scripts/perf_pairs.py PARENT_REF --workload fill-dense --pairs 10
 
-Checks PARENT_REF out into a temporary `git worktree`, then runs
-`perfbench/run.py --trace 0` once in that worktree and once in the working
-tree per pair, alternating which side runs first.  Pair i uses perfbench
-seed `--seed` + i on both sides, so both sides see the same inputs.  Each
-side runs the benchmark code of its own tree; `perfbench/` of the working
-tree is read, never written, apart from the git-ignored results directory
-that `run.py` itself writes.
+Exports PARENT_REF's files (`git archive`) into a temporary directory,
+then runs `perfbench/run.py --trace 0` once in that copy and once in the
+working tree per pair, alternating which side runs first.  Pair i uses
+perfbench seed `--seed` + i on both sides, so both sides see the same
+inputs.  Each side runs the benchmark code of its own tree; `perfbench/`
+of the working tree is read, never written, apart from the git-ignored
+results directory that `run.py` itself writes.
+
+Every run starts from no bytecode: it gets a new empty directory as
+PYTHONPYCACHEPREFIX, and PYTHONDONTWRITEBYTECODE is removed from its
+environment, so that its first set-up compiles and writes the bytecode its
+later set-ups read, on both sides alike.  Otherwise `setup_s` would compare
+a working tree that may hold `__pycache__` directories with a fresh copy
+that holds none.
 
 Prints one line per pair, then for every end-to-end metric that
 BENCHMARK.json lists: each side's median and quartiles, and how many pairs
@@ -16,8 +23,9 @@ the change wins (ties count for neither side).  A gain holds when the
 change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's quartile spread.  It also says whether both sides
 wrote the same output digests in every pair.  The last line of standard
-output is one JSON object with every pair.  The worktree is removed on
-exit, also after an error or an interrupt.
+output is one JSON object with every pair.  The parent's copy and the
+bytecode directories are removed on exit, also after an error or an
+interrupt.
 """
 
 from __future__ import annotations
@@ -53,11 +61,26 @@ def git(*args, cwd=ROOT) -> str:
                           text=True).stdout.strip()
 
 
-def run_bench(tree, args, seed) -> dict:
-    """One perfbench run in a tree: its metric values, correctness and digests."""
+def bench_env(pycache: str) -> dict:
+    """The environment of one perfbench run: this process's, with bytecode
+    written to and read from pycache, and PYTHONDONTWRITEBYTECODE unset."""
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = pycache
+    return env
+
+
+def run_bench(tree, args, seed, scratch) -> dict:
+    """One perfbench run in a tree, with a new empty bytecode directory
+    under scratch: its metric values, correctness and digests."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
            "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    pycache = tempfile.mkdtemp(prefix="pycache-", dir=scratch)
+    try:
+        proc = subprocess.run(cmd, cwd=tree, env=bench_env(pycache), capture_output=True,
+                              text=True)
+    finally:
+        shutil.rmtree(pycache, ignore_errors=True)
     if proc.returncode != 0:
         raise SystemExit(f"perf_pairs: perfbench failed in {tree}: {proc.stderr.strip()[-800:]}")
     last = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -111,21 +134,25 @@ def main(argv=None) -> int:
     except subprocess.CalledProcessError:
         raise SystemExit(f"perf_pairs: not a commit: {args.parent}") from None
     scratch = tempfile.mkdtemp(prefix="perf-pairs-")
-    worktree = os.path.join(scratch, "parent")
+    parent = os.path.join(scratch, "parent")
     # an interrupt or a kill ends the run through the finally below
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     try:
-        git("worktree", "add", "--detach", worktree, parent_sha)
-        sides = {"parent": worktree, "change": ROOT}
+        os.mkdir(parent)
+        archive = subprocess.run(["git", "archive", "--format=tar", parent_sha], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
+        sides = {"parent": parent, "change": ROOT}
         pairs = []
         print(f"workload {args.workload}, parent {parent_sha[:12]}, {args.pairs} pairs of "
-              f"{args.seconds:g} s runs, seeds {args.seed}..{args.seed + args.pairs - 1}")
+              f"{args.seconds:g} s runs, seeds {args.seed}..{args.seed + args.pairs - 1}, "
+              "each run with a new empty PYTHONPYCACHEPREFIX and bytecode writing on")
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_bench(sides[side], args, seed)
+                pair[side] = run_bench(sides[side], args, seed, scratch)
             pair["same_digests"] = pair["parent"]["digests"] == pair["change"]["digests"]
             pairs.append(pair)
             p, c = pair["parent"]["metrics"], pair["change"]["metrics"]
@@ -149,10 +176,7 @@ def main(argv=None) -> int:
                           "summary": summary, "same_digests": same}))
         return 0
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", worktree], cwd=ROOT,
-                       capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
 
 
 if __name__ == "__main__":

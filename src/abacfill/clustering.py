@@ -124,10 +124,12 @@ def object_similarity(o1: Obj, o2: Obj, config: ClusteringConfig) -> float:
 
 
 def partition_by_signature(objects) -> list:
-    """Buckets of objects sharing an active-attribute set, in input order."""
+    """Buckets of objects sharing an active-attribute set, in input order;
+    each set is `active_attributes` of the object, made inline."""
     buckets = {}
     for obj in objects:
-        buckets.setdefault(active_attributes(obj), []).append(obj)
+        buckets.setdefault(frozenset({n for n, v in obj.attrs.items() if v is not NULL}),
+                           []).append(obj)
     return list(buckets.values())
 
 

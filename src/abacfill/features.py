@@ -269,8 +269,8 @@ class GroupSide:
         if self.conditions is None:
             conditions, holders, self.supported = _conditions_for(self)
             A = np.zeros((len(self.rows), len(conditions)), dtype=bool)
-            for j, held in enumerate(holders):
-                A[held, j] = True
+            A[[i for held in holders for i in held],
+              np.repeat(np.arange(len(holders)), [len(held) for held in holders])] = True
             self.A, self.gram = A, _int_product(A.T, A)
             self.sums, self.all_true, self.conditions = A.sum(0), A.all(0), conditions
         return self
@@ -429,6 +429,7 @@ def rank_features(user_group, res_group, data: LearningData, config: FeatureConf
             f"no granted pairs between groups {user_group.gid} and {res_group.gid}"
         )
     _, coefs = fit_least_squares(data.row_count, data.sums, data.gram, data.xty, data.positives)
+    coefs = coefs.tolist()  # the same doubles, read without a numpy scalar each
 
     characterizing = set(np.flatnonzero(data.all_true & data.supported).tolist())
 
@@ -472,6 +473,6 @@ def rank_features(user_group, res_group, data: LearningData, config: FeatureConf
     tier_b += sorted(tie, key=within_tie)
 
     return tuple(
-        RankedFeature(data.features[j], float(coefs[j]), j in characterizing)
+        RankedFeature(data.features[j], coefs[j], j in characterizing)
         for j in tier_a + tier_b
     )

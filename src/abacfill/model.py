@@ -12,8 +12,8 @@ strings; either may instead hold one of the two sentinels above.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple, Union
 
 
@@ -166,36 +166,44 @@ class Entitlement(NamedTuple):
     action: str
 
 
+_NO_IDS, _NO_LINKS = frozenset(), MappingProxyType({})
+
+
 class EntitlementIndex:
-    """Entitlements by object: the resources of a (user, action), the users
-    of a (resource, action), and each object's own entitlements."""
+    """Entitlements as one adjacency per side: object id -> action -> the
+    set of counterpart ids.  Built from any (user, resource, action)
+    triples, Entitlements or a loader's checked rows alike; a repeated
+    triple is kept once.  Iterating yields each entitlement once, in no
+    order."""
 
     def __init__(self, entitlements):
-        # each key's set is made once, by its first entitlement; the
-        # readers use get, so a key nobody added never appears
-        self._resources = defaultdict(set)  # (user, action) -> set of resource ids
-        self._users = defaultdict(set)  # (resource, action) -> set of user ids
+        self._resources = {}  # user id -> action -> set of resource ids
+        self._users = {}  # resource id -> action -> set of user ids
         for user, resource, action in entitlements:
-            self._resources[user, action].add(resource)
-            self._users[resource, action].add(user)
-        self._actions = sorted({action for _, action in self._resources})
+            self._resources.setdefault(user, {}).setdefault(action, set()).add(resource)
+            self._users.setdefault(resource, {}).setdefault(action, set()).add(user)
 
     @classmethod
     def of(cls, entitlements) -> "EntitlementIndex":
         """The index itself, or a new index over a collection of Entitlements."""
         return entitlements if isinstance(entitlements, cls) else cls(entitlements)
 
+    def __iter__(self):
+        for user, by_action in self._resources.items():
+            for action, resources in by_action.items():
+                for resource in resources:
+                    yield Entitlement(user, resource, action)
+
     def resources(self, user: str, action: str):
-        return self._resources.get((user, action), frozenset())
+        return self._resources.get(user, _NO_LINKS).get(action, _NO_IDS)
 
     def users(self, resource: str, action: str):
-        return self._users.get((resource, action), frozenset())
+        return self._users.get(resource, _NO_LINKS).get(action, _NO_IDS)
 
-    def own(self, side: Side, oid: str) -> list:
-        """The object's entitlements, by action, in no order within one."""
-        if side is Side.USER:
-            return [Entitlement(oid, r, a) for a in self._actions for r in self.resources(oid, a)]
-        return [Entitlement(u, oid, a) for a in self._actions for u in self.users(oid, a)]
+    def linked(self, side: Side, oid: str):
+        """action -> the ids the object of the side is entitled with under
+        it, for each action it has any: the index's own map, to be read only."""
+        return (self._resources if side is Side.USER else self._users).get(oid, _NO_LINKS)
 
 
 class AtomicCondition(NamedTuple):

@@ -11,7 +11,8 @@ second walk over its cells.  A plain string for a single-valued attribute
 and a null are stored after one test; every other cell is parsed.
 Entitlement rows are checked as sets: their lengths, and their users,
 resources and actions against the model's.  Only a file that fails is
-walked row by row, to name its first bad line.
+walked row by row, to name its first bad line; the rows of one that passes
+go straight into an `EntitlementIndex`.
 
 A file that cannot be read, is not UTF-8 text or is not valid JSON, nested
 too deeply included, and a path that cannot be written raise InputError
@@ -25,7 +26,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .model import (
@@ -35,7 +35,7 @@ from .model import (
     AtomicConstraint,
     AttrKind,
     AttrSchema,
-    Entitlement,
+    EntitlementIndex,
     InputError,
     ObjectModel,
     Policy,
@@ -423,9 +423,11 @@ def save_entitlements(ents, path: str) -> None:
     write_text(path, entitlements_to_csv(ents), newline="")
 
 
-def load_entitlements(path: str, model: ObjectModel):
-    """Entitlement rows of a CSV file; every row must name one of the
-    model's users, resources and actions."""
+def load_entitlements(path: str, model: ObjectModel) -> EntitlementIndex:
+    """The entitlements of a CSV file, indexed: every row must name one of
+    the model's users, resources and actions.  The checked rows go straight
+    into the `EntitlementIndex`; blank lines are skipped and a repeated row
+    is kept once."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -443,8 +445,7 @@ def load_entitlements(path: str, model: ObjectModel):
         names >= set(column) for names, column in zip(known, zip(*body))
     )):
         _first_bad_row(path, rows, known)
-    # Entitlement._make without its length test, which the check above made
-    return set(map(tuple.__new__, repeat(Entitlement), body))
+    return EntitlementIndex(body)
 
 
 def _first_bad_row(path: str, rows: list, known: tuple) -> None:

@@ -154,13 +154,21 @@ def relevant_group_triples(
     clustering: Clustering, entitlements: EntitlementIndex, side: Side, oid: str
 ):
     """Distinct (user group, resource group, action) triples from the
-    object's own entitlements, in a stable order."""
-    triples = {}
-    for e in entitlements.own(side, oid):
-        gu = clustering.group_of(Side.USER, e.user)
-        gr = clustering.group_of(Side.RESOURCE, e.resource)
-        triples[(gu.gid, gr.gid, e.action)] = (gu, gr, e.action)
-    return [triples[k] for k in sorted(triples)]
+    object's own entitlements, ordered by user gid, resource gid, action.
+
+    The object's group is one side of every triple, so the triples are its
+    counterparts' groups per action, read off the index's adjacency of the
+    object: one group lookup per counterpart."""
+    own, other = clustering.users, clustering.resources
+    if side is Side.RESOURCE:
+        own, other = other, own
+    counterparts = {}  # (counterpart gid, action) -> counterpart group
+    for action, ids in entitlements.linked(side, oid).items():
+        for g in map(other.__getitem__, ids):
+            counterparts[g.gid, action] = g
+    group = own[oid]
+    return [(group, g, action) if side is Side.USER else (g, group, action)
+            for (_, action), g in sorted(counterparts.items())]
 
 
 def _gather_constraint_values(om, clustering, entitlements, side, oid, gu, gr, action, constraint):

@@ -13,8 +13,9 @@ kind-compatible attribute pair, the candidates learning had before it left
 out the constraints that can hold on no pair.  The walk references are the
 slower readers that a predict pass replaced with one pass each: constraint
 candidates from a positional value index over each whole side, unknown
-cells from a filter over every cell, and a constraint's counterpart values
-from a walk over every member of the counterpart group.
+cells from a filter over every cell, a constraint's counterpart values
+from a walk over every member of the counterpart group, and an object's
+relevant triples from a scan of every entitlement for its own.
 """
 
 from __future__ import annotations
@@ -552,3 +553,16 @@ def member_walk_constraint_values(om, entitlements, side, oid, gu, gr, action, c
         else:
             values.append(v)
     return values
+
+
+def scanned_group_triples(clustering, entitlements, side, oid) -> list:
+    """Distinct (user group, resource group, action) triples of the
+    object's own entitlements, found by scanning every Entitlement for
+    those that name it on its side and looking up both groups of each."""
+    own = [e for e in entitlements if (e.user if side is Side.USER else e.resource) == oid]
+    triples = {}
+    for e in own:
+        gu = clustering.group_of(Side.USER, e.user)
+        gr = clustering.group_of(Side.RESOURCE, e.resource)
+        triples[(gu.gid, gr.gid, e.action)] = (gu, gr, e.action)
+    return [triples[k] for k in sorted(triples)]

@@ -13,6 +13,7 @@ from abacfill.clustering import (
 )
 from abacfill.model import (
     MISSING,
+    NULL,
     AttrKind,
     AttrSchema,
     ConfigError,
@@ -61,6 +62,33 @@ def test_signature_partition_separates_applicability(campus_policy):
     buckets = partition_by_signature(om.users.values())
     ids = [sorted(o.id for o in b) for b in buckets]
     assert ids == [["csFac1", "csFac2", "eeFac1", "eeFac2"], ["csStu1", "eeStu1"]]
+
+
+def _partition_by_active_attributes(objects) -> list:
+    buckets = {}
+    for obj in objects:
+        buckets.setdefault(active_attributes(obj), []).append(obj)
+    return list(buckets.values())
+
+
+def test_signature_buckets_equal_the_active_attribute_partition(campus_policy):
+    """Buckets, their order and their members' order are those of keying
+    each object by active_attributes, also for hand-built objects whose
+    cells leave out some declared attributes or list them in another order."""
+    objects = list(campus_policy.model.users.values()) + [
+        Obj("h1", Side.USER, {"id": "h1", "position": "faculty"}),
+        Obj("h2", Side.USER, {"position": "staff", "id": "h2"}),
+        Obj("h3", Side.USER, {"id": "h3", "department": MISSING}),
+        Obj("h4", Side.USER, {"id": "h4", "position": NULL, "department": MISSING}),
+        Obj("h5", Side.USER, {"id": "h5"}),
+        Obj("h6", Side.USER, {"id": "h6", "coursesTaken": frozenset()}),
+    ]
+    for order in (objects, objects[::-1]):
+        got = partition_by_signature(order)
+        assert [[o.id for o in b] for b in got] == [
+            [o.id for o in b] for b in _partition_by_active_attributes(order)
+        ]
+    assert [o.id for o in partition_by_signature(objects)[-4]] == ["h1", "h2"]
 
 
 def test_campus_clustering_structure(campus_policy):

@@ -123,7 +123,7 @@ def test_rule_meaning_on_incomplete_campus(campus_policy):
 
 def test_rule_meaning_on_completed_campus(campus_complete, campus_entitlements):
     granted, unknown_pairs = policy_meaning(campus_complete)
-    assert granted == campus_entitlements
+    assert granted == set(campus_entitlements)
     assert unknown_pairs == 0
 
 

@@ -28,6 +28,7 @@ from oracles import (
     exact_ridge_fit,
     extent_supports,
     random_small_policy,
+    scanned_group_triples,
     with_cross_side_values,
 )
 
@@ -163,6 +164,22 @@ def _consulted_triples(om, clustering, entitlements) -> list:
         for gu, gr, action in relevant_group_triples(clustering, index, side, oid):
             triples[(gu.gid, gr.gid, action)] = (gu, gr, action)
     return [triples[key] for key in sorted(triples)]
+
+
+@pytest.mark.parametrize("fraction", [0.06, 0.30])
+@pytest.mark.parametrize("template,scale", CONSULTED)
+def test_relevant_triples_match_the_entitlement_scan(template, scale, fraction):
+    """Every object's relevant triples, read off the index's adjacency, are
+    those a scan of every entitlement for the object's own finds."""
+    om, clustering, entitlements = _consulted_setup(template, scale, fraction)
+    index = EntitlementIndex(entitlements)
+    found = 0
+    for side in Side:
+        for oid in om.side_objects(side):
+            got = relevant_group_triples(clustering, index, side, oid)
+            assert got == scanned_group_triples(clustering, entitlements, side, oid)
+            found += len(got)
+    assert found
 
 
 @pytest.mark.parametrize("fraction", [0.06, 0.30])

@@ -1,6 +1,6 @@
 import pytest
 
-from abacfill.model import MISSING, NULL, Entitlement, InputError
+from abacfill.model import MISSING, NULL, Entitlement, EntitlementIndex, InputError, Side
 from abacfill.policy_io import (
     entitlements_to_csv,
     load_entitlements,
@@ -152,7 +152,7 @@ def test_entitlement_csv_round_trip(tmp_path, campus_policy):
     ents = {Entitlement("csFac1", "cs101gb", "modify"), Entitlement("csStu1", "csStu1trans", "modify")}
     path = tmp_path / "e.csv"
     save_entitlements(ents, str(path))
-    assert load_entitlements(str(path), campus_policy.model) == ents
+    assert set(load_entitlements(str(path), campus_policy.model)) == ents
 
 
 def test_entitlement_csv_header_required(tmp_path, campus_policy):
@@ -190,7 +190,32 @@ def test_entitlement_loader_skips_blank_lines(tmp_path, campus_policy):
     path = tmp_path / "e.csv"
     path.write_text("user,resource,action\n\ncsFac1,cs101gb,modify\n\n")
     loaded = load_entitlements(str(path), campus_policy.model)
-    assert loaded == {Entitlement("csFac1", "cs101gb", "modify")}
+    assert set(loaded) == {Entitlement("csFac1", "cs101gb", "modify")}
     assert all(type(e) is Entitlement for e in loaded)
     path.write_text("user,resource,action\n\n")
-    assert load_entitlements(str(path), campus_policy.model) == set()
+    assert set(load_entitlements(str(path), campus_policy.model)) == set()
+
+
+@pytest.mark.parametrize("body", [
+    "csFac1,cs101gb,modify\ncsFac2,cs601gb,modify\ncsFac1,cs101gb,modify\n",
+    "\ncsFac1,cs101gb,modify\n\n\neeFac1,ee101gb,modify\ncsStu1,csStu1trans,modify\n\n",
+    "csFac1,cs101gb,modify\ncsFac1,cs601gb,modify\ncsFac2,cs101gb,modify\ncsFac1,cs101gb,modify\n",
+    "",
+])
+def test_loaded_index_equals_the_index_of_the_rows(tmp_path, campus_policy, body):
+    """The loader indexes its checked rows as EntitlementIndex indexes the
+    set of their Entitlements: a repeated row is kept once, blank lines
+    and a header-only file add nothing."""
+    path = tmp_path / "e.csv"
+    path.write_text("user,resource,action\n" + body)
+    om = campus_policy.model
+    loaded = load_entitlements(str(path), om)
+    rows = {Entitlement(*line.split(",")) for line in body.splitlines() if line}
+    want = EntitlementIndex(rows)
+    assert len(list(loaded)) == len(rows) and set(loaded) == rows
+    for side in Side:
+        for oid in om.side_objects(side):
+            assert loaded.linked(side, oid) == want.linked(side, oid)
+            for action in om.actions:
+                assert loaded.resources(oid, action) == want.resources(oid, action)
+                assert loaded.users(oid, action) == want.users(oid, action)

@@ -221,13 +221,18 @@ def test_entitlement_index_matches_a_scan():
         for oid in users + resources + ["nobody"]:
             as_user = sorted(e for e in ents if e.user == oid)
             as_resource = sorted(e for e in ents if e.resource == oid)
-            assert sorted(index.own(Side.USER, oid)) == as_user
-            assert sorted(index.own(Side.RESOURCE, oid)) == as_resource
+            linked_u, linked_r = index.linked(Side.USER, oid), index.linked(Side.RESOURCE, oid)
+            assert sorted(Entitlement(oid, r, a) for a, rs in linked_u.items() for r in rs) == as_user
+            assert sorted(Entitlement(u, oid, a) for a, us in linked_r.items() for u in us) == as_resource
+            assert all(linked_u.values()) and all(linked_r.values())
             shared_id_split += bool(as_user and as_resource and as_user != as_resource)
             for a in actions:
                 assert index.resources(oid, a) == {e.resource for e in as_user if e.action == a}
                 assert index.users(oid, a) == {e.user for e in as_resource if e.action == a}
         assert EntitlementIndex.of(index) is index
+        listed = list(index)
+        assert len(listed) == len(ents) and set(listed) == ents
+        assert all(type(e) is Entitlement for e in listed)
     assert shared_id_split > 0
 
 

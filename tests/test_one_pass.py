@@ -1,9 +1,9 @@
 """The readers of a predict pass that walk the model once, against the
 slower walks in oracles.py they replaced: constraint candidates, unknown
-cells, untainted objects and a constraint's counterpart values.  Also the
-cell layout of new objects as the schema grows, and that one prediction
-builds no value index over a whole side and puts no object in two value
-indexes of one attribute."""
+cells, untainted objects, a constraint's counterpart values and an
+object's relevant triples.  Also the cell layout of new objects as the
+schema grows, and that one prediction builds no value index over a whole
+side and puts no object in two value indexes of one attribute."""
 
 import random
 from collections import Counter
@@ -15,6 +15,7 @@ from oracles import (
     all_constraint_features,
     member_walk_constraint_values,
     random_small_policy,
+    scanned_group_triples,
     scanned_missing_cells,
     value_index_constraint_features,
     with_cross_side_values,
@@ -146,6 +147,27 @@ def test_gathered_values_match_the_member_walk(max_side):
                         assert got == member_walk_constraint_values(om, index, *args)
                         seen["values"] += len(got)
     assert seen["values"] and seen["linked outside the group"]
+
+
+@pytest.mark.parametrize("max_side", [4, 8])
+def test_relevant_triples_match_the_entitlement_scan(max_side):
+    """An object's relevant triples, read off the index's adjacency, are
+    those a scan of every entitlement for the object's own finds, also
+    where a user and a resource share an id."""
+    rng = random.Random(300 + max_side)
+    seen = Counter()
+    for om in _random_models(300 + max_side, 60, max_side):
+        pairs = [(u, r, a) for u in om.users for r in om.resources for a in om.actions]
+        ents = {Entitlement(*e) for e in rng.sample(pairs, rng.randint(0, len(pairs)))}
+        index = EntitlementIndex(ents)
+        clustering = cluster_objects(om, ClusteringConfig(threshold=rng.choice([0.1, 0.5, 0.9])))
+        for side in Side:
+            for oid in om.side_objects(side):
+                got = relevant_group_triples(clustering, index, side, oid)
+                assert got == scanned_group_triples(clustering, ents, side, oid)
+                seen["triples"] += len(got)
+                seen["shared id"] += bool(got) and oid in om.users and oid in om.resources
+    assert seen["triples"] and seen["shared id"]
 
 
 def test_one_prediction_builds_no_value_index_over_a_whole_side():
