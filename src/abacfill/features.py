@@ -434,20 +434,16 @@ def rank_features(user_group, res_group, data: LearningData, config: FeatureConf
     characterizing = set(np.flatnonzero(data.all_true & data.supported).tolist())
 
     # a characterizing constraint carries the cross-side link; one-sided
-    # constants on the same attributes add nothing next to it
-    subsumed = set()
-    for j in characterizing:
-        f = data.features[j]
-        if not f.is_constraint:
-            continue
-        for k in characterizing:
-            g = data.features[k]
-            if g.is_constraint:
-                continue
-            attr = f.constraint.user_attr if g.side is Side.USER else f.constraint.res_attr
-            if g.condition.attr == attr:
-                subsumed.add(k)
-    characterizing -= subsumed
+    # constants on the (side, attribute) pairs it links add nothing next to it
+    linked = set()
+    for c in (data.features[j].constraint for j in characterizing):
+        if c is not None:
+            linked.update(((Side.USER, c.user_attr), (Side.RESOURCE, c.res_attr)))
+    characterizing = {
+        j for j in characterizing
+        if data.features[j].is_constraint
+        or (data.features[j].side, data.features[j].condition.attr) not in linked
+    }
 
     tier_a = sorted(characterizing)
     rest = [

@@ -2,16 +2,19 @@
 
 For an object with an unknown cell, every entitlement it participates in
 names a counterpart; the pair of groups plus the action forms a relevant
-triple.  Each triple's ranked features are consulted top-down within the
-confidence gates: a feature ranked within the first gate contributes
-candidates at high confidence, within the second gate at medium, and
-anything past the second gate is ignored.  Only features that mention the
-unknown attribute on the object's own side can contribute:
+triple.  One walk of the object's adjacency in the entitlement index gives
+every relevant triple with its counterparts, the ids the object is entitled
+with under the action that fall in the triple's other group.  Each triple's
+ranked features are consulted top-down within the confidence gates: a
+feature ranked within the first gate contributes candidates at high
+confidence, within the second gate at medium, and anything past the second
+gate is ignored.  Only features that mention the unknown attribute on the
+object's own side can contribute:
 
 * a condition supplies its own tested value,
-* a constraint supplies the linked attribute's values from counterpart
-  members actually entitled with the object under the triple's action;
-  unknown and inapplicable counterpart cells supply nothing.
+* a constraint supplies the linked attribute's values, read straight off
+  the triple's counterparts; unknown and inapplicable counterpart cells
+  supply nothing.
 
 Candidates keep the best confidence they reach anywhere.  A single-valued
 cell takes the best-supported candidate (ties: better rank, then smaller
@@ -153,54 +156,39 @@ class TripleCache:
 def relevant_group_triples(
     clustering: Clustering, entitlements: EntitlementIndex, side: Side, oid: str
 ):
-    """Distinct (user group, resource group, action) triples from the
-    object's own entitlements, ordered by user gid, resource gid, action.
+    """Distinct (user group, resource group, action, counterparts) triples
+    from the object's own entitlements, ordered by user gid, resource gid,
+    action.
 
     The object's group is one side of every triple, so the triples are its
     counterparts' groups per action, read off the index's adjacency of the
-    object: one group lookup per counterpart."""
+    object: one group lookup per counterpart.  A triple's counterparts are
+    the ids that the object is entitled with under the action and that
+    fall in the triple's other group, in ascending order: the walk takes
+    each action's ids in that order."""
     own, other = clustering.users, clustering.resources
     if side is Side.RESOURCE:
         own, other = other, own
-    counterparts = {}  # (counterpart gid, action) -> counterpart group
+    found = {}  # (counterpart gid, action) -> (counterpart group, its ids)
     for action, ids in entitlements.linked(side, oid).items():
-        for g in map(other.__getitem__, ids):
-            counterparts[g.gid, action] = g
+        for cid in sorted(ids):
+            g = other[cid]
+            found.setdefault((g.gid, action), (g, []))[1].append(cid)
     group = own[oid]
-    return [(group, g, action) if side is Side.USER else (g, group, action)
-            for (_, action), g in sorted(counterparts.items())]
+    return [(group, g, action, ids) if side is Side.USER else (g, group, action, ids)
+            for (_, action), (g, ids) in sorted(found.items())]
 
 
-def _gather_constraint_values(om, clustering, entitlements, side, oid, gu, gr, action, constraint):
-    """Counterpart values linked to our unknown cell by the constraint.
-
-    Counterparts are the other group's members entitled with our object
-    under the triple's action: the object's entitled ids, walked in id
-    order, that the clustering puts in that group.  Multi-valued
-    counterpart cells contribute every element, single-valued ones their
-    value.  Cost: sorting the object's entitled ids under the action,
-    whatever the size of the group.
-    """
-    if side is Side.USER:
-        linked = entitlements.resources(oid, action)
-        group, groups = gr, clustering.resources
-        table, other_attr = om.resources, constraint.res_attr
-    else:
-        linked = entitlements.users(oid, action)
-        group, groups = gu, clustering.users
-        table, other_attr = om.users, constraint.user_attr
-    values = []
-    for cid in sorted(linked):
-        if groups.get(cid) is not group:
-            continue
-        v = table[cid].value(other_attr)
-        if v is NULL or v is MISSING:
-            continue
+def counterpart_values(table, attr, ids):
+    """The values of attr over the objects `ids` of table: every element of
+    a set cell and the value of a single cell; NULL and MISSING cells
+    supply nothing."""
+    for cid in ids:
+        v = table[cid].value(attr)
         if isinstance(v, frozenset):
-            values.extend(v)
-        else:
-            values.append(v)
-    return values
+            yield from v
+        elif v is not NULL and v is not MISSING:
+            yield v
 
 
 def rank_confidence(rank: int, config: PredictionConfig):
@@ -228,24 +216,25 @@ def predict_cell(
     if obj.value(attr) is not MISSING:
         raise ConfigError(f"cell {oid}.{attr} is not unknown")
 
-    triples = []
-    for gu, gr, action in relevant_group_triples(clustering, cache.entitlements, side, oid):
+    triples = []  # (counterparts, ranking) of each usable triple
+    for gu, gr, action, ids in relevant_group_triples(clustering, cache.entitlements, side, oid):
         ranked = cache.ranked(gu, gr, action)
         if ranked is not None:
-            triples.append((gu, gr, action, ranked))
+            triples.append((ids, ranked))
 
     # when any ranked constraint ties this attribute to the other side, the
     # cell is relationally determined; group-level conditions on the same
     # attribute are then circumstantial and must not compete anywhere
     relational = any(
         rf.feature.is_constraint and rf.feature.mentions(side, attr)
-        for _, _, _, ranked in triples
+        for _, ranked in triples
         for rf in ranked
     )
 
+    table = om.resources if side is Side.USER else om.users
     best = {}  # candidate value -> (confidence, best rank)
     evidence = []
-    for gu, gr, action, ranked in triples:
+    for ids, ranked in triples:
         for i, rf in enumerate(ranked):
             rank = i + 1
             conf = rank_confidence(rank, config)
@@ -256,10 +245,9 @@ def predict_cell(
             if relational and not rf.feature.is_constraint:
                 continue
             if rf.feature.is_constraint:
-                values = _gather_constraint_values(
-                    om, clustering, cache.entitlements, side, oid, gu, gr, action,
-                    rf.feature.constraint,
-                )
+                c = rf.feature.constraint
+                there = c.res_attr if side is Side.USER else c.user_attr
+                values = list(counterpart_values(table, there, ids))
             else:
                 cond = rf.feature.condition
                 values = sorted(cond.val) if cond.op == "in" else [cond.val]

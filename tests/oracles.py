@@ -10,12 +10,15 @@ package's three-valued evaluator and candidate features, so that it checks
 only the factorization and the fit; a condition's support is the
 evaluator's verdict on every group member.  The full constraint list is every
 kind-compatible attribute pair, the candidates learning had before it left
-out the constraints that can hold on no pair.  The walk references are the
-slower readers that a predict pass replaced with one pass each: constraint
-candidates from a positional value index over each whole side, unknown
-cells from a filter over every cell, a constraint's counterpart values
-from a walk over every member of the counterpart group, and an object's
-relevant triples from a scan of every entitlement for its own.
+out the constraints that can hold on no pair.  The refutation oracle
+judges an answer by the generating rules alone: it writes the answer into
+the intact policy and compares the policy's meaning with the reference
+entitlements.  The walk references are the slower readers that a predict
+pass replaced with one pass each: constraint candidates from a positional
+value index over each whole side, unknown cells from a filter over every
+cell, a constraint's counterpart values from a walk over every member of
+the counterpart group, and an object's relevant triples, with their
+counterparts, from a scan of every entitlement for its own.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from unittest import mock
 import numpy as np
 
 from abacfill import features as features_module
-from abacfill.evaluate import Tri, ValueIndex, eval_atomic_condition, eval_atomic_constraint
+from abacfill.evaluate import (
+    Tri,
+    ValueIndex,
+    eval_atomic_condition,
+    eval_atomic_constraint,
+    policy_meaning,
+)
 from abacfill.features import (
     RIDGE,
     Feature,
@@ -45,6 +54,7 @@ from abacfill.model import (
     AbacError,
     AtomicConstraint,
     Entitlement,
+    Policy,
     Side,
 )
 
@@ -230,6 +240,26 @@ def with_cross_side_values(rng, doc) -> dict:
                 elif isinstance(v, list):
                     entry["attrs"][name] = sorted(set(v) | {rng.choice(names[other])})
     return doc
+
+
+def refuted(policy, entitlements, side, oid, attr, value) -> bool:
+    """Do the generating rules refute the answer `value` for cell oid.attr?
+
+    The answer is written into a copy of the intact policy's model, and the
+    policy's meaning is compared with its reference entitlements; a change
+    refutes it.  A set answer is checked element by element: each element
+    outside the truth is added to the truth on its own, and any one that
+    changes the meaning refutes the answer.  Elements the answer leaves
+    out are not checked."""
+    truth = policy.model.side_objects(side)[oid].value(attr)
+    fills = [truth | {e} for e in sorted(value - truth)] if isinstance(truth, frozenset) else [value]
+    reference = set(entitlements)
+    for fill in fills:
+        om = policy.model.copy()
+        om.side_objects(side)[oid].attrs[attr] = fill
+        if policy_meaning(Policy(om, policy.rules))[0] != reference:
+            return True
+    return False
 
 
 # --- pairwise clustering reference ---
@@ -556,13 +586,16 @@ def member_walk_constraint_values(om, entitlements, side, oid, gu, gr, action, c
 
 
 def scanned_group_triples(clustering, entitlements, side, oid) -> list:
-    """Distinct (user group, resource group, action) triples of the
-    object's own entitlements, found by scanning every Entitlement for
-    those that name it on its side and looking up both groups of each."""
+    """Distinct (user group, resource group, action, counterparts) triples
+    of the object's own entitlements, found by scanning every Entitlement
+    for those that name it on its side and looking up both groups of each;
+    a triple's counterparts are the other side's ids of its entitlements,
+    ascending."""
     own = [e for e in entitlements if (e.user if side is Side.USER else e.resource) == oid]
     triples = {}
     for e in own:
         gu = clustering.group_of(Side.USER, e.user)
         gr = clustering.group_of(Side.RESOURCE, e.resource)
-        triples[(gu.gid, gr.gid, e.action)] = (gu, gr, e.action)
-    return [triples[k] for k in sorted(triples)]
+        counterpart = e.resource if side is Side.USER else e.user
+        triples.setdefault((gu.gid, gr.gid, e.action), (gu, gr, e.action, set()))[3].add(counterpart)
+    return [(gu, gr, action, sorted(ids)) for gu, gr, action, ids in map(triples.get, sorted(triples))]

@@ -161,7 +161,7 @@ def _consulted_triples(om, clustering, entitlements) -> list:
     index = EntitlementIndex(entitlements)
     triples = {}
     for side, oid, _ in om.missing_cells():
-        for gu, gr, action in relevant_group_triples(clustering, index, side, oid):
+        for gu, gr, action, _ in relevant_group_triples(clustering, index, side, oid):
             triples[(gu.gid, gr.gid, action)] = (gu, gr, action)
     return [triples[key] for key in sorted(triples)]
 
@@ -169,8 +169,9 @@ def _consulted_triples(om, clustering, entitlements) -> list:
 @pytest.mark.parametrize("fraction", [0.06, 0.30])
 @pytest.mark.parametrize("template,scale", CONSULTED)
 def test_relevant_triples_match_the_entitlement_scan(template, scale, fraction):
-    """Every object's relevant triples, read off the index's adjacency, are
-    those a scan of every entitlement for the object's own finds."""
+    """Every object's relevant triples and their counterparts, read off the
+    index's adjacency, are those a scan of every entitlement for the
+    object's own finds."""
     om, clustering, entitlements = _consulted_setup(template, scale, fraction)
     index = EntitlementIndex(entitlements)
     found = 0

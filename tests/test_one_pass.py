@@ -38,7 +38,7 @@ from abacfill.model import (
     Side,
 )
 from abacfill.policy_io import policy_from_dict
-from abacfill.prediction import _gather_constraint_values, predict_missing, relevant_group_triples
+from abacfill.prediction import counterpart_values, predict_missing, relevant_group_triples
 
 
 def _random_models(seed, draws, max_side):
@@ -120,9 +120,9 @@ def test_new_keeps_schema_order_after_a_later_add():
 
 @pytest.mark.parametrize("max_side", [4, 8])
 def test_gathered_values_match_the_member_walk(max_side):
-    """Walking the object's entitled ids in order and testing membership
-    in the counterpart group finds the values that walking every member of
-    the group finds, in the same order."""
+    """Reading a constraint's linked attribute off a triple's counterparts
+    finds the values that walking every member of the counterpart group
+    finds, in the same order."""
     rng = random.Random(100 + max_side)
     seen = Counter()
     for om in _random_models(max_side, 60, max_side):
@@ -133,7 +133,7 @@ def test_gathered_values_match_the_member_walk(max_side):
         clustering = cluster_objects(om, ClusteringConfig(threshold=rng.choice([0.1, 0.5, 0.9])))
         for side in Side:
             for oid in om.side_objects(side):
-                for gu, gr, action in relevant_group_triples(clustering, index, side, oid):
+                for gu, gr, action, ids in relevant_group_triples(clustering, index, side, oid):
                     group = gr if side is Side.USER else gu
                     other = Side.RESOURCE if side is Side.USER else Side.USER
                     linked = (index.resources(oid, action) if side is Side.USER
@@ -142,8 +142,11 @@ def test_gathered_values_match_the_member_walk(max_side):
                         clustering.group_of(other, c) is not group for c in linked
                     )
                     for f in all_constraint_features(om):
-                        args = (side, oid, gu, gr, action, f.constraint)
-                        got = _gather_constraint_values(om, clustering, index, *args)
+                        c = f.constraint
+                        table, attr = ((om.resources, c.res_attr) if side is Side.USER
+                                       else (om.users, c.user_attr))
+                        got = list(counterpart_values(table, attr, ids))
+                        args = (side, oid, gu, gr, action, c)
                         assert got == member_walk_constraint_values(om, index, *args)
                         seen["values"] += len(got)
     assert seen["values"] and seen["linked outside the group"]
@@ -151,9 +154,9 @@ def test_gathered_values_match_the_member_walk(max_side):
 
 @pytest.mark.parametrize("max_side", [4, 8])
 def test_relevant_triples_match_the_entitlement_scan(max_side):
-    """An object's relevant triples, read off the index's adjacency, are
-    those a scan of every entitlement for the object's own finds, also
-    where a user and a resource share an id."""
+    """An object's relevant triples and their counterparts, read off the
+    index's adjacency, are those a scan of every entitlement for the
+    object's own finds, also where a user and a resource share an id."""
     rng = random.Random(300 + max_side)
     seen = Counter()
     for om in _random_models(300 + max_side, 60, max_side):

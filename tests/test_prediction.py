@@ -42,7 +42,9 @@ def campus(campus_policy, campus_entitlements):
 def test_relevant_triples_for_user(campus):
     om, clustering, cache = campus
     triples = relevant_group_triples(clustering, cache.entitlements, Side.USER, "csFac1")
-    assert [(gu.gid, gr.gid, a) for gu, gr, a in triples] == [(1, 3, "modify")]
+    assert [(gu.gid, gr.gid, a, ids) for gu, gr, a, ids in triples] == [
+        (1, 3, "modify", ["cs101gb"])
+    ]
 
 
 def test_relevant_triples_empty_without_entitlements(campus):
