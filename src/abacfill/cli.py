@@ -22,10 +22,10 @@ import sys
 
 from . import __version__
 from .clustering import ClusteringConfig, active_attributes, cluster_objects, member_means
-from .features import FeatureConfig, rank_features
+from .features import rank_features
 from .generator import TEMPLATES, GeneratorConfig, generate, reference_entitlements
 from .harness import HarnessConfig, eligible_cells, evaluate_matrix, percent_key, tally
-from .model import AbacError, InputError, Side
+from .model import AbacError, InputError
 from .policy_io import (
     entitlements_to_csv,
     json_text,
@@ -221,14 +221,9 @@ def _cmd_features(args) -> int:
         raise InputError(f"unknown resource {args.resource!r}")
     if args.action not in policy.model.actions:
         raise InputError(f"unknown action {args.action!r}")
-    ug = clustering.group_of(Side.USER, args.user)
-    rg = clustering.group_of(Side.RESOURCE, args.resource)
-    if args.floor is not None:
-        feature_config = FeatureConfig(coefficient_floor=args.floor)
-    else:
-        feature_config = FeatureConfig()
+    ug, rg = clustering.users[args.user], clustering.resources[args.resource]
     data = TripleCache(policy.model, entitlements).learning_data(ug, rg, args.action)
-    ranked = rank_features(ug, rg, data, feature_config)
+    ranked = rank_features(ug, rg, data)
     _emit_json(
         {
             "user_group": ug.gid,
@@ -454,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user", required=True, help="user object id naming the user group")
     p.add_argument("--resource", required=True, help="resource object id naming the resource group")
     p.add_argument("--action", required=True)
-    p.add_argument("--floor", type=float, default=None, help="coefficient floor (default 0.05)")
     _add_settings_flags(p, "similarity threshold (default 0.25)")
     p.add_argument("--out", metavar="FILE", help="JSON path (default: stdout)")
     p.set_defaults(func=_cmd_features)

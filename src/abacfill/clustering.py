@@ -82,12 +82,6 @@ class Clustering:
     users: dict  # user id -> Group
     resources: dict  # resource id -> Group
 
-    def group_of(self, side: Side, oid: str) -> Group:
-        return (self.users if side is Side.USER else self.resources)[oid]
-
-    def side_groups(self, side: Side):
-        return [g for g in self.groups if g.side is side]
-
 
 def active_attributes(obj: Obj) -> frozenset:
     """Attributes that apply to the object.  Unknown cells still apply."""

@@ -53,7 +53,8 @@ The ranking puts structurally certain features ahead of fitted ones:
   holders by construction, must also be supported: every member holds the
   value or has that cell unknown, so no member conflicts with it and a
   constant that only reflects blind spots in the data never counts,
-* remaining features qualify by coefficient above a small floor.
+* remaining features qualify by coefficient above a small floor,
+  `COEFFICIENT_FLOOR`.
 
 A characterizing constraint subsumes characterizing conditions on the two
 attributes it relates, since it carries the same information plus the
@@ -62,7 +63,6 @@ cross-side link.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +75,6 @@ from .model import (
     AtomicCondition,
     AtomicConstraint,
     AttrKind,
-    ConfigError,
     InsufficientDataError,
     ObjectModel,
     Side,
@@ -84,15 +83,6 @@ from .model import (
 
 #: ridge on the diagonal of the centered gram in fit_least_squares
 RIDGE = 1e-8
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    coefficient_floor: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not 0 < self.coefficient_floor < math.inf:  # false for nan too
-            raise ConfigError(f"coefficient floor must be finite and positive: {self.coefficient_floor}")
 
 
 @dataclass(frozen=True)
@@ -404,20 +394,24 @@ class RankedFeature:
     characterizing: bool
 
 
+#: a feature that is not characterizing ranks only with a fitted
+#: coefficient above this
+COEFFICIENT_FLOOR = 0.05
+
 #: fitted coefficients closer than this to their neighbour in rank tie
 TIE_TOLERANCE = 1e-6
 
 
-def rank_features(user_group, res_group, data: LearningData, config: FeatureConfig = None) -> tuple:
+def rank_features(user_group, res_group, data: LearningData) -> tuple:
     """Order the candidate features for one group pair and action, most
     informative first: a tuple of RankedFeature, rank is position + 1.
 
     Characterizing features, those true on every row and supported, come
-    first, then the rest by descending coefficient, floored, constraints first
-    in a tie; otherwise in column order.  Raises InsufficientDataError when
-    the pair has no usable rows.
+    first, then the rest whose coefficient is above COEFFICIENT_FLOOR, by
+    descending coefficient, constraints first in a tie; otherwise in column
+    order.  Raises InsufficientDataError when the pair has no fully known
+    member pairs, or none of them granted.
     """
-    config = config or FeatureConfig()
     if data.row_count == 0:
         raise InsufficientDataError(
             f"no fully known member pairs for groups {user_group.gid} and {res_group.gid}"
@@ -449,7 +443,7 @@ def rank_features(user_group, res_group, data: LearningData, config: FeatureConf
     rest = [
         j
         for j in range(len(data.features))
-        if j not in characterizing and coefs[j] > config.coefficient_floor
+        if j not in characterizing and coefs[j] > COEFFICIENT_FLOOR
     ]
     # collinear columns share one signal evenly, so a cross-side link and
     # the per-value conditions shadowing it tie; the link carries strictly

@@ -155,7 +155,7 @@ class HarnessConfig:
 
 def evaluate_run(
     policy: Policy,
-    entitlements,
+    entitlements: EntitlementIndex,
     fraction: float,
     seed: int,
     scale: int = 0,
@@ -163,8 +163,8 @@ def evaluate_run(
     config: HarnessConfig = None,
 ) -> RunResult:
     """One removal run.  Cells are hidden in a private copy of the policy's
-    model, so the policy itself is never modified.  entitlements are the
-    intact policy's reference entitlements, or an EntitlementIndex of them."""
+    model, so the policy itself is never modified.  entitlements index the
+    intact policy's reference entitlements."""
     config = config or HarnessConfig()
     start = time.perf_counter()
     om = policy.model.copy()

@@ -166,7 +166,7 @@ class Entitlement(NamedTuple):
     action: str
 
 
-_NO_IDS, _NO_LINKS = frozenset(), MappingProxyType({})
+_NO_LINKS = MappingProxyType({})
 
 
 class EntitlementIndex:
@@ -183,22 +183,11 @@ class EntitlementIndex:
             self._resources.setdefault(user, {}).setdefault(action, set()).add(resource)
             self._users.setdefault(resource, {}).setdefault(action, set()).add(user)
 
-    @classmethod
-    def of(cls, entitlements) -> "EntitlementIndex":
-        """The index itself, or a new index over a collection of Entitlements."""
-        return entitlements if isinstance(entitlements, cls) else cls(entitlements)
-
     def __iter__(self):
         for user, by_action in self._resources.items():
             for action, resources in by_action.items():
                 for resource in resources:
                     yield Entitlement(user, resource, action)
-
-    def resources(self, user: str, action: str):
-        return self._resources.get(user, _NO_LINKS).get(action, _NO_IDS)
-
-    def users(self, resource: str, action: str):
-        return self._users.get(resource, _NO_LINKS).get(action, _NO_IDS)
 
     def linked(self, side: Side, oid: str):
         """action -> the ids the object of the side is entitled with under

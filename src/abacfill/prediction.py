@@ -107,12 +107,12 @@ class TripleCache:
     of its resource rows, it is None and nothing else of it is built.  That
     takes one disjointness test of the reach map's keys with the resource
     rows, so a group that only settled triples touch is never summarized;
-    `labels` reads the same map.  Rankings use the default `FeatureConfig`.
+    `labels` reads the same map.  `predict_cell` reads the model off `om`.
     """
 
-    def __init__(self, om: ObjectModel, entitlements):
+    def __init__(self, om: ObjectModel, entitlements: EntitlementIndex):
         self.om = om
-        self.entitlements = EntitlementIndex.of(entitlements)
+        self.entitlements = entitlements
         self._constraints = constraint_features(om)
         self._sides = {}
         self._reach = {}
@@ -131,7 +131,7 @@ class TripleCache:
         if key not in self._reach:
             reach = self._reach[key] = {}
             for i, u in enumerate(self._side(gu).rows):
-                for rid in self.entitlements.resources(u.id, action):
+                for rid in self.entitlements.linked(Side.USER, u.id).get(action, ()):
                     reach.setdefault(rid, []).append(i)
         return self._reach[key]
 
@@ -202,7 +202,6 @@ def rank_confidence(rank: int, config: PredictionConfig):
 
 
 def predict_cell(
-    om: ObjectModel,
     clustering: Clustering,
     cache: TripleCache,
     side: Side,
@@ -210,8 +209,9 @@ def predict_cell(
     attr: str,
     config: PredictionConfig = None,
 ) -> CellPrediction:
-    """Predict one unknown cell."""
+    """Predict one unknown cell of the cache's model."""
     config = config or PredictionConfig()
+    om = cache.om
     obj = om.side_objects(side)[oid]
     if obj.value(attr) is not MISSING:
         raise ConfigError(f"cell {oid}.{attr} is not unknown")
@@ -277,12 +277,10 @@ def predict_cell(
 def predict_missing(
     om: ObjectModel,
     clustering: Clustering,
-    entitlements,
+    entitlements: EntitlementIndex,
     prediction_config: PredictionConfig = None,
 ) -> list:
     """Predict every unknown cell, ordered by side, object id, attribute."""
     cache = TripleCache(om, entitlements)
-    out = []
-    for side, oid, attr in om.missing_cells():
-        out.append(predict_cell(om, clustering, cache, side, oid, attr, prediction_config))
-    return out
+    return [predict_cell(clustering, cache, side, oid, attr, prediction_config)
+            for side, oid, attr in om.missing_cells()]

@@ -18,7 +18,10 @@ pass replaced with one pass each: constraint candidates from a positional
 value index over each whole side, unknown cells from a filter over every
 cell, a constraint's counterpart values from a walk over every member of
 the counterpart group, and an object's relevant triples, with their
-counterparts, from a scan of every entitlement for its own.
+counterparts, from a scan of every entitlement for its own.  The
+prediction spec composes the dense learning reference and the walk
+references into whole answers, with prediction's gates, relational filter
+and tie rule written out.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from abacfill.evaluate import (
 from abacfill.features import (
     RIDGE,
     Feature,
-    FeatureConfig,
     GroupSide,
     LearningData,
     constraint_features,
@@ -53,10 +55,13 @@ from abacfill.model import (
     NULL,
     AbacError,
     AtomicConstraint,
+    AttrKind,
     Entitlement,
+    InsufficientDataError,
     Policy,
     Side,
 )
+from abacfill.prediction import CellPrediction, Confidence, Evidence, PredictionConfig
 
 T, F, U = "T", "F", "U"
 
@@ -507,12 +512,10 @@ def exact_ridge_fit(X, y):
     return np.array([float(rows[i][d] / rows[i][i]) for i in range(d)])
 
 
-def dense_ranking(om, user_group, res_group, dense: DenseLearningData, config=None):
+def dense_ranking(om, user_group, res_group, dense: DenseLearningData):
     """The package's ranking fed by the dense path: every-row-true read off
     the matrix, support from the evaluator over every group member and
     coefficients from the floating-point dense fit."""
-    config = config or FeatureConfig()
-
     def fit(*_args, **_kwargs):
         return dense_fit(dense.matrix, dense.labels)
 
@@ -526,7 +529,12 @@ def dense_ranking(om, user_group, res_group, dense: DenseLearningData, config=No
         for f in dense.features
     ], dtype=bool)
     with mock.patch.object(features_module, "fit_least_squares", fit):
-        return features_module.rank_features(user_group, res_group, data, config)
+        return features_module.rank_features(user_group, res_group, data)
+
+
+def side_groups(clustering, side) -> list:
+    """The clustering's groups of one side, in gid order."""
+    return [g for g in clustering.groups if g.side is side]
 
 
 # --- walk references for a predict pass's readers ---
@@ -564,13 +572,14 @@ def scanned_missing_cells(om) -> list:
 def member_walk_constraint_values(om, entitlements, side, oid, gu, gr, action, constraint):
     """The counterpart values a constraint links to an object's cell, found
     by walking every member of the counterpart group and keeping those
-    entitled with the object under the action."""
+    that a scan of every Entitlement finds entitled with the object under
+    the action."""
     if side is Side.USER:
-        linked = entitlements.resources(oid, action)
+        linked = {e.resource for e in entitlements if e.user == oid and e.action == action}
         counterpart_ids = [r for r in gr.members if r in linked]
         table, other_attr = om.resources, constraint.res_attr
     else:
-        linked = entitlements.users(oid, action)
+        linked = {e.user for e in entitlements if e.resource == oid and e.action == action}
         counterpart_ids = [u for u in gu.members if u in linked]
         table, other_attr = om.users, constraint.user_attr
     values = []
@@ -594,8 +603,106 @@ def scanned_group_triples(clustering, entitlements, side, oid) -> list:
     own = [e for e in entitlements if (e.user if side is Side.USER else e.resource) == oid]
     triples = {}
     for e in own:
-        gu = clustering.group_of(Side.USER, e.user)
-        gr = clustering.group_of(Side.RESOURCE, e.resource)
+        gu, gr = clustering.users[e.user], clustering.resources[e.resource]
         counterpart = e.resource if side is Side.USER else e.user
         triples.setdefault((gu.gid, gr.gid, e.action), (gu, gr, e.action, set()))[3].add(counterpart)
     return [(gu, gr, action, sorted(ids)) for gu, gr, action, ids in map(triples.get, sorted(triples))]
+
+
+# --- an executable spec of prediction ---
+
+
+def reference_predict(om, clustering, entitlements, config=None) -> list:
+    """Every unknown cell's CellPrediction, in the order of `cells()`, built
+    from the slow pieces alone: triples and counterparts from
+    `scanned_group_triples`, rankings from `dense_learning_data` and
+    `dense_ranking`, a constraint's values from
+    `member_walk_constraint_values`.
+
+    For one cell, a triple whose ranking is refused (no fully known member
+    pair, or none granted) is left out.  The rest are read in their order,
+    each ranking from the top, with the rules written out:
+
+    * rank gates: a feature at rank <= high is HIGH, at rank <= medium
+      MEDIUM; the first feature past the medium gate ends the triple.
+    * a feature supplies values only when it mentions the cell's attribute
+      on the object's side: a condition its tested values, a constraint
+      the linked attribute's values over the triple's counterparts.
+    * relational filter: when any constraint ranked in any of the cell's
+      triples, at any rank, mentions the attribute, no condition supplies.
+    * a feature that supplies no value leaves no evidence.
+    * each value's support is its best (confidence, then smallest rank)
+      over everything that supplied it.
+    * tie rule: a single-valued cell takes the value of best confidence,
+      then smallest rank, then smallest value; a multi-valued cell takes
+      every value, at the weakest of their confidences.
+    * no value at all is NEI.
+    """
+    config = config or PredictionConfig()
+    entitlements = set(entitlements)
+    rankings = {}
+
+    def ranking(gu, gr, action):
+        key = (gu.gid, gr.gid, action)
+        if key not in rankings:
+            dense = dense_learning_data(om, gu, gr, action, entitlements)
+            try:
+                rankings[key] = dense_ranking(om, gu, gr, dense)
+            except InsufficientDataError:
+                rankings[key] = None
+        return rankings[key]
+
+    out = []
+    for side, oid, attr in scanned_missing_cells(om):
+        triples = []
+        for gu, gr, action, _ in scanned_group_triples(clustering, entitlements, side, oid):
+            ranked = ranking(gu, gr, action)
+            if ranked is not None:
+                triples.append((gu, gr, action, ranked))
+        relational = False
+        for _, _, _, ranked in triples:
+            for rf in ranked:
+                if rf.feature.is_constraint and rf.feature.mentions(side, attr):
+                    relational = True
+
+        support = {}  # value -> every (confidence, rank) that supplied it
+        evidence = []
+        for gu, gr, action, ranked in triples:
+            for rank, rf in enumerate(ranked, start=1):
+                if rank <= config.high_rank_limit:
+                    confidence = Confidence.HIGH
+                elif rank <= config.medium_rank_limit:
+                    confidence = Confidence.MEDIUM
+                else:
+                    break
+                f = rf.feature
+                if not f.mentions(side, attr):
+                    continue
+                if f.is_constraint:
+                    values = member_walk_constraint_values(
+                        om, entitlements, side, oid, gu, gr, action, f.constraint
+                    )
+                elif relational:
+                    continue
+                elif f.condition.op == "in":
+                    values = sorted(f.condition.val)
+                else:
+                    values = [f.condition.val]
+                if not values:
+                    continue
+                evidence.append(Evidence(f.render(), rank, confidence, tuple(sorted(set(values)))))
+                for v in values:
+                    support.setdefault(v, []).append((confidence, rank))
+
+        if not support:
+            out.append(CellPrediction(side, oid, attr, Confidence.NEI, None, tuple(evidence)))
+            continue
+        best = {v: max(seen, key=lambda cr: (cr[0].value, -cr[1])) for v, seen in support.items()}
+        if om.schema.kind(side, attr) is AttrKind.SINGLE:
+            value = min(best, key=lambda v: (-best[v][0].value, best[v][1], v))
+            confidence = best[value][0]
+        else:
+            value = frozenset(best)
+            confidence = min((c for c, _ in best.values()), key=lambda c: c.value)
+        out.append(CellPrediction(side, oid, attr, confidence, value, tuple(evidence)))
+    return out

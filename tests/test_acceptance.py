@@ -26,13 +26,9 @@ import test_properties as props
 from abacfill.cli import main
 from abacfill.clustering import ClusteringConfig, cluster_objects
 from abacfill.evaluate import policy_meaning
-from abacfill.features import (
-    FeatureConfig,
-    rank_features,
-)
+from abacfill.features import rank_features
 from abacfill.generator import GeneratorConfig, generate
 from abacfill.harness import HarnessConfig, evaluate_matrix
-from abacfill.model import Side
 from abacfill.policy_io import policy_from_dict
 from abacfill.prediction import Confidence, PredictionConfig, TripleCache, predict_missing
 
@@ -66,10 +62,9 @@ def test_criterion_1_golden_fixture(campus_policy, campus_entitlements):
         frozenset({"csStu1trans", "eeStu1trans"}),
     }
 
-    ug = clustering.group_of(Side.USER, "csFac2")
-    rg = clustering.group_of(Side.RESOURCE, "cs101gb")
+    ug, rg = clustering.users["csFac2"], clustering.resources["cs101gb"]
     data = TripleCache(campus_policy.model, campus_entitlements).learning_data(ug, rg, "modify")
-    ranked = rank_features(ug, rg, data, FeatureConfig())
+    ranked = rank_features(ug, rg, data)
     top3 = {rf.feature.render() for rf in list(ranked)[:3]}
     assert top3 == {
         "user.position in {faculty}",

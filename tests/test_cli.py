@@ -124,14 +124,15 @@ def test_features_rejects_unknown_object(capsys):
     assert "unknown user" in err
 
 
-@pytest.mark.parametrize("floor", ["nan", "inf"])
-def test_features_rejects_a_floor_that_is_not_finite(capsys, floor):
+def test_features_has_no_floor_option(capsys):
+    """features ranks with the one floor predict uses: a --floor flag is a
+    usage error, exit 1 with nothing on stdout."""
     code, out, err = run(capsys, "features", "--policy", CAMPUS,
                          "--entitlements", CAMPUS_ENTS,
                          "--user", "csFac2", "--resource", "cs101gb",
-                         "--action", "modify", "--floor", floor)
+                         "--action", "modify", "--floor", "0.5")
     assert (code, out) == (1, "")
-    assert f"coefficient floor must be finite and positive: {floor}" in err
+    assert "unrecognized arguments: --floor 0.5" in err
 
 
 def test_predict_fixture_cells(capsys):

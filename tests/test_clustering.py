@@ -102,9 +102,8 @@ def test_campus_clustering_structure(campus_policy):
     ]
     assert [g.gid for g in clustering.groups] == [1, 2, 3, 4]
     assert [g.side for g in clustering.groups] == [Side.USER, Side.USER, Side.RESOURCE, Side.RESOURCE]
-    assert clustering.group_of(Side.USER, "eeFac2").gid == 1
-    assert clustering.group_of(Side.RESOURCE, "ee602gb").gid == 3
-    assert len(clustering.side_groups(Side.USER)) == 2
+    assert clustering.users["eeFac2"].gid == 1
+    assert clustering.resources["ee602gb"].gid == 3
 
 
 def _tag_model(*tag_rows):
@@ -198,7 +197,8 @@ def test_clustering_is_deterministic(campus_policy):
     c2 = cluster_objects(campus_policy.model)
     assert [g.members for g in c1.groups] == [g.members for g in c2.groups]
     for g in c1.groups:
-        assert [c2.group_of(g.side, m) for m in g.members] == [g] * len(g.members)
+        table = c2.users if g.side is Side.USER else c2.resources
+        assert [table[m] for m in g.members] == [g] * len(g.members)
 
 
 def test_singleton_object_is_its_own_group():

@@ -29,6 +29,7 @@ from oracles import (
     extent_supports,
     random_small_policy,
     scanned_group_triples,
+    side_groups,
     with_cross_side_values,
 )
 
@@ -77,7 +78,7 @@ def assert_canonical(data):
 
 
 def assert_triple_matches_dense(om, gu, gr, action, entitlements):
-    data = TripleCache(om, entitlements).learning_data(gu, gr, action)
+    data = TripleCache(om, EntitlementIndex(entitlements)).learning_data(gu, gr, action)
     dense = dense_learning_data(om, gu, gr, action, entitlements)
     want = design_statistics(dense.matrix, dense.labels, dense.features)
     assert data.features == dense.features
@@ -132,8 +133,8 @@ def test_random_small_policies_match_dense():
             if rng.random() < 0.4
         }
         clustering = cluster_objects(om)
-        for gu in clustering.side_groups(Side.USER):
-            for gr in clustering.side_groups(Side.RESOURCE):
+        for gu in side_groups(clustering, Side.USER):
+            for gr in side_groups(clustering, Side.RESOURCE):
                 for action in om.actions:
                     assert_triple_matches_dense(om, gu, gr, action, entitlements)
 
@@ -204,7 +205,7 @@ def test_pruned_constraints_rank_as_all_constraints(template, scale, fraction):
     assert set(pruned) < set(every)
     dropped = np.array([f not in pruned for f in every])
     summaries = {}
-    cache = TripleCache(om, entitlements)
+    cache = TripleCache(om, EntitlementIndex(entitlements))
     triples = _consulted_triples(om, clustering, entitlements)
     assert triples
     for gu, gr, action in triples:
@@ -274,7 +275,7 @@ def test_build_learning_data_allocates_no_pair_sized_array():
         "project", 60, 0.06, ClusteringConfig(threshold=0.1)
     )
     constraints = constraint_features(om)
-    cache = TripleCache(om, entitlements)
+    cache = TripleCache(om, EntitlementIndex(entitlements))
     summaries = {}
 
     def summary(group):
@@ -310,6 +311,7 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
     om, clustering, entitlements = _consulted_setup(
         template, scale, fraction, ClusteringConfig(threshold=st)
     )
+    index = EntitlementIndex(entitlements)
     caches, summaries, assembled, labelled, consulted = [], Counter(), [], [], {}
 
     class RecordingCache(prediction.TripleCache):
@@ -349,7 +351,7 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
     monkeypatch.setattr(GroupSide, "summarize", counted_summarize)
     monkeypatch.setattr(prediction, "build_learning_data", counted_build)
     monkeypatch.setattr(prediction, "labels", counted_labels)
-    predict_missing(om, clustering, entitlements)
+    predict_missing(om, clustering, index)
     monkeypatch.undo()
 
     assert len(caches) == 1 and consulted
@@ -367,7 +369,7 @@ def test_triple_cache_matches_one_triple_path(monkeypatch, template, scale, frac
         gu, gr, got, assemblies, labellings = consulted[key]
         action = key[2]
         # a fresh cache per triple: the one-triple path shares nothing
-        data = TripleCache(om, entitlements).learning_data(gu, gr, action)
+        data = TripleCache(om, index).learning_data(gu, gr, action)
         want = _ranking_or_none(lambda: rank_features(gu, gr, data))
         assert assemblies == labellings == (0 if got is None else 1), key
         if want is None:
@@ -390,14 +392,24 @@ def test_triple_cache_reads_each_user_rows_resources_once(monkeypatch):
     )
     triples = _consulted_triples(om, clustering, entitlements)
     asked = Counter()
-    resources = EntitlementIndex.resources
+    linked = EntitlementIndex.linked
 
-    def counted(index, user, action):
-        asked[user, action] += 1
-        return resources(index, user, action)
+    class Asked:
+        """An object's links, counting each read of one action's ids."""
 
-    monkeypatch.setattr(EntitlementIndex, "resources", counted)
-    cache = TripleCache(om, entitlements)
+        def __init__(self, side, oid, links):
+            self.key, self.links = (side, oid), links
+
+        def get(self, action, default):
+            asked[(*self.key, action)] += 1
+            return self.links.get(action, default)
+
+    def counted(index, side, oid):
+        return Asked(side, oid, linked(index, side, oid))
+
+    index = EntitlementIndex(entitlements)
+    monkeypatch.setattr(EntitlementIndex, "linked", counted)
+    cache = TripleCache(om, index)
     ranked = [cache.ranked(gu, gr, action) for gu, gr, action in triples]
     monkeypatch.undo()
     assert any(r is not None for r in ranked) and any(r is None for r in ranked)
@@ -581,9 +593,9 @@ def test_all_tainted_side_gives_no_rows():
     for u in om.users.values():
         u.attrs["x"] = MISSING
     clustering = cluster_objects(om)
-    for gu in clustering.side_groups(Side.USER):
-        for gr in clustering.side_groups(Side.RESOURCE):
-            data = TripleCache(om, set()).learning_data(gu, gr, "read")
+    for gu in side_groups(clustering, Side.USER):
+        for gr in side_groups(clustering, Side.RESOURCE):
+            data = TripleCache(om, EntitlementIndex(())).learning_data(gu, gr, "read")
             assert data.row_count == 0
             assert data.all_true.all()
             assert_triple_matches_dense(om, gu, gr, "read", set())

@@ -6,18 +6,19 @@ entitlement pattern (the taught-course link perfectly explains the labels,
 position and type are uniform across the groups).
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from oracles import dense_learning_data, fit_design, pinv_fit
+from oracles import dense_learning_data, fit_design, pinv_fit, side_groups
 
 from abacfill import features as features_module
 from abacfill.clustering import ClusteringConfig, Group, cluster_objects
 from abacfill.features import (
+    COEFFICIENT_FLOOR,
     Feature,
-    FeatureConfig,
     GroupSide,
     constraint_features,
     is_untainted,
@@ -30,8 +31,8 @@ from abacfill.model import (
     AtomicConstraint,
     AttrKind,
     AttrSchema,
-    ConfigError,
     Entitlement,
+    EntitlementIndex,
     InsufficientDataError,
     Obj,
     ObjectModel,
@@ -328,7 +329,7 @@ def test_ranking_requires_rows(campus_groups):
     gu, gr = _group(clustering, 1), _group(clustering, 3)
     for uid in gu.members:
         om.users[uid].attrs["department"] = MISSING
-    data = TripleCache(om, set()).learning_data(gu, gr, "modify")
+    data = TripleCache(om, EntitlementIndex(())).learning_data(gu, gr, "modify")
     with pytest.raises(InsufficientDataError):
         rank_features(gu, gr, data)
 
@@ -352,9 +353,9 @@ def _guard_model(second_dept):
 def _rank_guard_case(second_dept):
     om = _guard_model(second_dept)
     clustering = cluster_objects(om)
-    gu = clustering.side_groups(Side.USER)[0]
-    gr = clustering.side_groups(Side.RESOURCE)[0]
-    ents = {Entitlement("a", "r", "read")}
+    gu = side_groups(clustering, Side.USER)[0]
+    gr = side_groups(clustering, Side.RESOURCE)[0]
+    ents = EntitlementIndex([Entitlement("a", "r", "read")])
     data = TripleCache(om, ents).learning_data(gu, gr, "read")
     assert data.row_count == 1
     return {rf.feature.render() for rf in rank_features(gu, gr, data)}
@@ -375,10 +376,11 @@ def test_conflicting_known_value_blocks_even_with_two_supporters():
     # threshold 0 keeps the signature bucket whole so the conflicting
     # member stays in the group
     clustering = cluster_objects(om, ClusteringConfig(threshold=0.0))
-    gu = clustering.side_groups(Side.USER)[0]
+    gu = side_groups(clustering, Side.USER)[0]
     assert set(gu.members) == {"a", "b", "c"}
-    gr = clustering.side_groups(Side.RESOURCE)[0]
-    data = TripleCache(om, {Entitlement("a", "r", "read")}).learning_data(gu, gr, "read")
+    gr = side_groups(clustering, Side.RESOURCE)[0]
+    ents = EntitlementIndex([Entitlement("a", "r", "read")])
+    data = TripleCache(om, ents).learning_data(gu, gr, "read")
     ranked = rank_features(gu, gr, data)
     assert "user.dept in {cs}" not in {rf.feature.render() for rf in ranked}
 
@@ -400,9 +402,9 @@ def _pair_model():
 def test_characterizing_constraint_subsumes_one_sided_constants():
     om = _pair_model()
     clustering = cluster_objects(om)
-    gu = clustering.side_groups(Side.USER)[0]
-    gr = clustering.side_groups(Side.RESOURCE)[0]
-    ents = {Entitlement(u, r, "read") for u in ("a", "b") for r in ("x", "y")}
+    gu = side_groups(clustering, Side.USER)[0]
+    gr = side_groups(clustering, Side.RESOURCE)[0]
+    ents = EntitlementIndex(Entitlement(u, r, "read") for u in ("a", "b") for r in ("x", "y"))
     data = TripleCache(om, ents).learning_data(gu, gr, "read")
     ranked = rank_features(gu, gr, data)
     rendered = [rf.feature.render() for rf in ranked]
@@ -415,9 +417,10 @@ def test_characterizing_constraint_allowed_with_single_row():
     om.users["a"].attrs["note"] = "cs"  # note mirrors dept; only one usable row
     om.resources["r"].attrs["label"] = "cs"
     clustering = cluster_objects(om)
-    gu = clustering.side_groups(Side.USER)[0]
-    gr = clustering.side_groups(Side.RESOURCE)[0]
-    data = TripleCache(om, {Entitlement("a", "r", "read")}).learning_data(gu, gr, "read")
+    gu = side_groups(clustering, Side.USER)[0]
+    gr = side_groups(clustering, Side.RESOURCE)[0]
+    ents = EntitlementIndex([Entitlement("a", "r", "read")])
+    data = TripleCache(om, ents).learning_data(gu, gr, "read")
     assert data.row_count == 1
     ranked = rank_features(gu, gr, data)
     rendered = {rf.feature.render() for rf in ranked}
@@ -425,14 +428,25 @@ def test_characterizing_constraint_allowed_with_single_row():
     assert "note equal label" in rendered
 
 
-def test_coefficient_floor_excludes_noise(campus_groups, campus_entitlements):
+def test_coefficient_floor_excludes_noise(campus_groups, campus_entitlements, monkeypatch):
     om, clustering = campus_groups
     gu, gr = _group(clustering, 1), _group(clustering, 3)
     data = TripleCache(om, campus_entitlements).learning_data(gu, gr, "modify")
-    ranked = rank_features(gu, gr, data, FeatureConfig(coefficient_floor=0.5))
-    assert len(ranked) == 3  # the taught-course link is far above any floor
-    strict = rank_features(gu, gr, data, FeatureConfig(coefficient_floor=1.5))
-    assert len(strict) == 2  # only the characterizing pair survives
+    link = "coursesTaught contains course"
+    ranked = rank_features(gu, gr, data)
+    # the taught-course link is far above the floor, and it is the only
+    # fitted feature that clears it
+    assert [rf.feature.render() for rf in ranked if not rf.characterizing] == [link]
+    assert COEFFICIENT_FLOOR == 0.05
+    # a coefficient ranks only strictly above the floor
+    j = next(j for j, f in enumerate(data.features) if f.render() == link)
+    for coefficient, kept in ((COEFFICIENT_FLOOR, False),
+                              (math.nextafter(COEFFICIENT_FLOOR, 1.0), True)):
+        coefs = np.zeros(len(data.features))
+        coefs[j] = coefficient
+        monkeypatch.setattr(features_module, "fit_least_squares", lambda *a, c=coefs: (0.0, c))
+        ranked = rank_features(gu, gr, data)
+        assert len(ranked) == 2 + kept  # the characterizing pair, then the link
 
 
 def test_solver_noise_does_not_split_a_tie(campus_groups, monkeypatch):
@@ -440,7 +454,7 @@ def test_solver_noise_does_not_split_a_tie(campus_groups, monkeypatch):
     gu, gr = _group(clustering, 2), _group(clustering, 4)
     # each student modifies their own transcript; each department has one
     # student, so the department link holds on exactly the granted pairs too
-    ents = {Entitlement(s, f"{s}trans", "modify") for s in ("csStu1", "eeStu1")}
+    ents = EntitlementIndex(Entitlement(s, f"{s}trans", "modify") for s in ("csStu1", "eeStu1"))
     data = TripleCache(om, ents).learning_data(gu, gr, "modify")
     tied = ["department equal department", "id equal student"]
     ranked = rank_features(gu, gr, data)
@@ -458,7 +472,3 @@ def test_solver_noise_does_not_split_a_tie(campus_groups, monkeypatch):
     # a tie keeps canonical order
     assert fitted == tied
 
-
-def test_feature_config_validation():
-    with pytest.raises(ConfigError):
-        FeatureConfig(coefficient_floor=-1.0)

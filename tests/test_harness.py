@@ -145,7 +145,7 @@ def test_run_seeds_unique_across_grid():
 
 def test_evaluate_run_restores_model(uni1):
     before = policy_to_dict(uni1)
-    ents = reference_entitlements(uni1)
+    ents = EntitlementIndex(reference_entitlements(uni1))
     result = evaluate_run(uni1, ents, 0.09, seed=123)
     assert policy_to_dict(uni1) == before
     assert result.removed == 4
@@ -155,7 +155,7 @@ def test_evaluate_run_restores_model(uni1):
 
 
 def test_evaluate_run_deterministic(uni1):
-    ents = reference_entitlements(uni1)
+    ents = EntitlementIndex(reference_entitlements(uni1))
     a = evaluate_run(uni1, ents, 0.06, seed=55)
     b = evaluate_run(uni1, ents, 0.06, seed=55)
     assert a.cells == b.cells
@@ -165,7 +165,7 @@ def test_evaluate_run_deterministic(uni1):
 def test_evaluate_run_zero_plan_on_large_model():
     policy = generate(GeneratorConfig(template="university", scale=3, seed=0))
     assert len(eligible_cells(policy.model)) > DESK_SCALE_CELLS
-    ents = reference_entitlements(policy)
+    ents = EntitlementIndex(reference_entitlements(policy))
     result = evaluate_run(policy, ents, 0.0, seed=9)
     assert result.removed == 0
     assert result.coverage == 1.0

@@ -216,6 +216,3 @@ def test_loaded_index_equals_the_index_of_the_rows(tmp_path, campus_policy, body
     for side in Side:
         for oid in om.side_objects(side):
             assert loaded.linked(side, oid) == want.linked(side, oid)
-            for action in om.actions:
-                assert loaded.resources(oid, action) == want.resources(oid, action)
-                assert loaded.users(oid, action) == want.users(oid, action)

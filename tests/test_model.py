@@ -4,7 +4,6 @@ import random
 import pytest
 
 from abacfill.clustering import ClusteringConfig
-from abacfill.features import FeatureConfig
 from abacfill.generator import GeneratorConfig
 from abacfill.model import (
     MISSING,
@@ -226,10 +225,6 @@ def test_entitlement_index_matches_a_scan():
             assert sorted(Entitlement(u, oid, a) for a, us in linked_r.items() for u in us) == as_resource
             assert all(linked_u.values()) and all(linked_r.values())
             shared_id_split += bool(as_user and as_resource and as_user != as_resource)
-            for a in actions:
-                assert index.resources(oid, a) == {e.resource for e in as_user if e.action == a}
-                assert index.users(oid, a) == {e.user for e in as_resource if e.action == a}
-        assert EntitlementIndex.of(index) is index
         listed = list(index)
         assert len(listed) == len(ents) and set(listed) == ents
         assert all(type(e) is Entitlement for e in listed)
@@ -279,14 +274,6 @@ def test_rule_render_mentions_every_part():
          "attribute weight must be finite and positive: dept=0.0"),
         (lambda: ClusteringConfig(weights={"dept": -2.0}),
          "attribute weight must be finite and positive: dept=-2.0"),
-        (lambda: FeatureConfig(coefficient_floor=0.0),
-         "coefficient floor must be finite and positive: 0.0"),
-        (lambda: FeatureConfig(coefficient_floor=float("nan")),
-         "coefficient floor must be finite and positive: nan"),
-        (lambda: FeatureConfig(coefficient_floor=float("inf")),
-         "coefficient floor must be finite and positive: inf"),
-        (lambda: FeatureConfig(coefficient_floor=float("-inf")),
-         "coefficient floor must be finite and positive: -inf"),
         (lambda: PredictionConfig(high_rank_limit=4, medium_rank_limit=3),
          "rank gates must satisfy 0 < high <= medium: 4, 3"),
         (lambda: PredictionConfig(high_rank_limit=0), "rank gates must satisfy 0 < high <= medium: 0, 5"),
@@ -295,7 +282,7 @@ def test_rule_render_mentions_every_part():
         (lambda: GeneratorConfig(template="university", scale=0), "scale must be at least 1: 0"),
     ],
     ids=["threshold-low", "threshold-high", "weight-nan", "weight-zero", "weight-negative",
-         "floor", "floor-nan", "floor-inf", "floor-neg-inf", "gates-order", "gates-zero", "template", "scale"],
+         "gates-order", "gates-zero", "template", "scale"],
 )
 def test_configs_check_themselves_when_built(make, message):
     with pytest.raises(ConfigError) as exc:

@@ -20,7 +20,7 @@ from abacfill.cli import main
 from abacfill.clustering import ClusteringConfig, cluster_objects
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
 from abacfill.harness import remove_cells
-from abacfill.model import Obj, ObjectModel, Policy, Side
+from abacfill.model import EntitlementIndex, Obj, ObjectModel, Policy, Side
 from abacfill.policy_io import save_entitlements, save_policy
 from abacfill.prediction import predict_missing
 
@@ -57,7 +57,8 @@ def test_reversed_model_groups_and_predicts_alike(template, scale, percent):
     assert list(back.users) != list(om.users)
     want, got = cluster_objects(om, CONFIG), cluster_objects(back, CONFIG)
     assert got.groups == want.groups
-    assert predict_missing(back, got, ents) == predict_missing(om, want, ents)
+    index = EntitlementIndex(ents)
+    assert predict_missing(back, got, index) == predict_missing(om, want, index)
 
 
 @pytest.mark.parametrize("template,scale,percent", CASES)

@@ -17,6 +17,7 @@ from oracles import (
     random_small_policy,
     scanned_group_triples,
     scanned_missing_cells,
+    side_groups,
     value_index_constraint_features,
     with_cross_side_values,
 )
@@ -127,19 +128,16 @@ def test_gathered_values_match_the_member_walk(max_side):
     seen = Counter()
     for om in _random_models(max_side, 60, max_side):
         pairs = [(u, r, a) for u in om.users for r in om.resources for a in om.actions]
-        index = EntitlementIndex(
-            Entitlement(*e) for e in rng.sample(pairs, rng.randint(0, len(pairs)))
-        )
+        ents = {Entitlement(*e) for e in rng.sample(pairs, rng.randint(0, len(pairs)))}
+        index = EntitlementIndex(ents)
         clustering = cluster_objects(om, ClusteringConfig(threshold=rng.choice([0.1, 0.5, 0.9])))
         for side in Side:
+            groups = clustering.resources if side is Side.USER else clustering.users
             for oid in om.side_objects(side):
                 for gu, gr, action, ids in relevant_group_triples(clustering, index, side, oid):
                     group = gr if side is Side.USER else gu
-                    other = Side.RESOURCE if side is Side.USER else Side.USER
-                    linked = (index.resources(oid, action) if side is Side.USER
-                              else index.users(oid, action))
                     seen["linked outside the group"] += any(
-                        clustering.group_of(other, c) is not group for c in linked
+                        groups[c] is not group for c in index.linked(side, oid)[action]
                     )
                     for f in all_constraint_features(om):
                         c = f.constraint
@@ -147,7 +145,7 @@ def test_gathered_values_match_the_member_walk(max_side):
                                        else (om.users, c.user_attr))
                         got = list(counterpart_values(table, attr, ids))
                         args = (side, oid, gu, gr, action, c)
-                        assert got == member_walk_constraint_values(om, index, *args)
+                        assert got == member_walk_constraint_values(om, ents, *args)
                         seen["values"] += len(got)
     assert seen["values"] and seen["linked outside the group"]
 
@@ -193,7 +191,7 @@ def test_one_prediction_builds_no_value_index_over_a_whole_side():
     assert built
     for side, table in ((Side.USER, om.users), (Side.RESOURCE, om.resources)):
         whole = frozenset((side, oid) for oid in table)
-        assert all(len(g.members) < len(table) for g in clustering.side_groups(side))
+        assert all(len(g.members) < len(table) for g in side_groups(clustering, side))
         assert whole not in {objs for _, objs in built}
     # a group's rows are indexed once per attribute, for its conditions and
     # its joins alike, and its members with an unknown cell in an index of

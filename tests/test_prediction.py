@@ -54,7 +54,7 @@ def test_relevant_triples_empty_without_entitlements(campus):
 
 def test_predict_taught_courses_high(campus):
     om, clustering, cache = campus
-    p = predict_cell(om, clustering, cache, Side.USER, "csFac1", "coursesTaught")
+    p = predict_cell(clustering, cache, Side.USER, "csFac1", "coursesTaught")
     assert p.confidence is Confidence.HIGH
     assert p.value == frozenset({"cs101"})
     assert any(
@@ -65,7 +65,7 @@ def test_predict_taught_courses_high(campus):
 
 def test_predict_department_has_no_information(campus):
     om, clustering, cache = campus
-    p = predict_cell(om, clustering, cache, Side.USER, "csFac1", "department")
+    p = predict_cell(clustering, cache, Side.USER, "csFac1", "department")
     assert p.confidence is Confidence.NEI
     assert p.value is None
     assert not p.predicted
@@ -84,12 +84,12 @@ def test_predict_missing_order_and_content(campus_policy, campus_entitlements):
 def test_rank_gates_downgrade_confidence(campus):
     om, clustering, cache = campus
     tight = PredictionConfig(high_rank_limit=2, medium_rank_limit=5)
-    p = predict_cell(om, clustering, cache, Side.USER, "csFac1", "coursesTaught", tight)
+    p = predict_cell(clustering, cache, Side.USER, "csFac1", "coursesTaught", tight)
     assert p.confidence is Confidence.MEDIUM
     assert p.value == frozenset({"cs101"})
 
     cutoff = PredictionConfig(high_rank_limit=2, medium_rank_limit=2)
-    p2 = predict_cell(om, clustering, cache, Side.USER, "csFac1", "coursesTaught", cutoff)
+    p2 = predict_cell(clustering, cache, Side.USER, "csFac1", "coursesTaught", cutoff)
     assert p2.confidence is Confidence.NEI
 
 
@@ -105,7 +105,7 @@ def test_unknown_counterpart_cells_contribute_nothing(campus_policy, campus_enti
     om.resources["cs101gb"].attrs["course"] = MISSING
     clustering = cluster_objects(om)
     cache = TripleCache(om, campus_entitlements)
-    p = predict_cell(om, clustering, cache, Side.USER, "csFac1", "coursesTaught")
+    p = predict_cell(clustering, cache, Side.USER, "csFac1", "coursesTaught")
     # the only linked counterpart's course is itself unknown: no echo
     assert p.confidence is Confidence.NEI
     assert p.value is None
@@ -115,8 +115,8 @@ def test_gather_respects_the_triple_action(campus_policy, campus_entitlements):
     om = campus_policy.model
     ents = set(campus_entitlements) | {Entitlement("csFac1", "ee601gb", "read")}
     clustering = cluster_objects(om)
-    cache = TripleCache(om, ents)
-    p = predict_cell(om, clustering, cache, Side.USER, "csFac1", "coursesTaught")
+    cache = TripleCache(om, EntitlementIndex(ents))
+    p = predict_cell(clustering, cache, Side.USER, "csFac1", "coursesTaught")
     # ee601gb is linked only under another action, so its course stays out
     assert p.value == frozenset({"cs101"})
     assert p.confidence is Confidence.HIGH
@@ -125,7 +125,7 @@ def test_gather_respects_the_triple_action(campus_policy, campus_entitlements):
 def test_cell_must_be_unknown(campus):
     om, clustering, cache = campus
     with pytest.raises(ConfigError):
-        predict_cell(om, clustering, cache, Side.USER, "csFac2", "coursesTaught")
+        predict_cell(clustering, cache, Side.USER, "csFac2", "coursesTaught")
 
 
 def test_triple_cache_memoizes(campus):
@@ -149,12 +149,12 @@ def _dept_model():
     om.add(Obj("u3", Side.USER, {"id": "u3", "dept": "ab", "role": "emp"}))
     om.add(Obj("ra", Side.RESOURCE, {"id": "ra", "dept": "aa"}))
     om.add(Obj("rb", Side.RESOURCE, {"id": "rb", "dept": "ab"}))
-    ents = {
+    ents = EntitlementIndex([
         Entitlement("u2", "ra", "read"),
         Entitlement("u3", "rb", "read"),
         Entitlement("u1", "ra", "read"),
         Entitlement("u1", "rb", "read"),
-    }
+    ])
     return om, ents
 
 
@@ -162,7 +162,7 @@ def test_single_cell_tie_breaks_on_smaller_value():
     om, ents = _dept_model()
     clustering = cluster_objects(om)
     cache = TripleCache(om, ents)
-    p = predict_cell(om, clustering, cache, Side.USER, "u1", "dept")
+    p = predict_cell(clustering, cache, Side.USER, "u1", "dept")
     # both departments arrive from the same constraint at the same rank
     assert p.confidence is Confidence.HIGH
     assert p.value == "aa"
@@ -171,7 +171,8 @@ def test_single_cell_tie_breaks_on_smaller_value():
 class _FixedCache:
     """Cache stub returning a preset ranking per (gu, gr, action) key."""
 
-    def __init__(self, entitlements, rankings):
+    def __init__(self, om, entitlements, rankings):
+        self.om = om
         self.entitlements = EntitlementIndex(entitlements)
         self._rankings = rankings
 
@@ -192,9 +193,8 @@ def test_multi_cell_takes_all_values_at_weakest_confidence():
     om.add(Obj("r2", Side.RESOURCE, {"id": "r2", "req": NULL, "topic": "d"}))
     ents = {Entitlement("u1", "r1", "read"), Entitlement("u1", "r2", "read")}
     clustering = cluster_objects(om)
-    g_u = clustering.group_of(Side.USER, "u1")
-    g_r1 = clustering.group_of(Side.RESOURCE, "r1")
-    g_r2 = clustering.group_of(Side.RESOURCE, "r2")
+    g_u = clustering.users["u1"]
+    g_r1, g_r2 = clustering.resources["r1"], clustering.resources["r2"]
     assert g_r1.gid != g_r2.gid  # applicability split keeps them apart
 
     filler = Feature.cond(Side.RESOURCE, AtomicCondition("topic", "in", frozenset({"x"})))
@@ -210,8 +210,8 @@ def test_multi_cell_takes_all_values_at_weakest_confidence():
             entry(filler), entry(filler), entry(filler), entry(covers)
         ),
     }
-    cache = _FixedCache(ents, rankings)
-    p = predict_cell(om, clustering, cache, Side.USER, "u1", "tags")
+    cache = _FixedCache(om, ents, rankings)
+    p = predict_cell(clustering, cache, Side.USER, "u1", "tags")
     # elements a, b arrive at rank 2 (high); d arrives at rank 4 (medium)
     assert p.value == frozenset({"a", "b", "d"})
     assert p.confidence is Confidence.MEDIUM

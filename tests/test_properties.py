@@ -141,8 +141,9 @@ def test_clustering_partitions_every_model(seed):
         sides = [g.side for g in clustering.groups]
         assert sides == sorted(sides, key=lambda s: 0 if s is Side.USER else 1)
         for g in clustering.groups:
+            table = clustering.users if g.side is Side.USER else clustering.resources
             for m in g.members:
-                assert clustering.group_of(g.side, m) is g
+                assert table[m] is g
 
         # members of one group always share an applicable-attribute signature
         for g in clustering.groups:
