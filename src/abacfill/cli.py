@@ -27,6 +27,7 @@ from .generator import TEMPLATES, GeneratorConfig, generate, reference_entitleme
 from .harness import HarnessConfig, eligible_cells, evaluate_matrix, percent_key, tally
 from .model import AbacError, InputError
 from .policy_io import (
+    dump_cell,
     entitlements_to_csv,
     json_text,
     load_entitlements,
@@ -150,19 +151,7 @@ def _emit_json(doc, out_path: str | None) -> None:
     _emit(json_text(doc) + "\n", out_path)
 
 
-def _render_value(value):
-    if value is None:
-        return None
-    if isinstance(value, frozenset):
-        return sorted(value)
-    return value
-
-
 _CONFIDENCE_NAMES = {Confidence.HIGH: "High", Confidence.MEDIUM: "Medium", Confidence.NEI: "NEI"}
-
-
-def _confidence_name(c: Confidence) -> str:
-    return _CONFIDENCE_NAMES[c]
 
 
 # ------------------------------------------------------------- subcommands
@@ -260,13 +249,13 @@ def _cmd_predict(args) -> int:
                 "side": p.side.value,
                 "object": p.object_id,
                 "attr": p.attr,
-                "confidence": _confidence_name(p.confidence),
-                "value": _render_value(p.value),
+                "confidence": _CONFIDENCE_NAMES[p.confidence],
+                "value": dump_cell(p.value),
                 "evidence": [
                     {
                         "feature": e.feature,
                         "rank": e.rank,
-                        "confidence": _confidence_name(e.confidence),
+                        "confidence": _CONFIDENCE_NAMES[e.confidence],
                         "values": sorted(e.values),
                     }
                     for e in p.evidence
@@ -318,9 +307,9 @@ def _matrix_json(template, scales, percents, runs, settings, matrix, timing: boo
                     "side": c.side.value,
                     "object": c.object_id,
                     "attr": c.attr,
-                    "truth": _render_value(c.truth),
-                    "predicted": _render_value(c.predicted),
-                    "confidence": _confidence_name(c.confidence),
+                    "truth": dump_cell(c.truth),
+                    "predicted": dump_cell(c.predicted),
+                    "confidence": _CONFIDENCE_NAMES[c.confidence],
                     "verdict": verdict,
                 }
             )

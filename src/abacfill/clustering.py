@@ -133,18 +133,6 @@ def _as_written(x) -> Fraction:
     return Fraction(str(float(x)))
 
 
-class _Weights(dict):
-    """A config's attribute weights as written, each read once."""
-
-    def __init__(self, config: ClusteringConfig):
-        super().__init__()
-        self.config = config
-
-    def __missing__(self, name: str) -> Fraction:
-        w = self[name] = _as_written(self.config.weight(name))
-        return w
-
-
 class _Column:
     """One attribute's cells in a group under refinement, and what each
     cell's similarity to the others, summed, is read from: the counts of
@@ -217,7 +205,7 @@ class _Tally:
     totals()[i] / unit.  The id adds only its weight, since no two members
     share an id."""
 
-    def __init__(self, members: list, weights: _Weights):
+    def __init__(self, members: list, weights: dict):
         self.members = members
         names = sorted(active_attributes(members[0]))
         weight_sum = sum((weights[name] for name in names), Fraction(0))
@@ -254,12 +242,13 @@ def member_means(members: list, config: ClusteringConfig) -> list:
     """Each member's exact mean similarity to the other members, as a
     Fraction: the quantity refinement compares with the threshold.  Needs
     at least two members."""
-    tally = _Tally(members, _Weights(config))
+    weights = {name: _as_written(config.weight(name)) for name in active_attributes(members[0])}
+    tally = _Tally(members, weights)
     others = tally.unit * (len(members) - 1)
     return [Fraction(t, others) for t in tally.totals()]
 
 
-def refine_group(members: list, threshold: Fraction, weights: _Weights) -> list:
+def refine_group(members: list, threshold: Fraction, weights: dict) -> list:
     """Split out poorly matching members until stable.
 
     All members below the threshold leave together as one new group, and
@@ -285,7 +274,8 @@ def cluster_objects(om: ObjectModel, config: ClusteringConfig = None) -> Cluster
     """Cluster both sides of the model, each walked in id order.  Group ids
     run 1..n, users first."""
     config = config or ClusteringConfig()
-    threshold, weights = _as_written(config.threshold), _Weights(config)
+    threshold = _as_written(config.threshold)
+    weights = {name: _as_written(config.weight(name)) for _, name in om.schema.attrs}
     groups = []
     of = {Side.USER: {}, Side.RESOURCE: {}}  # side -> object id -> Group
     for side in (Side.USER, Side.RESOURCE):

@@ -93,14 +93,6 @@ class Feature:
     condition: AtomicCondition = None
     constraint: AtomicConstraint = None
 
-    @classmethod
-    def cond(cls, side: Side, condition: AtomicCondition) -> "Feature":
-        return cls(side=side, condition=condition)
-
-    @classmethod
-    def con(cls, constraint: AtomicConstraint) -> "Feature":
-        return cls(constraint=constraint)
-
     @property
     def is_constraint(self) -> bool:
         return self.constraint is not None
@@ -146,7 +138,7 @@ def _conditions_for(group_side: "GroupSide") -> tuple:
             if count < 2:
                 continue
             op, val = ("contains", v) if multi else ("in", frozenset({v}))
-            conditions.append(Feature.cond(side, AtomicCondition(attr, op, val)))
+            conditions.append(Feature(side, AtomicCondition(attr, op, val)))
             holders.append(held)
             supported.append(count + others.missing == len(group_side.group.members))
     return tuple(conditions), holders, np.array(supported, dtype=bool)
@@ -196,7 +188,7 @@ def constraint_features(om: ObjectModel) -> tuple:
             empty = op == "supseteq" and user_sets and res_empty
             if shared or empty:
                 kept.append(AtomicConstraint(ua.name, op, ra.name))
-    return tuple(Feature.con(c) for c in sorted(kept))
+    return tuple(Feature(constraint=c) for c in sorted(kept))
 
 
 def is_untainted(obj) -> bool:

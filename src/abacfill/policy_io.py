@@ -48,24 +48,31 @@ from .model import (
 _ENT_HEADER = ["user", "resource", "action"]
 
 
-def _parse_cell(kind: AttrKind, raw):
-    """The cell a JSON value encodes; InputError, without the cell's
-    location, if it does not fit the kind."""
+def _parse_cell(kinds: dict, name, raw, key: str, i: int):
+    """The cell raw encodes for attribute name of object key[i]; an
+    InputError located at key[i] if the side does not declare name or the
+    cell does not fit its kind."""
+    kind = kinds.get(name)
+    if kind is None:
+        if name == "id":
+            raise InputError(f"{key}[{i}]: 'id' belongs at the top level")
+        raise InputError(f"{key}[{i}]: undeclared attribute {name!r}")
+    where = f"{key}[{i}].{name}"
     if isinstance(raw, str):
         if raw == "?":
-            raise InputError("literal '?' is not a value; use {\"missing\": true}")
+            raise InputError(f"{where}: literal '?' is not a value; use {{\"missing\": true}}")
         if kind is not AttrKind.SINGLE:
-            raise InputError("multi-valued cell needs an array")
+            raise InputError(f"{where}: multi-valued cell needs an array")
         return raw
     if isinstance(raw, list):
         if kind is not AttrKind.MULTI:
-            raise InputError("single-valued cell needs a string")
+            raise InputError(f"{where}: single-valued cell needs a string")
         out = set()
         for v in raw:
             if not isinstance(v, str):
-                raise InputError(f"set element {v!r} is not a string")
+                raise InputError(f"{where}: set element {v!r} is not a string")
             if v == "?":
-                raise InputError("literal '?' is not a value")
+                raise InputError(f"{where}: literal '?' is not a value")
             out.add(v)
         return frozenset(out)
     if raw is None:
@@ -73,11 +80,13 @@ def _parse_cell(kind: AttrKind, raw):
     if isinstance(raw, dict):
         if raw == {"missing": True}:
             return MISSING
-        raise InputError(f"unrecognized cell object {raw!r}")
-    raise InputError(f"cannot interpret cell {raw!r}")
+        raise InputError(f"{where}: unrecognized cell object {raw!r}")
+    raise InputError(f"{where}: cannot interpret cell {raw!r}")
 
 
-def _dump_cell(value):
+def dump_cell(value):
+    """The JSON value of a cell, as `_parse_cell` reads it back; None, no
+    value at all, stays null."""
     if value is NULL:
         return None
     if value is MISSING:
@@ -129,20 +138,6 @@ def _array(entry: dict, key: str, where: str) -> list:
     return value
 
 
-def _cell(kinds: dict, name, raw, key: str, i: int):
-    """The cell raw encodes for attribute name of object key[i]; an
-    InputError located at key[i] if it does not fit the declared kind."""
-    kind = kinds.get(name)
-    if kind is None:
-        if name == "id":
-            raise InputError(f"{key}[{i}]: 'id' belongs at the top level")
-        raise InputError(f"{key}[{i}]: undeclared attribute {name!r}")
-    try:
-        return _parse_cell(kind, raw)
-    except InputError as e:
-        raise InputError(f"{key}[{i}].{name}: {e}") from None
-
-
 def _load_side(om: ObjectModel, side: Side, entries: list, key: str) -> None:
     """Add the side's objects to om, checking each cell once, as it is read:
     the model needs no second walk.  The side's kinds and blank cells are
@@ -164,7 +159,7 @@ def _load_side(om: ObjectModel, side: Side, entries: list, key: str) -> None:
         new(oid, {
             name: raw if raw.__class__ is str and name in single and raw != "?"
             else NULL if raw is None and name in kinds
-            else _cell(kinds, name, raw, key, i)
+            else _parse_cell(kinds, name, raw, key, i)
             for name, raw in given.items()
         })
 
@@ -238,7 +233,7 @@ def policy_to_dict(policy: Policy) -> dict:
         out = []
         for obj in om.by_id(side):
             attrs = {
-                name: _dump_cell(v)
+                name: dump_cell(v)
                 for name, v in sorted(obj.attrs.items())
                 if name != "id"
             }

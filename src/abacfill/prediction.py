@@ -47,15 +47,10 @@ from .model import (
 )
 
 
-class Confidence(enum.Enum):
+class Confidence(enum.IntEnum):
     NEI = 0  # not enough information
     MEDIUM = 1
     HIGH = 2
-
-    def __lt__(self, other):
-        if isinstance(other, Confidence):
-            return self.value < other.value
-        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -191,16 +186,6 @@ def counterpart_values(table, attr, ids):
             yield v
 
 
-def rank_confidence(rank: int, config: PredictionConfig):
-    """Confidence earned by a feature at the given 1-based rank, or None
-    when the rank is past the medium gate and contributes nothing."""
-    if rank <= config.high_rank_limit:
-        return Confidence.HIGH
-    if rank <= config.medium_rank_limit:
-        return Confidence.MEDIUM
-    return None
-
-
 def predict_cell(
     clustering: Clustering,
     cache: TripleCache,
@@ -235,11 +220,7 @@ def predict_cell(
     best = {}  # candidate value -> (confidence, best rank)
     evidence = []
     for ids, ranked in triples:
-        for i, rf in enumerate(ranked):
-            rank = i + 1
-            conf = rank_confidence(rank, config)
-            if conf is None:
-                break
+        for rank, rf in enumerate(ranked[: config.medium_rank_limit], 1):
             if not rf.feature.mentions(side, attr):
                 continue
             if relational and not rf.feature.is_constraint:
@@ -253,6 +234,7 @@ def predict_cell(
                 values = sorted(cond.val) if cond.op == "in" else [cond.val]
             if not values:
                 continue
+            conf = Confidence.HIGH if rank <= config.high_rank_limit else Confidence.MEDIUM
             evidence.append(
                 Evidence(rf.feature.render(), rank, conf, tuple(sorted(set(values))))
             )
@@ -267,7 +249,7 @@ def predict_cell(
     kind = om.schema.kind(side, attr)
     if kind is AttrKind.SINGLE:
         # best confidence, then best rank, then smallest value
-        value = min(best, key=lambda v: (-best[v][0].value, best[v][1], v))
+        value = min(best, key=lambda v: (-best[v][0], best[v][1], v))
         conf = best[value][0]
         return CellPrediction(side, oid, attr, conf, value, tuple(evidence))
     conf = min((c for c, _ in best.values()), default=Confidence.NEI)

@@ -396,7 +396,7 @@ def all_constraint_features(om) -> tuple:
     op_for_kinds = {kinds: op for op, kinds in CONSTRAINT_KINDS.items()}
     return tuple(sorted(
         (
-            Feature.con(AtomicConstraint(ua.name, op_for_kinds[ua.kind, ra.kind], ra.name))
+            Feature(constraint=AtomicConstraint(ua.name, op_for_kinds[ua.kind, ra.kind], ra.name))
             for ua in om.schema.for_side(Side.USER)
             for ra in om.schema.for_side(Side.RESOURCE)
         ),
@@ -561,7 +561,7 @@ def value_index_constraint_features(om) -> tuple:
             empty = op == "supseteq" and u.size and r.empty
             if shared or empty:
                 kept.append(AtomicConstraint(ua.name, op, ra.name))
-    return tuple(Feature.con(c) for c in sorted(kept))
+    return tuple(Feature(constraint=c) for c in sorted(kept))
 
 
 def scanned_missing_cells(om) -> list:

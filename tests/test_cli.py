@@ -122,6 +122,13 @@ def test_features_rejects_unknown_object(capsys):
                        "--action", "modify")
     assert code == 1
     assert "unknown user" in err
+    for flag, name in (("--resource", "nothing"), ("--action", "fly")):
+        argv = ["features", "--policy", CAMPUS, "--entitlements", CAMPUS_ENTS,
+                "--user", "csFac1", "--resource", "cs101gb", "--action", "modify"]
+        argv[argv.index(flag) + 1] = name
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"unknown {flag[2:]} {name!r}" in err
 
 
 def test_features_has_no_floor_option(capsys):
@@ -244,6 +251,8 @@ def test_evaluate_rejects_counts_below_one(capsys, flag, value):
         # one key per percent: the 6 decimals the output prints
         ("2", "6,6.0000000000001", "duplicate value in --percents: 6"),
         ("2", "3,12.0000004,12", "duplicate value in --percents: 12"),
+        (",", "6", "need at least one scale and one percent"),
+        ("2", "6,101", "percents must lie in [0, 100]"),
     ],
 )
 def test_evaluate_rejects_duplicate_scales_and_percents(capsys, scales, percents, message):
@@ -296,6 +305,23 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert json.loads(out)["threshold"] == 0.5
 
 
+def test_ntcf_flag_sets_the_gates(tmp_path, capsys):
+    """--ntcf 1,1 gives what a config file's "ntcf": [1, 1] gives, and on
+    the campus fixture that differs from the default gates 3,5."""
+    argv = ["predict", "--policy", CAMPUS, "--entitlements", CAMPUS_ENTS]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"ntcf": [1, 1]}')
+    flagged = run(capsys, *argv, "--ntcf", "1,1")
+    assert flagged[0] == 0
+    assert run(capsys, *argv, "--config", str(cfg)) == flagged
+    assert run(capsys, *argv)[1] != flagged[1]
+    json_path = tmp_path / "d.json"
+    code, _, _ = run(capsys, "evaluate", "--template", "university", "--scales", "1",
+                     "--runs", "1", "--percents", "3", "--ntcf", "1,1", "--json", str(json_path))
+    assert code == 0
+    assert json.loads(json_path.read_text())["ntcf"] == [1, 1]
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"threshold": 0.3}')
@@ -312,6 +338,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ("cluster", {"weights": {"position": None}}, "weights.position"),
         ("predict", {"ntcf": ["a", 5]}, "ntcf"),
         ("evaluate", {"seed": "abc"}, "seed"),
+        ("cluster", ["st", 0.3], "config"),
+        ("cluster", {"weights": [["position", 2]]}, "weights"),
     ],
 )
 def test_config_file_rejects_wrong_types(tmp_path, capsys, command, doc, key):
@@ -344,11 +372,15 @@ def test_entitlement_rows_must_name_known_objects(tmp_path, capsys, row, what):
     assert code == 1 and where in err
 
 
-def test_missing_file_is_an_input_error(capsys):
+def test_missing_file_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "predict", "--policy", "/no/such/file.json",
                        "--entitlements", CAMPUS_ENTS)
     assert code == 1
     assert "error:" in err
+    absent = tmp_path / "absent.csv"
+    code, out, err = run(capsys, "predict", "--policy", CAMPUS, "--entitlements", str(absent))
+    assert (code, out) == (1, "")
+    assert f"cannot read {absent}: " in err
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):
@@ -414,6 +446,16 @@ def test_bad_usage_exits_one(capsys):
                "--ntcf", "five")[0] == 1
 
 
+def test_closed_stdout_exits_zero(monkeypatch):
+    """A reader that closes the pipe early, as `| head` does, is no error."""
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["generate", "--template", "university"]) == 0
+
+
 @pytest.mark.parametrize("literal, text", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
 def test_non_finite_weights_are_rejected(tmp_path, capsys, literal, text):
     code, out, err = run(capsys, "cluster", "--policy", CAMPUS, "--weights", f"position={text}")
@@ -451,6 +493,15 @@ def test_weights_flag_parsing(capsys):
     code, _, err = run(capsys, "cluster", "--policy", CAMPUS, "--weights", "position")
     assert code == 1
     assert "attr=1.5" in err
+    code, out, err = run(capsys, "cluster", "--policy", CAMPUS, "--weights", "a=x")
+    assert (code, out) == (1, "")
+    assert "weight for 'a' is not a number: 'x'" in err
+    # an empty entry between commas is skipped
+    _, want, _ = run(capsys, "cluster", "--policy", CAMPUS,
+                     "--weights", "position=1,department=2")
+    code, out, err = run(capsys, "cluster", "--policy", CAMPUS,
+                         "--weights", "position=1,,department=2")
+    assert (code, out, err) == (0, want, "")
 
 
 WEIGHTED_COMMANDS = {
@@ -504,7 +555,7 @@ def _json_paths(doc, prefix=()):
 
 def _mutated(doc, op, path, value=None):
     """A deep copy of doc with the value at path replaced, its key dropped,
-    or (for a user or resource entry) the entry appended again."""
+    or (for a list entry) the entry appended to its list again."""
     doc = json.loads(json.dumps(doc))
     parent = doc
     for key in path[:-1]:
@@ -650,13 +701,14 @@ SCHEMA_ENTRIES = [
      "schema[1]: appliesTo must be user or resource"),
     (("set", ("schema", 1, "appliesTo"), None),
      "schema[1]: appliesTo must be user or resource"),
+    (("dup", ("schema", 1)), "duplicate attribute declaration: position for users"),
 ]
 
 
 @pytest.mark.parametrize(
     "mutation,message", SCHEMA_ENTRIES,
     ids=["string", "null", "array", "no-kind", "no-appliesTo", "no-name", "kind-both",
-         "kind-array", "appliesTo-both", "appliesTo-null"],
+         "kind-array", "appliesTo-both", "appliesTo-null", "duplicate"],
 )
 def test_schema_declarations_get_plain_messages(tmp_path, capsys, mutation, message):
     campus = json.loads(pathlib.Path(CAMPUS).read_text())
@@ -664,6 +716,39 @@ def test_schema_declarations_get_plain_messages(tmp_path, capsys, mutation, mess
     pol.write_text(json.dumps(_mutated(campus, *mutation)))
     for argv in (["entitlements", "--policy", str(pol)],
                  ["cluster", "--policy", str(pol)],
+                 ["predict", "--policy", str(pol), "--entitlements", CAMPUS_ENTS]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
+
+# a malformed policy document, cell or rule: the mutation of the campus
+# fixture (None: the fixture inside an array) and the message it gets
+POLICY_ENTRIES = [
+    (None, "policy document must be a JSON object"),
+    (("drop", ("schema",)), "policy document lacks 'schema'"),
+    (("dup", ("actions", 0)), "duplicate action names"),
+    (("set", ("users", 1, "attrs", "coursesTaught", 0), 7),
+     "users[1].coursesTaught: set element 7 is not a string"),
+    (("set", ("rules", 0), "rule"), "rules[0]: must be an object"),
+    (("set", ("rules", 0, "uc", 0, 2), "faculty"), "rules[0]: 'in' needs an array of values"),
+    (("set", ("rules", 0, "uc", 0), ["coursesTaught", "contains", ["cs101"]]),
+     "rules[0]: 'contains' needs a string value"),
+    (("set", ("rules", 0, "c", 0), ["coursesTaught", "contains"]),
+     "rules[0]: constraint must be [userAttr, op, resourceAttr]"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutation,message", POLICY_ENTRIES,
+    ids=["not-an-object", "no-schema", "duplicate-action", "set-element", "rule-string",
+         "in-string", "contains-array", "constraint-pair"],
+)
+def test_policy_documents_get_plain_messages(tmp_path, capsys, mutation, message):
+    campus = json.loads(pathlib.Path(CAMPUS).read_text())
+    pol = tmp_path / "p.json"
+    pol.write_text(json.dumps([campus] if mutation is None else _mutated(campus, *mutation)))
+    for argv in (["entitlements", "--policy", str(pol)],
                  ["predict", "--policy", str(pol), "--entitlements", CAMPUS_ENTS]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")

@@ -205,10 +205,10 @@ def test_a_constraint_on_an_all_null_attribute_is_dropped():
 
 
 def test_feature_mentions():
-    f = Feature.cond(Side.USER, AtomicCondition("dept", "in", frozenset({"cs"})))
+    f = Feature(Side.USER, AtomicCondition("dept", "in", frozenset({"cs"})))
     assert f.mentions(Side.USER, "dept")
     assert not f.mentions(Side.RESOURCE, "dept")
-    g = Feature.con(AtomicConstraint("taught", "contains", "course"))
+    g = Feature(constraint=AtomicConstraint("taught", "contains", "course"))
     assert g.mentions(Side.USER, "taught")
     assert g.mentions(Side.RESOURCE, "course")
     assert not g.mentions(Side.USER, "course")

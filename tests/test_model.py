@@ -205,6 +205,34 @@ def test_policy_validate_checks_rule_shapes():
         Policy(om, (bad_con,)).validate()
 
 
+# rules built in code, which reach check_rules without the policy loader's
+# parsing: each breaks one rule of the schema's sides, kinds or operators
+HAND_BUILT_RULES = [
+    (Rule((AtomicCondition("dept", "in", frozenset()),), (), (), frozenset({"read"})),
+     "'in' condition needs a non-empty value set"),
+    (Rule((AtomicCondition("dept", "contains", "cs"),), (), (), frozenset({"read"})),
+     "'contains' condition needs a multi-valued attribute: dept"),
+    (Rule((AtomicCondition("tags", "contains", frozenset({"x"})),), (), (), frozenset({"read"})),
+     "'contains' condition needs a string value"),
+    (Rule((AtomicCondition("dept", "near", "cs"),), (), (), frozenset({"read"})),
+     "unknown condition operator: near"),
+    (Rule((), (), (AtomicConstraint("dept", "near", "owner"),), frozenset({"read"})),
+     "unknown constraint operator: near"),
+    (Rule((), (), (AtomicConstraint("rank", "equal", "owner"),), frozenset({"read"})),
+     "constraint on unknown user attribute rank"),
+]
+
+
+@pytest.mark.parametrize(
+    "rule,message", HAND_BUILT_RULES,
+    ids=["empty-in", "contains-single", "contains-set", "condition-op", "constraint-op",
+         "constraint-attr"],
+)
+def test_check_rules_rejects_hand_built_rules(rule, message):
+    with pytest.raises(SchemaError, match=message):
+        Policy(_tiny_model(), (rule,)).check_rules()
+
+
 def test_entitlement_index_matches_a_scan():
     # users and resources share ids o0.. (the two sides are separate
     # namespaces), and "nobody" holds no entitlement on either side

@@ -197,9 +197,9 @@ def test_multi_cell_takes_all_values_at_weakest_confidence():
     g_r1, g_r2 = clustering.resources["r1"], clustering.resources["r2"]
     assert g_r1.gid != g_r2.gid  # applicability split keeps them apart
 
-    filler = Feature.cond(Side.RESOURCE, AtomicCondition("topic", "in", frozenset({"x"})))
-    wants = Feature.con(AtomicConstraint("tags", "supseteq", "req"))
-    covers = Feature.con(AtomicConstraint("tags", "contains", "topic"))
+    filler = Feature(Side.RESOURCE, AtomicCondition("topic", "in", frozenset({"x"})))
+    wants = Feature(constraint=AtomicConstraint("tags", "supseteq", "req"))
+    covers = Feature(constraint=AtomicConstraint("tags", "contains", "topic"))
 
     def entry(f):
         return RankedFeature(f, 0.9, False)

@@ -10,11 +10,14 @@ import random
 
 import pytest
 
+from test_prediction import _FixedCache
+
 from abacfill.clustering import (
     ClusteringConfig,
     cluster_objects,
     object_similarity,
 )
+from abacfill.features import Feature, RankedFeature
 from abacfill.generator import GeneratorConfig, generate
 from abacfill.harness import (
     eligible_cells,
@@ -25,14 +28,16 @@ from abacfill.harness import (
 from abacfill.model import (
     MISSING,
     NULL,
+    AtomicCondition,
     AttrKind,
     AttrSchema,
+    Entitlement,
     Obj,
     ObjectModel,
     Schema,
     Side,
 )
-from abacfill.prediction import Confidence, PredictionConfig, rank_confidence
+from abacfill.prediction import Confidence, PredictionConfig, predict_cell
 
 GLOBAL_SEEDS = (11, 23, 47)
 
@@ -155,35 +160,65 @@ def test_clustering_partitions_every_model(seed):
 # --------------------------------- confidence gates (200 ranked lists)
 
 
+def _gate_setup():
+    """A user whose dept is unknown, entitled to one resource: one triple,
+    whose ranking the stub cache sets.  A user condition on dept mentions
+    the cell; a resource condition fills the ranks around it."""
+    s = Schema()
+    s.add(AttrSchema("id", AttrKind.SINGLE, Side.USER))
+    s.add(AttrSchema("dept", AttrKind.SINGLE, Side.USER))
+    s.add(AttrSchema("id", AttrKind.SINGLE, Side.RESOURCE))
+    s.add(AttrSchema("topic", AttrKind.SINGLE, Side.RESOURCE))
+    om = ObjectModel(schema=s, actions=("read",))
+    om.add(Obj("u1", Side.USER, {"id": "u1", "dept": MISSING}))
+    om.add(Obj("r1", Side.RESOURCE, {"id": "r1", "topic": "t"}))
+    clustering = cluster_objects(om)
+    key = (clustering.users["u1"].gid, clustering.resources["r1"].gid, "read")
+    target = RankedFeature(Feature(Side.USER, AtomicCondition("dept", "in", frozenset({"cs"}))),
+                           0.9, False)
+    filler = RankedFeature(Feature(Side.RESOURCE, AtomicCondition("topic", "in", frozenset({"t"}))),
+                           0.9, False)
+
+    def confidence(rank, length, config):
+        """The cell's confidence with the target at rank in a ranking of length."""
+        ranking = (filler,) * (rank - 1) + (target,) + (filler,) * (length - rank)
+        cache = _FixedCache(om, {Entitlement("u1", "r1", "read")}, {key: ranking})
+        return predict_cell(clustering, cache, Side.USER, "u1", "dept", config).confidence
+
+    return confidence
+
+
 @pytest.mark.parametrize("seed", GLOBAL_SEEDS)
 def test_confidence_gates_monotone(seed):
+    """predict_cell with one feature that mentions the cell at rank r: its
+    confidence is the gate that rank passes, NEI past the medium gate."""
     rng = random.Random(seed)
-    order = {Confidence.HIGH: 2, Confidence.MEDIUM: 1, None: 0}
+    confidence = _gate_setup()
     for _ in range(200):
         high = rng.randint(1, 8)
         medium = rng.randint(high, 12)
         config = PredictionConfig(high_rank_limit=high, medium_rank_limit=medium)
-        length = rng.randint(1, 15)
-        confs = [rank_confidence(rank, config) for rank in range(1, length + 1)]
+        length = rng.randint(medium + 1, 15)
+        confs = [confidence(rank, length, config) for rank in range(1, length + 1)]
 
         # confidence never recovers as the rank worsens
         for earlier, later in zip(confs, confs[1:]):
-            assert order[earlier] >= order[later]
+            assert earlier >= later
 
-        # gate boundaries are exact
-        assert rank_confidence(high, config) is Confidence.HIGH
+        # gate boundaries are exact; past the medium gate nothing is predicted
+        assert confs[high - 1] is Confidence.HIGH
         if high < medium:
-            assert rank_confidence(high + 1, config) is Confidence.MEDIUM
-        assert rank_confidence(medium, config) in (Confidence.HIGH, Confidence.MEDIUM)
-        assert rank_confidence(medium + 1, config) is None
+            assert confs[high] is Confidence.MEDIUM
+        assert confs[medium - 1] in (Confidence.HIGH, Confidence.MEDIUM)
+        assert confs[medium] is Confidence.NEI
 
         # widening either gate never lowers any rank's confidence
         wide = PredictionConfig(
             high_rank_limit=rng.randint(high, 12),
             medium_rank_limit=rng.randint(max(medium, 12), 16),
         )
-        for rank in range(1, length + 1):
-            assert order[rank_confidence(rank, wide)] >= order[rank_confidence(rank, config)]
+        for rank, conf in enumerate(confs, 1):
+            assert confidence(rank, length, wide) >= conf
 
 
 # ------------------------------------- removal round-trip (200 plans)
