@@ -1,10 +1,11 @@
-"""Fail when `abacfill predict` needs more memory than its ceiling.
+"""Fail when `abacfill predict` or `abacfill evaluate` needs more memory
+than its ceiling.
 
-Each case generates a policy with `generate --seed 1`, hides 6% of its
-known cells in a model copy with `Random(1)`, then runs `abacfill predict
---st 0.1` on it in a child process and reads that child's peak resident
-set size from `os.wait4`.  Exits 1 when any case's peak is above its
-ceiling.
+Each predict case generates a policy with `generate --seed 1`, hides 6% of
+its known cells in a model copy with `Random(1)`, then runs `abacfill
+predict --st 0.1` on it in a child process.  The evaluate case runs one
+removal sweep with `--json`.  Each reads its child's peak resident set size
+from `os.wait4`.  Exits 1 when any case's peak is above its ceiling.
 
     PYTHONPATH=src python scripts/rss_ceiling.py
 
@@ -27,6 +28,11 @@ CASES = [
     # fit's system stays small: near 100 MB
     ("university", 360, 160),
 ]
+# a sweep whose JSON detail is about 5 MB: written as it is encoded it peaks
+# near 42 MB; joined into one string before writing, near 64 MB
+SWEEP = ["--template", "university", "--scales", "4,6,8,12,20", "--percents", "3,6,9,30",
+         "--runs", "20"]
+SWEEP_CEILING = 55
 
 
 def make_inputs(template, scale, directory) -> None:
@@ -70,12 +76,21 @@ def check(template, scale, ceiling) -> bool:
     return mb <= ceiling
 
 
+def check_sweep() -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        mb = peak_mb([sys.executable, "-m", "abacfill.cli", "evaluate", *SWEEP,
+                      "--json", os.path.join(tmp, "detail.json")])
+    print(f"evaluate {' '.join(SWEEP)} --json: "
+          f"peak RSS {mb:.0f} MB (ceiling {SWEEP_CEILING} MB)")
+    return mb <= SWEEP_CEILING
+
+
 def main() -> int:
     if sys.argv[1:2] == ["--make-inputs"]:
         template, scale, directory = sys.argv[2:5]
         make_inputs(template, int(scale), directory)
         return 0
-    results = [check(*case) for case in CASES]
+    results = [check(*case) for case in CASES] + [check_sweep()]
     return 0 if all(results) else 1
 
 

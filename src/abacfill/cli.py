@@ -15,6 +15,7 @@ message naming the path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
@@ -29,12 +30,12 @@ from .model import AbacError, InputError
 from .policy_io import (
     dump_cell,
     entitlements_to_csv,
-    json_text,
     load_entitlements,
     load_policy,
     policy_to_dict,
     read_json,
-    write_text,
+    write_json,
+    writing,
 )
 from .prediction import Confidence, PredictionConfig, TripleCache, predict_missing
 
@@ -140,15 +141,20 @@ def _prediction_config(settings) -> PredictionConfig:
     return PredictionConfig(high_rank_limit=high, medium_rank_limit=medium)
 
 
+def _output(out_path: str | None):
+    """The `write` of the file at out_path, or of stdout, for a `with`."""
+    return writing(out_path) if out_path else contextlib.nullcontext(sys.stdout.write)
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        write_text(out_path, text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as write:
+        write(text)
 
 
-def _emit_json(doc, out_path: str | None) -> None:
-    _emit(json_text(doc) + "\n", out_path)
+def _emit_json(doc, out_path: str | None, sort_keys: bool = True) -> None:
+    with _output(out_path) as write:
+        write_json(doc, write, sort_keys)
+        write("\n")
 
 
 _CONFIDENCE_NAMES = {Confidence.HIGH: "High", Confidence.MEDIUM: "Medium", Confidence.NEI: "NEI"}
@@ -160,7 +166,7 @@ _CONFIDENCE_NAMES = {Confidence.HIGH: "High", Confidence.MEDIUM: "Medium", Confi
 def _cmd_generate(args) -> int:
     settings = _settings(args)
     policy = generate(GeneratorConfig(template=args.template, scale=args.scale, seed=settings["seed"]))
-    _emit(json_text(policy_to_dict(policy), sort_keys=False) + "\n", args.out)
+    _emit_json(policy_to_dict(policy), args.out, sort_keys=False)
     if args.entitlements_out:
         _emit(entitlements_to_csv(reference_entitlements(policy)), args.entitlements_out)
     return 0

@@ -10,13 +10,15 @@ true set (exact equality when subset scoring is off).  Unpredicted cells
 lower coverage but not accuracy.
 
 A sweep's runs are independent and seeded, so `evaluate_matrix` splits
-them between the calling process and up to `jobs` - 1 forked children, which
-read the policies they inherited and send back only their results.
+them between the calling process and up to `jobs` - 1 children forked with
+`os.fork`, which read the policies they inherited and pickle only their
+results back, each down its own `os.pipe`.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import signal
 import time
@@ -213,10 +215,7 @@ def worker_count(jobs: int, tasks: int) -> int:
     """How many processes run a grid of `tasks` runs at `--jobs` jobs: jobs,
     capped by the tasks and by the CPUs this process may run on, and 1
     where processes cannot be forked."""
-    if jobs == 1 or tasks <= 1:
-        return 1
-    import multiprocessing  # here, not at the top: only a run that forks pays for it
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if jobs == 1 or tasks <= 1 or not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -233,68 +232,76 @@ def interleave(shares: list) -> list:
     return out
 
 
-def _child(run, share, conn) -> None:
-    """A forked worker: run its share and send back the results, or the
-    exception that stopped it."""
-    # the parent alone answers an interrupt, by ending its children with
-    # SIGTERM; a handler the caller installed for that must not keep one alive
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+def _child(run, share, read_end: int, write_end: int) -> None:
+    """A forked worker: run its share and pickle the results, or the
+    exception that stopped it, into the write end of its pipe.  It ends in
+    `os._exit` whatever happens, so it never returns into the caller: with
+    code 0 once its reply is sent, 1 when anything else, `SystemExit`
+    included, stopped it."""
+    code = 1
     try:
-        reply = ("ok", [run(task) for task in share])
-    except Exception as e:  # noqa: BLE001 - re-raised in the parent
-        reply = ("error", e)
-    conn.send(reply)
-    conn.close()
-
-
-def _receive(w: int, child, conn) -> list:
-    """Worker w's results, its exception re-raised, or an error naming it
-    when it died before sending."""
-    try:
-        status, payload = conn.recv()
-    except (EOFError, OSError):
-        child.join()
-        raise RuntimeError(
-            f"removal worker {w} exited with code {child.exitcode} before sending its runs"
-        ) from None
-    child.join()
-    if status == "error":
-        raise payload
-    return payload
+        os.close(read_end)  # a reply to a parent that is gone fails, not blocks
+        # the parent alone answers an interrupt, by ending its children with
+        # SIGTERM; a handler the caller installed for that must not keep one alive
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        try:
+            reply = ("ok", [run(task) for task in share])
+        except Exception as e:  # noqa: BLE001 - re-raised in the parent
+            reply = ("error", e)
+        with open(write_end, "wb") as pipe:
+            pickle.dump(reply, pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_shared(run, tasks: list, jobs: int) -> list:
     """[run(task) for task in tasks], split between worker_count processes.
 
-    The parent runs share 0 while each forked child runs one other share
-    and sends its results down a one-way pipe; nothing is sent to a child.
-    With one worker no process is started.  The parent ends and joins every
-    child it started, also when a run fails or it is interrupted.
+    Each worker w > 0 is forked with `os.fork` and pickles its results
+    straight into a pipe of `os.pipe`, one way; nothing is sent to a child.
+    The parent runs share 0 first, then loads each child's reply and reaps
+    the child with `os.waitpid`.  A child that exited before its reply was
+    whole is named with its exit code.  With one worker no process is
+    started.  On any exception, an interrupt included, the parent ends every
+    child it has not reaped with SIGTERM and reaps it.
     """
     n = worker_count(jobs, len(tasks))
     shares = [tasks[w::n] for w in range(n)]
-    children = []
+    children = {}  # w -> (pid, read end of its pipe), until w is reaped
     try:
-        if n > 1:
-            import multiprocessing
-            ctx = multiprocessing.get_context("fork")
-            for w in range(1, n):
-                recv_end, send_end = ctx.Pipe(duplex=False)
-                child = ctx.Process(target=_child, args=(run, shares[w], send_end),
-                                    name=f"abacfill-worker-{w}")
-                child.start()
-                send_end.close()
-                children.append((w, child, recv_end))
+        for w in range(1, n):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(run, shares[w], read_end, write_end)
+            os.close(write_end)
+            children[w] = (pid, open(read_end, "rb"))
         results = [[run(task) for task in shares[0]]]
-        results += [_receive(w, child, conn) for w, child, conn in children]
+        for w in range(1, n):
+            pid, reader = children[w]
+            with reader:
+                try:
+                    reply = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):  # no reply, or one cut short
+                    reply = None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[w]
+            if reply is None:
+                raise RuntimeError(
+                    f"removal worker {w} exited with code {code} before sending its runs"
+                )
+            status, payload = reply
+            if status == "error":
+                raise payload
+            results.append(payload)
         return interleave(results)
     finally:
-        for _, child, conn in children:
-            conn.close()
-            if child.is_alive():
-                child.terminate()
-            child.join()
+        for pid, reader in children.values():
+            reader.close()
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
 
 
 def evaluate_matrix(

@@ -16,13 +16,15 @@ go straight into an `EntitlementIndex`.
 
 A file that cannot be read, is not UTF-8 text or is not valid JSON, nested
 too deeply included, and a path that cannot be written raise InputError
-naming the path.  `json_text` writes every JSON file and output: the text
+naming the path.  `write_json` writes every JSON file and output: the text
 of `json.dumps(doc, indent=2, sort_keys=...)`, without `json`'s
-pure-Python encoder.
+pure-Python encoder, passed piece by piece to a `write` callable as it is
+encoded, so no output is ever held whole as one string.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -279,12 +281,13 @@ def read_json(path: str):
         raise InputError(f"{path} is not valid JSON: nested too deeply") from None
 
 
-def write_text(path: str, text: str, newline: str = None) -> None:
-    """Write text to the file at path as UTF-8; InputError when it cannot
-    be written."""
+@contextlib.contextmanager
+def writing(path: str, newline: str = None):
+    """The `write` of the file at path, opened for UTF-8 text, for the body
+    of a `with`; InputError when the file cannot be opened or written."""
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
-            fh.write(text)
+            yield fh.write
     except OSError as e:
         raise InputError(f"cannot write {path}: {e}") from None
 
@@ -294,7 +297,9 @@ def load_policy(path: str) -> Policy:
 
 
 def save_policy(policy: Policy, path: str) -> None:
-    write_text(path, json_text(policy_to_dict(policy), sort_keys=False) + "\n")
+    with writing(path) as write:
+        write_json(policy_to_dict(policy), write, sort_keys=False)
+        write("\n")
 
 
 _INFINITY = float("inf")
@@ -390,19 +395,19 @@ def _write_object(o, out, nl: str, sort_keys: bool) -> None:
     out(nl + "}")
 
 
-def json_text(doc, sort_keys: bool = True) -> str:
-    """Exactly `json.dumps(doc, indent=2, sort_keys=sort_keys)`, written
-    without `json`'s pure-Python encoder, which `indent` selects.
+def write_json(doc, write, sort_keys: bool = True) -> None:
+    """Pass exactly the text of `json.dumps(doc, indent=2,
+    sort_keys=sort_keys)` to write, piece by piece as it is encoded, without
+    `json`'s pure-Python encoder, which `indent` selects.
 
     Strings go through `json`'s own `encode_basestring_ascii`, C where the
     interpreter has it; numbers, NaN and the infinities, keys and the
     layout follow `json`, and a value or key `json` cannot write raises the
     same TypeError.  A document that contains itself raises RecursionError,
-    where `json` raises ValueError.
+    where `json` raises ValueError.  What was written before an error stays
+    written.
     """
-    chunks = []
-    _write_json(doc, chunks.append, "\n", sort_keys)
-    return "".join(chunks)
+    _write_json(doc, write, "\n", sort_keys)
 
 
 def entitlements_to_csv(ents) -> str:
@@ -415,7 +420,8 @@ def entitlements_to_csv(ents) -> str:
 
 
 def save_entitlements(ents, path: str) -> None:
-    write_text(path, entitlements_to_csv(ents), newline="")
+    with writing(path, newline="") as write:
+        write(entitlements_to_csv(ents))
 
 
 def load_entitlements(path: str, model: ObjectModel) -> EntitlementIndex:

@@ -1,14 +1,20 @@
 """End-to-end command line tests, driven through main() in process."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+from abacfill import cli
 from abacfill.cli import build_parser, main
+from abacfill.generator import GeneratorConfig, generate, reference_entitlements
+from abacfill.harness import remove_cells
 from abacfill.model import NULL, InputError
-from abacfill.policy_io import load_policy, save_policy
+from abacfill.policy_io import load_policy, save_entitlements, save_policy
 
 DATA = pathlib.Path(__file__).parent / "data"
 CAMPUS = str(DATA / "campus.json")
@@ -454,6 +460,30 @@ def test_closed_stdout_exits_zero(monkeypatch):
 
     monkeypatch.setattr("sys.stdout", ClosedPipe())
     assert main(["generate", "--template", "university"]) == 0
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_reader_that_closes_the_pipe_early_is_no_error(tmp_path, unbuffered):
+    """predict streams about 236 KB of JSON into a real pipe whose reader
+    takes 10 bytes and closes it: exit 0 and nothing on stderr, whether
+    stdout is block-buffered or not."""
+    policy = generate(GeneratorConfig(template="project", scale=60, seed=1))
+    save_entitlements(reference_entitlements(policy), str(tmp_path / "e.csv"))
+    remove_cells(policy.model, 0.3, random.Random(1))
+    save_policy(policy, str(tmp_path / "p.json"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "PYTHONUNBUFFERED": unbuffered}
+    command = subprocess.Popen(
+        [sys.executable, "-m", "abacfill.cli", "predict", "--policy", str(tmp_path / "p.json"),
+         "--entitlements", str(tmp_path / "e.csv")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    with command:
+        assert command.stdout.read(10) == b'{\n  "predi'
+        command.stdout.close()
+        err = command.stderr.read()
+    assert (command.returncode, err) == (0, b"")
 
 
 @pytest.mark.parametrize("literal, text", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])

@@ -7,6 +7,7 @@ premise for each step a command takes, with the collector off, and that
 """
 
 import gc
+import io
 import os
 import random
 
@@ -19,11 +20,11 @@ from abacfill.harness import evaluate_matrix, remove_cells
 from abacfill.model import EntitlementIndex, Policy
 from abacfill.policy_io import (
     entitlements_to_csv,
-    json_text,
     load_entitlements,
     load_policy,
     policy_to_dict,
     save_policy,
+    write_json,
 )
 from abacfill.prediction import predict_missing
 
@@ -57,7 +58,8 @@ def _steps(policy_path, ents_path):
         "evaluate_matrix jobs 1": lambda: evaluate_matrix("university", [2], [0.06], 2, jobs=1),
         "evaluate_matrix jobs 2": lambda: evaluate_matrix("university", [2], [0.06], 2, jobs=2),
         "generate": lambda: generate(GeneratorConfig("project", 2, seed=3)),
-        "json_text": lambda: json_text(policy_to_dict(load_policy(policy_path))),
+        "write_json": lambda: write_json(policy_to_dict(load_policy(policy_path)),
+                                         io.StringIO().write),
     }
 
 

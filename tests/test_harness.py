@@ -8,9 +8,9 @@ student, and so on).
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -32,15 +32,14 @@ from abacfill.harness import (
     removal_count,
     restore_cells,
     run_seed,
+    run_shared,
     score_prediction,
     worker_count,
 )
 from abacfill.model import MISSING, NULL, AttrKind, ConfigError, EntitlementIndex, InputError, Side
 from abacfill.policy_io import policy_to_dict
 
-forks = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
-)
+forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
 @pytest.fixture
@@ -223,7 +222,7 @@ def test_harness_config_defaults():
 
 
 def test_worker_count_is_capped_by_jobs_tasks_and_cpus(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    monkeypatch.setattr(os, "fork", lambda: -1, raising=False)  # never called
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert worker_count(1, 45) == 1
     assert worker_count(3, 45) == 3
@@ -233,7 +232,7 @@ def test_worker_count_is_capped_by_jobs_tasks_and_cpus(monkeypatch):
 
 
 def test_worker_count_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    monkeypatch.setattr(os, "fork", lambda: -1, raising=False)  # never called
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert worker_count(8, 45) == 3
@@ -242,20 +241,37 @@ def test_worker_count_falls_back_to_cpu_count(monkeypatch):
 
 
 def test_worker_count_is_one_without_fork(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert worker_count(4, 45) == 1
 
 
+_LOADED = "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+_SWEEP_AT_TWO_JOBS = """
+import os, sys
+from abacfill import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+forked, fork = [], os.fork
+os.fork = lambda: forked.append(1) or fork()
+code = cli.main(["evaluate", "--template", "university", "--scales", "1", "--percents", "6",
+                 "--runs", "2", "--jobs", "2", "--csv", os.devnull])
+print(code, len(forked))
+"""
+
+
 def test_importing_the_cli_leaves_multiprocessing_out():
-    # only a run that forks imports it; predict and --jobs 1 never pay for it
+    # workers are forked with os.fork: neither the import nor a sweep that
+    # forks a worker (two CPUs whatever the host) loads multiprocessing
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, abacfill.cli; "
-            "print(sorted(m for m in sys.modules if 'multiprocessing' in m))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert out == "[]\n"
+
+    def output(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout
+
+    assert output(f"import sys, abacfill.cli; {_LOADED}") == "[]\n"
+    if hasattr(os, "fork"):
+        assert output(_SWEEP_AT_TWO_JOBS + _LOADED) == "0 1\n[]\n"
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -268,12 +284,17 @@ def test_interleave_undoes_the_shares(n, count):
     assert interleave(shares) == tasks
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Two workers at --jobs 2 whatever the host, and no child left after."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     yield
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def _fields(run):
@@ -346,7 +367,7 @@ def test_error_in_a_child_reads_as_at_one_job(two_cpus, monkeypatch, tmp_path, c
     assert int((tmp_path / "failed_in").read_text()) == os.getpid()
     assert _evaluate(capsys, 2) == (code, message)
     assert int((tmp_path / "failed_in").read_text()) != os.getpid()
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 @forks
@@ -356,7 +377,7 @@ def test_child_that_dies_without_sending_exits_2(two_cpus, monkeypatch, tmp_path
     assert code == 2
     assert err.startswith("internal error: ")
     assert "worker 1 exited with code 3" in err
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 @forks
@@ -371,4 +392,49 @@ def test_interrupt_in_the_parent_ends_its_children(two_cpus, monkeypatch, tmp_pa
     with pytest.raises(KeyboardInterrupt):
         evaluate_matrix("university", scales=(1,), fractions=(0.06,), runs=2, jobs=2)
     assert time.perf_counter() - start < 30
-    assert multiprocessing.active_children() == []
+    _no_child_left()
+
+
+@forks
+def test_a_reply_bigger_than_a_pipe_buffer_arrives_whole(two_cpus):
+    # the child's reply fills its pipe long before the parent, busy with its
+    # own share, starts to read it; a parent that waited for the child to
+    # exit before reading would wait forever, so an alarm ends the test
+    def run(task):
+        if task == 0:
+            time.sleep(0.2)
+        return str(task) * (1 << 20)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the reply never arrived")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        assert run_shared(run, [0, 1], 2) == ["0" * (1 << 20), "1" * (1 << 20)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@forks
+def test_system_exit_in_a_child_never_returns_into_the_caller(two_cpus, monkeypatch, tmp_path,
+                                                               capsys):
+    after = tmp_path / "after_run_shared"
+    real = harness.run_shared
+
+    def recording(*args):
+        try:
+            return real(*args)
+        finally:
+            with open(after, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+    monkeypatch.setattr(harness, "run_shared", recording)
+    _failing_run(monkeypatch, tmp_path, _raise(SystemExit(0)))
+    code, err = _evaluate(capsys, 2)
+    assert code == 2
+    assert err == ("internal error: RuntimeError: removal worker 1 exited with code 1 "
+                   "before sending its runs\n")
+    assert int((tmp_path / "failed_in").read_text()) != os.getpid()
+    assert after.read_text(encoding="utf-8") == f"{os.getpid()}\n"

@@ -1,8 +1,9 @@
-"""`policy_io.json_text` against `json.dumps(doc, indent=2, sort_keys=...)`:
+"""`policy_io.write_json` against `json.dumps(doc, indent=2, sort_keys=...)`:
 seeded random documents, the values where the two encoders could part, and
 every JSON file the command line writes."""
 
 import enum
+import io
 import json
 import math
 import pathlib
@@ -14,7 +15,7 @@ from abacfill import cli
 from abacfill.features import is_untainted
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
 from abacfill.harness import remove_cells
-from abacfill.policy_io import json_text, save_entitlements, save_policy
+from abacfill.policy_io import save_entitlements, save_policy, write_json
 
 DATA = pathlib.Path(__file__).parent / "data"
 CAMPUS = str(DATA / "campus.json")
@@ -23,6 +24,13 @@ CAMPUS_ENTS = str(DATA / "campus_entitlements.csv")
 
 def reference(doc, sort_keys=True) -> str:
     return json.dumps(doc, indent=2, sort_keys=sort_keys)
+
+
+def written(doc, sort_keys=True) -> str:
+    """What `write_json` writes for doc, read back from an `io.StringIO`."""
+    out = io.StringIO()
+    write_json(doc, out.write, sort_keys)
+    return out.getvalue()
 
 
 class Level(enum.IntEnum):
@@ -105,8 +113,8 @@ def test_matches_json_on_random_documents():
     rng = random.Random(17)
     for i in range(5000):
         doc = random_doc(rng)
-        assert json_text(doc) == reference(doc), i
-        assert json_text(doc, sort_keys=False) == reference(doc, sort_keys=False), i
+        assert written(doc) == reference(doc), i
+        assert written(doc, sort_keys=False) == reference(doc, sort_keys=False), i
 
 
 @pytest.mark.parametrize("doc", [
@@ -115,8 +123,8 @@ def test_matches_json_on_random_documents():
     {True: 0, False: 1}, {None: None}, {"é\U0001f600": "\ud800\n"}, Level.LOW,
 ])
 def test_matches_json_on_edge_values(doc):
-    assert json_text(doc) == reference(doc)
-    assert json_text(doc, sort_keys=False) == reference(doc, sort_keys=False)
+    assert written(doc) == reference(doc)
+    assert written(doc, sort_keys=False) == reference(doc, sort_keys=False)
 
 
 @pytest.mark.parametrize("doc", [
@@ -126,8 +134,17 @@ def test_raises_what_json_raises(doc):
     with pytest.raises(TypeError) as want:
         reference(doc)
     with pytest.raises(TypeError) as got:
-        json_text(doc)
+        written(doc)
     assert str(got.value) == str(want.value)
+
+
+def test_a_document_that_contains_itself_raises_recursion_error():
+    doc = {"a": []}
+    doc["a"].append(doc)
+    with pytest.raises(ValueError, match="Circular reference"):
+        reference(doc)
+    with pytest.raises(RecursionError):
+        written(doc)
 
 
 @pytest.fixture
@@ -136,12 +153,17 @@ def recorded(monkeypatch):
     and the text written."""
     docs = []
 
-    def recording(doc, sort_keys=True):
-        text = json_text(doc, sort_keys)
-        docs.append((doc, sort_keys, text))
-        return text
+    def recording(doc, write, sort_keys=True):
+        pieces = []
 
-    monkeypatch.setattr(cli, "json_text", recording)
+        def tee(text):
+            pieces.append(text)
+            write(text)
+
+        write_json(doc, tee, sort_keys)
+        docs.append((doc, sort_keys, "".join(pieces)))
+
+    monkeypatch.setattr(cli, "write_json", recording)
     return docs
 
 
@@ -179,3 +201,18 @@ def test_command_outputs_match_json(tmp_path, capsys, recorded):
         assert sort_keys is (argv[0] != "generate")
         assert out.read_text(encoding="utf-8") == reference(doc, sort_keys) + "\n" == text + "\n"
     assert len(recorded) == len(commands)
+
+
+def test_stdout_gets_the_bytes_of_out(tmp_path, capsys):
+    policy, ents, user, resource = _university_4(tmp_path)
+    for argv in (
+        ["generate", "--template", "university", "--scale", "4"],
+        ["cluster", "--policy", policy],
+        ["features", "--policy", policy, "--entitlements", ents, "--user", user,
+         "--resource", resource, "--action", "modify"],
+        ["predict", "--policy", policy, "--entitlements", ents],
+    ):
+        out = tmp_path / "out.json"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
