@@ -24,8 +24,9 @@ SEED, PERCENT, THRESHOLD = 1, 6, "0.1"
 CASES = [
     # no learning array is users x resources: near 65 MB
     ("project", 240, 150),
-    # conditions need two holders and constraints a shared value, so each
-    # fit's system stays small: near 100 MB
+    # conditions need two holders and constraints a shared value, and a
+    # triple with an exact rule builds no full gram: near 50 MB (about 86
+    # while every triple was fitted)
     ("university", 360, 160),
 ]
 # a sweep whose JSON detail is about 5 MB: written as it is encoded it peaks

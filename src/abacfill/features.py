@@ -15,12 +15,16 @@ columns that can carry a coefficient:
 
 Rows are the (user, resource) pairs whose objects have no unknown cells;
 the label says whether that pair holds the action in the reference
-entitlement set.  A least-squares fit scores the features.  The fit needs
-only the design's sufficient statistics (row count, column sums, X'X, X'y
-and the positives count), and those are computed without building the pair x
-feature design, or any array of users x resources: a condition column
-depends on one side only, so its blocks follow from that side's 0/1
-member x condition matrix scaled by the other side's size, and condition x
+entitlement set.  The features are scored by the triple's smallest exact
+rules: conjunctions of at most two features that are true on exactly the
+granted rows.  On noise-free data every triple measured has one, and only
+where none exists, as in noisy data, does a least-squares fit score the
+features instead.  Both need only the design's integer statistics (row
+count, column sums, X'y, the positives count, and X'X over the columns
+they read), and those are computed without building the pair x feature
+design, or any array of users x resources: a condition column depends on
+one side only, so its blocks follow from that side's 0/1 member x
+condition matrix scaled by the other side's size, and condition x
 condition blocks across the sides are outer products of column sums.  A
 constraint column and the labels are lists of the pairs they hold on, as
 ascending flat positions u * resources + r: a constraint's list is
@@ -29,9 +33,12 @@ decides which pairs a policy's rules grant.  Its sum is the list's length,
 its products with a condition column are per-user or per-resource counts
 of the list, and its products with the labels and with other constraints
 are sizes of intersections.  A constraint that holds on no pair of the
-triple has only zero statistics.  Learning one triple costs
-O(conditions^2 + entitlements + matched pairs).  The statistics are
-integers, so the fit centers them exactly.
+triple has only zero statistics.  X'X is built on request, over the
+columns asked for: the rule search asks for the columns that hold on
+every granted row, and only the fit for all of them.  Learning one triple
+by a rule costs O(features + entitlements + matched pairs +
+necessary columns^2).  The statistics are integers, so the rule search is
+exact and the fit centers them exactly.
 
 Where positions matter, which object holds which value is read through
 one reader, `evaluate.ValueIndex`, built once per (group, attribute) over
@@ -47,14 +54,15 @@ granted pairs off a reach map and `build_learning_data` makes the
 statistics.  Prediction's `TripleCache` is the one path from a triple to
 its data, for `predict` and `abacfill features` alike.
 
-The ranking puts structurally certain features ahead of fitted ones:
+The ranking puts structurally certain features ahead of scored ones:
 
 * characterizing features hold on every row; conditions, which have two
   holders by construction, must also be supported: every member holds the
   value or has that cell unknown, so no member conflicts with it and a
   constant that only reflects blind spots in the data never counts,
 * remaining features qualify by coefficient above a small floor,
-  `COEFFICIENT_FLOOR`.
+  `COEFFICIENT_FLOOR`.  The atoms of every smallest exact rule get 1.0 and
+  every other feature 0; only the fallback fit gives coefficients between.
 
 A characterizing constraint subsumes characterizing conditions on the two
 attributes it relates, since it carries the same information plus the
@@ -64,6 +72,8 @@ cross-side link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -199,21 +209,22 @@ def is_untainted(obj) -> bool:
 @dataclass
 class LearningData:
     """Sufficient statistics of one (user group, resource group, action)
-    triple's least-squares fit.  The design they summarize has one 0/1 row
-    per untainted (user, resource) member pair and one column per feature;
-    it is never built.  Its columns are in canonical order by construction,
-    which ranking reads off their indexes: user conditions, then resource
+    triple.  The design they summarize has one 0/1 row per untainted
+    (user, resource) member pair and one column per feature; it is never
+    built.  Its columns are in canonical order by construction, which
+    ranking reads off their indexes: user conditions, then resource
     conditions, as `_conditions_for` sorts them, then constraints as
-    `constraint_features` sorts them."""
+    `constraint_features` sorts them.  The gram is built on request, over
+    the columns asked for only."""
 
     features: tuple
     row_count: int
     positives: int  # rows whose pair holds the action
     sums: np.ndarray  # (features,) column sums of the design
-    gram: np.ndarray  # (features, features) design' design
     xty: np.ndarray  # (features,) design' labels
     all_true: np.ndarray  # (features,) bool: true on every row
     supported: np.ndarray  # (features,) bool: no member conflicts; true for constraints
+    gram: Callable  # ascending column indexes -> design' design over those columns
 
 
 def _int_product(a, b) -> np.ndarray:
@@ -246,15 +257,14 @@ class GroupSide:
 
     def summarize(self) -> "GroupSide":
         """Fill in, on the first call, the conditions with their support
-        and the rows' (rows, conditions) bool matrix A with its gram A'A,
-        column sums and all-true columns; returns the side."""
+        and the rows' (rows, conditions) bool matrix A with its column sums
+        and all-true columns; returns the side."""
         if self.conditions is None:
             conditions, holders, self.supported = _conditions_for(self)
             A = np.zeros((len(self.rows), len(conditions)), dtype=bool)
             A[[i for held in holders for i in held],
               np.repeat(np.arange(len(holders)), [len(held) for held in holders])] = True
-            self.A, self.gram = A, _int_product(A.T, A)
-            self.sums, self.all_true, self.conditions = A.sum(0), A.all(0), conditions
+            self.A, self.sums, self.all_true, self.conditions = A, A.sum(0), A.all(0), conditions
         return self
 
     def index(self, attr: str) -> ValueIndex:
@@ -285,67 +295,84 @@ def _overlap(a, b) -> int:
 
 def build_learning_data(users: GroupSide, resources: GroupSide, constraints,
                         granted) -> LearningData:
-    """The fit statistics of one triple from its two group sides, which it
+    """The statistics of one triple from its two group sides, which it
     summarizes if they are not yet, its constraint features and its granted
     pairs, as `labels` lists them.
 
     Features run in canonical order, user conditions, resource conditions,
-    then constraints: the blocks of the statistics.  Each constraint's true
-    pairs come from joining the two sides' value indexes; a constraint true
-    on no pair has only zero entries.
+    then constraints.  Each constraint's true pairs come from joining the
+    two sides' value indexes; a constraint true on no pair has only zero
+    entries.  The gram is left to `design_gram`, over the columns a caller
+    asks for.
     """
     users, resources = users.summarize(), resources.summarize()
     nu, nr = len(users.rows), len(resources.rows)
-    Au, Ar = users.A, resources.A
-    su, sr = users.sums, resources.sums
     pairs = [
         matches(f.constraint, users.index(f.constraint.user_attr),
                 resources.index(f.constraint.res_attr))
         for f in constraints
     ]
-    k = len(pairs)
-    held = [j for j, p in enumerate(pairs) if len(p)]
-
-    # the nine blocks are written into one array, in the order of the
-    # features: user conditions, resource conditions, constraints
-    du, dr = len(su), len(sr)
-    c0 = du + dr
-    gram = np.zeros((c0 + k, c0 + k), dtype=np.int64)
-    U, R = slice(0, du), slice(du, c0)
-    np.multiply(users.gram, nr, out=gram[U, U])
-    np.multiply(resources.gram, nu, out=gram[R, R])
-    np.outer(su, sr, out=gram[U, R])
-    gram[R, U] = gram[U, R].T
-    # a condition column repeats its side's value across the other side, so
-    # its cross terms with a constraint need only the constraint's per-side counts
-    for a, i in enumerate(held):
-        c = c0 + i
-        gram[U, c] = gram[c, U] = Au.T @ np.bincount(pairs[i] // nr, minlength=nu)
-        gram[R, c] = gram[c, R] = Ar.T @ np.bincount(pairs[i] % nr, minlength=nr)
-        gram[c, c] = len(pairs[i])
-        for j in held[a + 1:]:
-            gram[c, c0 + j] = gram[c0 + j, c] = _overlap(pairs[i], pairs[j])
     counts = np.array([len(p) for p in pairs], dtype=np.int64)
-    sums = np.concatenate([su * nr, sr * nu, counts])
+    sums = np.concatenate([users.sums * nr, resources.sums * nu, counts])
     xty = np.concatenate([
-        Au.T @ np.bincount(granted // nr, minlength=nu),
-        Ar.T @ np.bincount(granted % nr, minlength=nr),
+        users.A.T @ np.bincount(granted // nr, minlength=nu),
+        resources.A.T @ np.bincount(granted % nr, minlength=nr),
         np.array([_overlap(p, granted) for p in pairs], dtype=np.int64),
     ])
     all_true = np.concatenate(
         [users.all_true, resources.all_true, counts == nu * nr]
     ) | (nu * nr == 0)
-    supported = np.concatenate([users.supported, resources.supported, np.ones(k, dtype=bool)])
+    supported = np.concatenate(
+        [users.supported, resources.supported, np.ones(len(pairs), dtype=bool)]
+    )
     return LearningData(
         features=users.conditions + resources.conditions + tuple(constraints),
         row_count=nu * nr,
         positives=len(granted),
         sums=sums,
-        gram=gram,
         xty=xty,
         all_true=all_true,
         supported=supported,
+        gram=partial(design_gram, users, resources, pairs),
     )
+
+
+def design_gram(users: GroupSide, resources: GroupSide, pairs, columns) -> np.ndarray:
+    """design' design over the given ascending columns of a triple whose
+    design `build_learning_data` summarizes from its two summarized sides
+    and its constraints' true pairs.
+
+    The columns fall into the blocks of the canonical order: user
+    conditions, resource conditions, constraints.  A condition column
+    repeats its side's value across the other side, so a block of one
+    side's conditions is that side's A'A scaled by the other side's size,
+    a cross-side condition block is the outer product of column sums, and
+    a condition's products with a constraint need only the constraint's
+    per-user or per-resource counts.  Two constraints' product is the size
+    of their lists' intersection.
+    """
+    nu, nr = len(users.rows), len(resources.rows)
+    du, c0 = len(users.conditions), len(users.conditions) + len(resources.conditions)
+    columns = np.asarray(columns, dtype=np.int64)
+    Au = users.A[:, columns[columns < du]]
+    Ar = resources.A[:, columns[(columns >= du) & (columns < c0)] - du]
+    held = [pairs[j] for j in columns[columns >= c0] - c0]
+    U, R = slice(0, Au.shape[1]), slice(Au.shape[1], Au.shape[1] + Ar.shape[1])
+    gram = np.zeros((len(columns), len(columns)), dtype=np.int64)
+    np.multiply(_int_product(Au.T, Au), nr, out=gram[U, U])
+    np.multiply(_int_product(Ar.T, Ar), nu, out=gram[R, R])
+    np.outer(Au.sum(0), Ar.sum(0), out=gram[U, R])
+    gram[R, U] = gram[U, R].T
+    for a, p in enumerate(held):
+        if not len(p):
+            continue
+        c = R.stop + a
+        gram[U, c] = gram[c, U] = Au.T @ np.bincount(p // nr, minlength=nu)
+        gram[R, c] = gram[c, R] = Ar.T @ np.bincount(p % nr, minlength=nr)
+        gram[c, c] = len(p)
+        for b in range(a + 1, len(held)):
+            gram[c, R.stop + b] = gram[R.stop + b, c] = _overlap(p, held[b])
+    return gram
 
 
 def fit_least_squares(n, sums, gram, xty, ysum):
@@ -386,12 +413,36 @@ class RankedFeature:
     characterizing: bool
 
 
-#: a feature that is not characterizing ranks only with a fitted
-#: coefficient above this
+#: a feature that is not characterizing ranks only with a coefficient
+#: above this: a rule atom's 1.0, or a fitted one
 COEFFICIENT_FLOOR = 0.05
 
 #: fitted coefficients closer than this to their neighbour in rank tie
 TIE_TOLERANCE = 1e-6
+
+
+def smallest_exact_rules(data: LearningData) -> list:
+    """Every smallest conjunction of at most two columns that is true on
+    exactly the granted rows, as ascending tuples of column indexes in
+    ascending order; empty when none of at most two columns is.
+
+    Read off the integer statistics: the empty rule is exact when every
+    row is granted.  A column is necessary when it holds on every granted
+    row, `xty[j] == positives`, and then exact alone when it holds on no
+    other row, `sums[j] == positives`.  Two necessary columns hold
+    together on every granted row, so their conjunction is exact when it
+    holds on `positives` rows: their product in the gram, which is built
+    over the necessary columns only.
+    """
+    if data.row_count == data.positives:
+        return [()]
+    necessary = np.flatnonzero(data.xty == data.positives)
+    ones = necessary[data.sums[necessary] == data.positives]
+    if len(ones):
+        return [(j,) for j in ones.tolist()]
+    block = data.gram(necessary)
+    a, b = np.nonzero(np.triu(block == data.positives, 1))
+    return list(zip(necessary[a].tolist(), necessary[b].tolist()))
 
 
 def rank_features(user_group, res_group, data: LearningData) -> tuple:
@@ -399,10 +450,15 @@ def rank_features(user_group, res_group, data: LearningData) -> tuple:
     informative first: a tuple of RankedFeature, rank is position + 1.
 
     Characterizing features, those true on every row and supported, come
-    first, then the rest whose coefficient is above COEFFICIENT_FLOOR, by
-    descending coefficient, constraints first in a tie; otherwise in column
-    order.  Raises InsufficientDataError when the pair has no fully known
-    member pairs, or none of them granted.
+    first.  The rest is scored by the triple's smallest exact rules, as
+    `smallest_exact_rules` finds them: each atom of one gets coefficient
+    1.0 and every other feature 0.  Only where no rule of at most two
+    atoms exists, as in noisy data, does a least-squares fit over the
+    whole gram score them.  Those whose coefficient is above
+    COEFFICIENT_FLOOR follow, by descending coefficient, constraints first
+    in a tie; otherwise in column order.  Raises InsufficientDataError
+    when the pair has no fully known member pairs, or none of them
+    granted.
     """
     if data.row_count == 0:
         raise InsufficientDataError(
@@ -414,8 +470,17 @@ def rank_features(user_group, res_group, data: LearningData) -> tuple:
         raise InsufficientDataError(
             f"no granted pairs between groups {user_group.gid} and {res_group.gid}"
         )
-    _, coefs = fit_least_squares(data.row_count, data.sums, data.gram, data.xty, data.positives)
-    coefs = coefs.tolist()  # the same doubles, read without a numpy scalar each
+    d = len(data.features)
+    rules = smallest_exact_rules(data)
+    if rules:
+        coefs = [0.0] * d
+        for rule in rules:
+            for j in rule:
+                coefs[j] = 1.0
+    else:
+        _, coefs = fit_least_squares(data.row_count, data.sums, data.gram(np.arange(d)),
+                                     data.xty, data.positives)
+        coefs = coefs.tolist()  # the same doubles, read without a numpy scalar each
 
     characterizing = set(np.flatnonzero(data.all_true & data.supported).tolist())
 

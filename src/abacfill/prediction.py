@@ -131,7 +131,7 @@ class TripleCache:
         return self._reach[key]
 
     def learning_data(self, gu: Group, gr: Group, action: str) -> LearningData:
-        """The triple's fit statistics over its untainted member pairs."""
+        """The triple's learning statistics over its untainted member pairs."""
         users, resources = self._side(gu), self._side(gr)
         granted = labels(self.reach(gu, action), resources)
         return build_learning_data(users, resources, self._constraints, granted)

@@ -27,6 +27,7 @@ and tie rule written out.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
@@ -451,8 +452,9 @@ def dense_learning_data(om, user_group, res_group, action, entitlements) -> Dens
 
 
 def design_statistics(X, y, features=()) -> LearningData:
-    """The fit statistics of an explicit design: integer when X and y are.
-    Every feature counts as supported."""
+    """The statistics of an explicit design: integer when X and y are.
+    Every feature counts as supported.  The gram over any columns is read
+    off those columns of X."""
     X = np.asarray(X)
     y = np.asarray(y)
     if np.array_equal(X, X.round()) and np.array_equal(y, y.round()):
@@ -462,17 +464,41 @@ def design_statistics(X, y, features=()) -> LearningData:
         row_count=X.shape[0],
         positives=y.sum(),
         sums=X.sum(axis=0),
-        gram=X.T @ X,
         xty=X.T @ y,
         all_true=(X > 0.5).all(axis=0),
         supported=np.ones(X.shape[1], dtype=bool),
+        gram=lambda columns: X[:, columns].T @ X[:, columns],
     )
+
+
+def full_gram(data: LearningData) -> np.ndarray:
+    """The gram over every column of data."""
+    return data.gram(np.arange(len(data.sums)))
 
 
 def fit_design(X, y):
     """The package's fit, reached from an explicit design through its statistics."""
     s = design_statistics(X, y)
-    return features_module.fit_least_squares(s.row_count, s.sums, s.gram, s.xty, s.positives)
+    return features_module.fit_least_squares(s.row_count, s.sums, full_gram(s), s.xty,
+                                             s.positives)
+
+
+def smallest_exact_rules(matrix, labels) -> list:
+    """Every smallest set of at most two columns whose AND over the rows is
+    the labels, as ascending tuples of column indexes in ascending order:
+    every subset of that size is tried.  Empty when no set of at most two
+    columns is exact."""
+    X = np.asarray(matrix) > 0.5
+    y = np.asarray(labels) > 0.5
+    for size in range(3):
+        rules = [
+            subset
+            for subset in itertools.combinations(range(X.shape[1]), size)
+            if np.array_equal(X[:, list(subset)].all(axis=1), y)
+        ]
+        if rules:
+            return rules
+    return []
 
 
 def dense_fit(X, y):

@@ -509,7 +509,9 @@ def test_features_output_is_pinned(capsys, case):
     re-recorded when conditions came to need two holders: the per-course
     conditions of one member each no longer share its weight under the
     ridge, so 0.999999993 became 0.999999995, the exact ridge solution
-    0.99999999455 at 9 decimals."""
+    0.99999999455 at 9 decimals.  It became 1.0 when ranking came to read
+    smallest exact rules: the link alone is true on exactly the granted
+    pairs, so it is such a rule and is not fitted."""
     got = run(capsys, "features", "--policy", CAMPUS, "--entitlements", CAMPUS_ENTS,
               "--user", case["user"], "--resource", case["resource"], "--action", case["action"])
     assert got == (case["exit"], case["stdout"], case["stderr"])

@@ -27,6 +27,7 @@ from oracles import (
     design_statistics,
     exact_ridge_fit,
     extent_supports,
+    full_gram,
     random_small_policy,
     scanned_group_triples,
     side_groups,
@@ -86,7 +87,7 @@ def assert_triple_matches_dense(om, gu, gr, action, entitlements):
     assert data.positives == want.positives
     assert np.array_equal(data.all_true, want.all_true)
     assert np.array_equal(data.sums, want.sums)
-    assert np.array_equal(data.gram, want.gram)
+    assert np.array_equal(full_gram(data), full_gram(want))
     assert np.array_equal(data.xty, want.xty)
 
     got = _ranking_or_none(lambda: rank_features(gu, gr, data))
@@ -112,7 +113,7 @@ def assert_near_exact(ranked, data, exact):
     stable solve of data's ridge system, eps * its condition number, of
     the exact solution, given as feature -> coefficient."""
     n, d = data.row_count, len(data.features)
-    system = n * data.gram - np.outer(data.sums, data.sums) + n * 1e-8 * np.eye(d)
+    system = n * full_gram(data) - np.outer(data.sums, data.sums) + n * 1e-8 * np.eye(d)
     scale = max(1.0, max(abs(c) for c in exact.values()))
     bound = np.finfo(float).eps * np.linalg.cond(system) * scale
     got = np.array([rf.coefficient for rf in ranked])
@@ -219,7 +220,7 @@ def test_pruned_constraints_rank_as_all_constraints(template, scale, fraction):
         k = len(every)
         assert not full.sums[-k:][dropped].any()
         assert not full.xty[-k:][dropped].any()
-        assert not full.gram[-k:][dropped].any()
+        assert not full_gram(full)[-k:][dropped].any()
         data = build_learning_data(users, resources, pruned, granted)
         assert_canonical(data)
         got = _ranking_or_none(lambda: rank_features(gu, gr, data))
@@ -268,9 +269,10 @@ def test_side_support_matches_evaluator_on_random_policies():
 
 
 def test_build_learning_data_allocates_no_pair_sized_array():
-    """Learning a triple allocates a small multiple of the gram it returns,
-    never a users x resources array per constraint: the constraint and
-    label statistics come from lists of the pairs they hold on."""
+    """Learning a triple, its statistics and then its gram over every
+    column, allocates a small multiple of that gram, never a users x
+    resources array per constraint: the constraint and label statistics
+    come from lists of the pairs they hold on."""
     om, clustering, entitlements = _consulted_setup(
         "project", 60, 0.06, ClusteringConfig(threshold=0.1)
     )
@@ -291,11 +293,11 @@ def test_build_learning_data_allocates_no_pair_sized_array():
         granted = labels(cache.reach(gu, action), resources)
         tracemalloc.start()
         try:
-            data = build_learning_data(users, resources, constraints, granted)
+            gram = full_gram(build_learning_data(users, resources, constraints, granted))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * data.gram.nbytes, (gu.gid, gr.gid, action, peak, data.gram.nbytes)
+        assert peak < 16 * gram.nbytes, (gu.gid, gr.gid, action, peak, gram.nbytes)
 
 
 @pytest.mark.parametrize("st", [0.1, 0.25])

@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import dense_learning_data, fit_design, pinv_fit, side_groups
+from oracles import dense_learning_data, fit_design, full_gram, pinv_fit, side_groups
 
 from abacfill import features as features_module
 from abacfill.clustering import ClusteringConfig, Group, cluster_objects
@@ -23,6 +23,7 @@ from abacfill.features import (
     constraint_features,
     is_untainted,
     rank_features,
+    smallest_exact_rules,
 )
 from abacfill.model import (
     MISSING,
@@ -243,7 +244,7 @@ def test_learning_matrix_is_binary(campus_groups, campus_entitlements):
     # a column is 0/1 exactly when its sum of squares equals its sum
     assert GroupSide(om, args[1]).summarize().A.dtype == bool
     data = TripleCache(om, campus_entitlements).learning_data(*args[1:4])
-    assert np.array_equal(np.diag(data.gram), data.sums)
+    assert np.array_equal(np.diag(full_gram(data)), data.sums)
     assert ((data.sums >= 0) & (data.sums <= data.row_count)).all()
 
 
@@ -431,7 +432,12 @@ def test_characterizing_constraint_allowed_with_single_row():
 def test_coefficient_floor_excludes_noise(campus_groups, campus_entitlements, monkeypatch):
     om, clustering = campus_groups
     gu, gr = _group(clustering, 1), _group(clustering, 3)
-    data = TripleCache(om, campus_entitlements).learning_data(gu, gr, "modify")
+    # two cross-department grants that no rule explains: no conjunction of
+    # at most two features is exact, so the fit scores the features
+    noise = [Entitlement("csFac2", "ee101gb", "modify"), Entitlement("eeFac1", "cs101gb", "modify")]
+    ents = EntitlementIndex([*campus_entitlements, *noise])
+    data = TripleCache(om, ents).learning_data(gu, gr, "modify")
+    assert smallest_exact_rules(data) == []
     link = "coursesTaught contains course"
     ranked = rank_features(gu, gr, data)
     # the taught-course link is far above the floor, and it is the only
@@ -453,14 +459,23 @@ def test_solver_noise_does_not_split_a_tie(campus_groups, monkeypatch):
     om, clustering = campus_groups
     gu, gr = _group(clustering, 2), _group(clustering, 4)
     # each student modifies their own transcript; each department has one
-    # student, so the department link holds on exactly the granted pairs too
-    ents = EntitlementIndex(Entitlement(s, f"{s}trans", "modify") for s in ("csStu1", "eeStu1"))
-    data = TripleCache(om, ents).learning_data(gu, gr, "modify")
+    # student, so the department link holds on exactly the granted pairs
+    # too: two tied smallest exact rules, each atom at 1.0, in canonical order
+    own = [Entitlement(s, f"{s}trans", "modify") for s in ("csStu1", "eeStu1")]
     tied = ["department equal department", "id equal student"]
+    data = TripleCache(om, EntitlementIndex(own)).learning_data(gu, gr, "modify")
+    fitted = [rf for rf in rank_features(gu, gr, data) if not rf.characterizing]
+    assert [rf.feature.render() for rf in fitted] == tied
+    assert [rf.coefficient for rf in fitted] == [1.0, 1.0]
+    # one more grant, csStu1 on eeStu1's transcript, leaves no exact rule:
+    # the fit gives the two collinear links the slope 0.5 in equal halves
+    ents = EntitlementIndex([*own, Entitlement("csStu1", "eeStu1trans", "modify")])
+    data = TripleCache(om, ents).learning_data(gu, gr, "modify")
+    assert smallest_exact_rules(data) == []
     ranked = rank_features(gu, gr, data)
     fitted = [rf for rf in ranked if not rf.characterizing]
     assert [rf.feature.render() for rf in fitted] == tied
-    assert [rf.coefficient for rf in fitted] == pytest.approx([0.5, 0.5], abs=1e-6)
+    assert [rf.coefficient for rf in fitted] == pytest.approx([0.25, 0.25], abs=1e-6)
     first, second = (j for j, f in enumerate(data.features) if f.render() in tied)
     # the same two equal coefficients, nudged by noise to either side of
     # 0.4921875, a midpoint of the 6-decimal grid, against canonical order
@@ -471,4 +486,3 @@ def test_solver_noise_does_not_split_a_tie(campus_groups, monkeypatch):
     fitted = [rf.feature.render() for rf in ranked if not rf.characterizing]
     # a tie keeps canonical order
     assert fitted == tied
-
