@@ -22,18 +22,18 @@ import tempfile
 SEED, PERCENT, THRESHOLD = 1, 6, "0.1"
 # (template, scale, ceiling in MB)
 CASES = [
-    # no learning array is users x resources: near 65 MB
+    # no learning array is users x resources: near 57 MB
     ("project", 240, 150),
-    # conditions need two holders and constraints a shared value, and a
-    # triple with an exact rule builds no full gram: near 50 MB (about 86
-    # while every triple was fitted)
-    ("university", 360, 160),
+    # conditions need two holders and constraints a shared value, and every
+    # triple is ranked by a 1-atom rule, so no gram is built and numpy is
+    # never loaded: near 30 MB (about 78 when every triple is fitted)
+    ("university", 360, 60),
 ]
 # a sweep whose JSON detail is about 5 MB: written as it is encoded it peaks
-# near 42 MB; joined into one string before writing, near 64 MB
+# near 28 MB; joined into one string before writing, near 60 MB
 SWEEP = ["--template", "university", "--scales", "4,6,8,12,20", "--percents", "3,6,9,30",
          "--runs", "20"]
-SWEEP_CEILING = 55
+SWEEP_CEILING = 45
 
 
 def make_inputs(template, scale, directory) -> None:

@@ -35,8 +35,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 
-import numpy as np
-
 from .model import (
     CONSTRAINT_KINDS,
     MISSING,
@@ -158,8 +156,8 @@ class ValueIndex:
                 rows.setdefault(key, []).append(r)
 
 
-def matches(con: AtomicConstraint, users: ValueIndex, resources: ValueIndex) -> np.ndarray:
-    """Ascending flat positions u * resources.count + r of the (user,
+def matches(con: AtomicConstraint, users: ValueIndex, resources: ValueIndex) -> list:
+    """A list of the ascending flat positions u * resources.count + r of the (user,
     resource) pairs on which con is true, for users indexed by con.user_attr
     and resources by con.res_attr.  The indexes hold known cells only, so
     a pair with a NULL or MISSING cell, false or unknown to the evaluator,
@@ -184,7 +182,8 @@ def matches(con: AtomicConstraint, users: ValueIndex, resources: ValueIndex) -> 
         found += [u * nr + r for u in users.size for r in resources.empty]
     else:
         found = [u * nr + r for us, rs in shared for u in us for r in rs]
-    return np.sort(np.array(found, dtype=np.int64))
+    found.sort()
+    return found
 
 
 def rule_meaning(rule: Rule, om: ObjectModel):
@@ -212,7 +211,7 @@ def rule_meaning(rule: Rule, om: ObjectModel):
         joined = matches(
             first, ValueIndex(users, first.user_attr), ValueIndex(resources, first.res_attr)
         )
-        pairs = ((users[p // nr], resources[p % nr]) for p in joined.tolist())
+        pairs = ((users[p // nr], resources[p % nr]) for p in joined)
     else:
         pairs = ((user, res) for user in users for res in resources)
     granted = set()

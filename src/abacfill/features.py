@@ -22,23 +22,32 @@ where none exists, as in noisy data, does a least-squares fit score the
 features instead.  Both need only the design's integer statistics (row
 count, column sums, X'y, the positives count, and X'X over the columns
 they read), and those are computed without building the pair x feature
-design, or any array of users x resources: a condition column depends on
-one side only, so its blocks follow from that side's 0/1 member x
-condition matrix scaled by the other side's size, and condition x
-condition blocks across the sides are outer products of column sums.  A
-constraint column and the labels are lists of the pairs they hold on, as
-ascending flat positions u * resources + r: a constraint's list is
-`evaluate.matches`, the join of the two sides' value indexes that also
-decides which pairs a policy's rules grant.  Its sum is the list's length,
-its products with a condition column are per-user or per-resource counts
-of the list, and its products with the labels and with other constraints
-are sizes of intersections.  A constraint that holds on no pair of the
-triple has only zero statistics.  X'X is built on request, over the
-columns asked for: the rule search asks for the columns that hold on
-every granted row, and only the fit for all of them.  Learning one triple
-by a rule costs O(features + entitlements + matched pairs +
-necessary columns^2).  The statistics are integers, so the rule search is
-exact and the fit centers them exactly.
+design, or any array of users x resources.  A condition column depends on
+one side only: its holders, the side's rows that hold its value, give its
+sum, scaled by the other side's size, and its X'y, the granted counts of
+its holder rows summed.  A constraint column and the labels are lists of
+the pairs they hold on, as ascending flat positions u * resources + r: a
+constraint's list is `evaluate.matches`, the join of the two sides' value
+indexes that also decides which pairs a policy's rules grant.  Its sum is
+the list's length and its X'y the size of its intersection with the
+labels.  A constraint that holds on no pair of the triple has only zero
+statistics.  All of these are Python ints and lists, so a triple that a
+1-atom rule ranks, as every triple of the noise-free university inputs
+measured is, never loads numpy.
+
+X'X is built on request, over the columns asked for: the rule search asks
+for the columns that hold on every granted row, only when no 1-atom rule
+exists, and only the fit asks for all of them.  `design_gram` builds it,
+and it, with the side matrices it reads, and `fit_least_squares` are the
+only code that loads numpy.  A block of one side's conditions is that
+side's 0/1 row x condition matrix A'A scaled by the other side's size,
+condition x condition blocks across the sides are outer products of
+column sums, a condition's product with a constraint is read off the
+constraint's per-user or per-resource counts and two constraints' product
+is the size of their lists' intersection.
+Learning one triple by a rule costs O(features + entitlements + matched
+pairs + necessary columns^2).  The statistics are integers, so the rule
+search is exact and the fit centers them exactly.
 
 Where positions matter, which object holds which value is read through
 one reader, `evaluate.ValueIndex`, built once per (group, attribute) over
@@ -74,8 +83,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
-
-import numpy as np
 
 from .evaluate import ValueIndex, matches
 from .model import (
@@ -151,7 +158,7 @@ def _conditions_for(group_side: "GroupSide") -> tuple:
             conditions.append(Feature(side, AtomicCondition(attr, op, val)))
             holders.append(held)
             supported.append(count + others.missing == len(group_side.group.members))
-    return tuple(conditions), holders, np.array(supported, dtype=bool)
+    return tuple(conditions), holders, supported
 
 
 _OP_FOR_KINDS = {kinds: op for op, kinds in CONSTRAINT_KINDS.items()}
@@ -214,22 +221,18 @@ class LearningData:
     built.  Its columns are in canonical order by construction, which
     ranking reads off their indexes: user conditions, then resource
     conditions, as `_conditions_for` sorts them, then constraints as
-    `constraint_features` sorts them.  The gram is built on request, over
-    the columns asked for only."""
+    `constraint_features` sorts them.  The statistics are Python ints and
+    lists of them, one entry per feature.  The gram is built on request,
+    over the columns asked for only, as the one numpy array of a triple."""
 
     features: tuple
     row_count: int
     positives: int  # rows whose pair holds the action
-    sums: np.ndarray  # (features,) column sums of the design
-    xty: np.ndarray  # (features,) design' labels
-    all_true: np.ndarray  # (features,) bool: true on every row
-    supported: np.ndarray  # (features,) bool: no member conflicts; true for constraints
+    sums: list  # int per feature: column sums of the design
+    xty: list  # int per feature: design' labels
+    all_true: list  # bool per feature: true on every row
+    supported: list  # bool per feature: no member conflicts; true for constraints
     gram: Callable  # ascending column indexes -> design' design over those columns
-
-
-def _int_product(a, b) -> np.ndarray:
-    """a @ b of 0/1 or count matrices, through BLAS; exact below 2**53."""
-    return (np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)).astype(np.int64)
 
 
 class GroupSide:
@@ -241,10 +244,12 @@ class GroupSide:
     row's position: all that settling a triple and `labels` read.
     `summarize` fills in the rest once.  `index(attr)` is the one index per
     attribute, over the rows, that the conditions and the constraint joins
-    both read.
+    both read, and `matrix()` the rows' condition matrix that only a gram
+    reads.
     """
 
     conditions = None  # condition features in canonical order, once summarized
+    A = None  # bool numpy matrix of the rows' conditions, once matrix() is asked
 
     def __init__(self, om: ObjectModel, group):
         self.om, self.group = om, group
@@ -256,15 +261,15 @@ class GroupSide:
         self._indexes = {}  # attribute -> ValueIndex over the rows
 
     def summarize(self) -> "GroupSide":
-        """Fill in, on the first call, the conditions with their support
-        and the rows' (rows, conditions) bool matrix A with its column sums
-        and all-true columns; returns the side."""
+        """Fill in, on the first call, the conditions with their support,
+        each one's holders as ascending positions in the rows, and the
+        holders' counts and whether each condition holds on every row, all
+        as lists in canonical order; returns the side."""
         if self.conditions is None:
-            conditions, holders, self.supported = _conditions_for(self)
-            A = np.zeros((len(self.rows), len(conditions)), dtype=bool)
-            A[[i for held in holders for i in held],
-              np.repeat(np.arange(len(holders)), [len(held) for held in holders])] = True
-            self.A, self.sums, self.all_true, self.conditions = A, A.sum(0), A.all(0), conditions
+            conditions, self.holders, self.supported = _conditions_for(self)
+            self.sums = [len(held) for held in self.holders]
+            self.all_true = [n == len(self.rows) for n in self.sums]
+            self.conditions = conditions
         return self
 
     def index(self, attr: str) -> ValueIndex:
@@ -273,24 +278,39 @@ class GroupSide:
             self._indexes[attr] = ValueIndex(self.rows, attr)
         return self._indexes[attr]
 
+    def matrix(self):
+        """The summarized rows' (rows, conditions) bool matrix A, built from
+        the holders on first use.  Only a gram reads it, so only then is
+        numpy loaded."""
+        if self.A is None:
+            import numpy as np
 
-def labels(reach: dict, resources: GroupSide) -> np.ndarray:
-    """Ascending flat positions u * len(resources.rows) + r of the row pairs
-    that hold the action, read off the user group's reach map under it
-    (resource id -> positions of the user rows that hold it there)."""
+            self.A = np.zeros((len(self.rows), len(self.holders)), dtype=bool)
+            self.A[[i for held in self.holders for i in held],
+                   [j for j, held in enumerate(self.holders) for _ in held]] = True
+        return self.A
+
+
+def labels(reach: dict, resources: GroupSide) -> list:
+    """A list of the ascending flat positions u * len(resources.rows) + r
+    of the row pairs that hold the action, read off the user group's reach
+    map under it (resource id -> positions of the user rows that hold it
+    there)."""
     nr = len(resources.rows)
     granted = [i * nr + r for rid, r in resources.position.items() for i in reach.get(rid, ())]
-    return np.sort(np.array(granted, dtype=np.int64))
+    granted.sort()
+    return granted
 
 
 def _overlap(a, b) -> int:
-    """How many values two ascending arrays of distinct integers share."""
+    """How many values two ascending numpy arrays of distinct integers
+    share."""
     if len(a) > len(b):
         a, b = b, a
     if not len(a):
         return 0
-    at = np.minimum(np.searchsorted(b, a), len(b) - 1)
-    return int(np.count_nonzero(b[at] == a))
+    at = b.searchsorted(a).clip(max=len(b) - 1)
+    return int((b[at] == a).sum())
 
 
 def build_learning_data(users: GroupSide, resources: GroupSide, constraints,
@@ -300,10 +320,12 @@ def build_learning_data(users: GroupSide, resources: GroupSide, constraints,
     pairs, as `labels` lists them.
 
     Features run in canonical order, user conditions, resource conditions,
-    then constraints.  Each constraint's true pairs come from joining the
-    two sides' value indexes; a constraint true on no pair has only zero
-    entries.  The gram is left to `design_gram`, over the columns a caller
-    asks for.
+    then constraints.  A condition's X'y is the granted count summed over
+    its holders, per user row or per resource row.  Each constraint's true
+    pairs come from joining the two sides' value indexes, and its X'y is
+    their overlap with the granted set; a constraint true on no pair has
+    only zero entries.  All of it is Python ints.  The gram is left to
+    `design_gram`, over the columns a caller asks for.
     """
     users, resources = users.summarize(), resources.summarize()
     nu, nr = len(users.rows), len(resources.rows)
@@ -312,35 +334,34 @@ def build_learning_data(users: GroupSide, resources: GroupSide, constraints,
                 resources.index(f.constraint.res_attr))
         for f in constraints
     ]
-    counts = np.array([len(p) for p in pairs], dtype=np.int64)
-    sums = np.concatenate([users.sums * nr, resources.sums * nu, counts])
-    xty = np.concatenate([
-        users.A.T @ np.bincount(granted // nr, minlength=nu),
-        resources.A.T @ np.bincount(granted % nr, minlength=nr),
-        np.array([_overlap(p, granted) for p in pairs], dtype=np.int64),
-    ])
-    all_true = np.concatenate(
-        [users.all_true, resources.all_true, counts == nu * nr]
-    ) | (nu * nr == 0)
-    supported = np.concatenate(
-        [users.supported, resources.supported, np.ones(len(pairs), dtype=bool)]
-    )
+    per_user, per_resource = [0] * nu, [0] * nr
+    for p in granted:
+        u, r = divmod(p, nr)
+        per_user[u] += 1
+        per_resource[r] += 1
+    granted_set = set(granted)
+    counts = [len(p) for p in pairs]
     return LearningData(
         features=users.conditions + resources.conditions + tuple(constraints),
         row_count=nu * nr,
         positives=len(granted),
-        sums=sums,
-        xty=xty,
-        all_true=all_true,
-        supported=supported,
-        gram=partial(design_gram, users, resources, pairs),
+        sums=[n * nr for n in users.sums] + [n * nu for n in resources.sums] + counts,
+        xty=[sum(map(per_user.__getitem__, held)) for held in users.holders]
+        + [sum(map(per_resource.__getitem__, held)) for held in resources.holders]
+        + [len(granted_set.intersection(p)) for p in pairs],
+        all_true=[t or nu * nr == 0
+                  for t in users.all_true + resources.all_true + [n == nu * nr for n in counts]],
+        supported=users.supported + resources.supported + [True] * len(pairs),
+        gram=partial(design_gram, users, resources, pairs, {}),
     )
 
 
-def design_gram(users: GroupSide, resources: GroupSide, pairs, columns) -> np.ndarray:
+def design_gram(users: GroupSide, resources: GroupSide, pairs, arrays: dict, columns):
     """design' design over the given ascending columns of a triple whose
     design `build_learning_data` summarizes from its two summarized sides
-    and its constraints' true pairs.
+    and its constraints' true pairs.  arrays keeps, per constraint
+    position, the pairs as a numpy array, made by the triple's first gram
+    that reads them.
 
     The columns fall into the blocks of the canonical order: user
     conditions, resource conditions, constraints.  A condition column
@@ -350,17 +371,29 @@ def design_gram(users: GroupSide, resources: GroupSide, pairs, columns) -> np.nd
     a condition's products with a constraint need only the constraint's
     per-user or per-resource counts.  Two constraints' product is the size
     of their lists' intersection.
+
+    One of the places numpy is loaded, so that a triple ranked by a 1-atom
+    rule never loads it.
     """
+    import numpy as np
+
+    def product(a, b):  # a @ b of 0/1 or count matrices, through BLAS; exact below 2**53
+        return (a.astype(float) @ b.astype(float)).astype(np.int64)
+
     nu, nr = len(users.rows), len(resources.rows)
     du, c0 = len(users.conditions), len(users.conditions) + len(resources.conditions)
     columns = np.asarray(columns, dtype=np.int64)
-    Au = users.A[:, columns[columns < du]]
-    Ar = resources.A[:, columns[(columns >= du) & (columns < c0)] - du]
-    held = [pairs[j] for j in columns[columns >= c0] - c0]
+    Au = users.matrix()[:, columns[columns < du]]
+    Ar = resources.matrix()[:, columns[(columns >= du) & (columns < c0)] - du]
+    held = []
+    for j in (columns[columns >= c0] - c0).tolist():
+        if j not in arrays:
+            arrays[j] = np.fromiter(pairs[j], dtype=np.int64, count=len(pairs[j]))
+        held.append(arrays[j])
     U, R = slice(0, Au.shape[1]), slice(Au.shape[1], Au.shape[1] + Ar.shape[1])
     gram = np.zeros((len(columns), len(columns)), dtype=np.int64)
-    np.multiply(_int_product(Au.T, Au), nr, out=gram[U, U])
-    np.multiply(_int_product(Ar.T, Ar), nu, out=gram[R, R])
+    np.multiply(product(Au.T, Au), nr, out=gram[U, U])
+    np.multiply(product(Ar.T, Ar), nu, out=gram[R, R])
     np.outer(Au.sum(0), Ar.sum(0), out=gram[U, R])
     gram[R, U] = gram[U, R].T
     for a, p in enumerate(held):
@@ -385,8 +418,10 @@ def fit_least_squares(n, sums, gram, xty, ysum):
     sides are scaled by n, so integer statistics are centered exactly.
     Centering makes constant columns exactly inert: their centered column
     is zero, so they get coefficient zero rather than sharing weight with
-    the intercept.
+    the intercept.  One of the places numpy is loaded.
     """
+    import numpy as np
+
     if n == 0:
         raise InsufficientDataError("cannot fit with zero rows")
     sums = np.asarray(sums)
@@ -436,13 +471,12 @@ def smallest_exact_rules(data: LearningData) -> list:
     """
     if data.row_count == data.positives:
         return [()]
-    necessary = np.flatnonzero(data.xty == data.positives)
-    ones = necessary[data.sums[necessary] == data.positives]
-    if len(ones):
-        return [(j,) for j in ones.tolist()]
-    block = data.gram(necessary)
-    a, b = np.nonzero(np.triu(block == data.positives, 1))
-    return list(zip(necessary[a].tolist(), necessary[b].tolist()))
+    necessary = [j for j, v in enumerate(data.xty) if v == data.positives]
+    ones = [(j,) for j in necessary if data.sums[j] == data.positives]
+    if ones:
+        return ones
+    a, b = (data.gram(necessary) == data.positives).nonzero()
+    return [(necessary[i], necessary[k]) for i, k in zip(a.tolist(), b.tolist()) if i < k]
 
 
 def rank_features(user_group, res_group, data: LearningData) -> tuple:
@@ -478,11 +512,11 @@ def rank_features(user_group, res_group, data: LearningData) -> tuple:
             for j in rule:
                 coefs[j] = 1.0
     else:
-        _, coefs = fit_least_squares(data.row_count, data.sums, data.gram(np.arange(d)),
+        _, coefs = fit_least_squares(data.row_count, data.sums, data.gram(range(d)),
                                      data.xty, data.positives)
         coefs = coefs.tolist()  # the same doubles, read without a numpy scalar each
 
-    characterizing = set(np.flatnonzero(data.all_true & data.supported).tolist())
+    characterizing = {j for j in range(d) if data.all_true[j] and data.supported[j]}
 
     # a characterizing constraint carries the cross-side link; one-sided
     # constants on the (side, attribute) pairs it links add nothing next to it

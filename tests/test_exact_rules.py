@@ -5,10 +5,14 @@ at most two columns that are true on exactly the granted rows off the
 integer statistics and the gram over the necessary columns only;
 `oracles.smallest_exact_rules` tries every column subset of the dense
 design.  They must give the same rules, and on noise-free input every
-ranking is made by a rule, so `predict` never fits.
+ranking is made by a rule, so `predict` never fits, and where every rule
+has one atom, as on university input, no command loads numpy.
 """
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -22,7 +26,8 @@ from abacfill.clustering import ClusteringConfig, cluster_objects
 from abacfill.features import Feature, rank_features
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
 from abacfill.harness import remove_cells
-from abacfill.model import AtomicConstraint, EntitlementIndex
+from abacfill.model import AtomicConstraint, EntitlementIndex, Policy
+from abacfill.policy_io import save_entitlements, save_policy
 from abacfill.prediction import TripleCache, predict_missing, relevant_group_triples
 
 GENERATED = [("university", 4), ("university", 8), ("project", 5), ("project", 10), ("ops", 3),
@@ -145,7 +150,7 @@ def test_gram_blocks_match_the_dense_gram(template, scale):
     for gu, gr, action, data in _learned_triples(om, clustering, entitlements):
         dense = dense_learning_data(om, gu, gr, action, entitlements)
         want = full_gram(design_statistics(dense.matrix, dense.labels))
-        necessary = np.flatnonzero(data.xty == data.positives)
+        necessary = np.flatnonzero(np.asarray(data.xty) == data.positives)
         d = len(data.features)
         picks = [necessary, np.arange(d), np.arange(0), *(
             np.array(sorted(rng.sample(range(d), rng.randint(1, d)))) for _ in range(3)
@@ -173,3 +178,33 @@ def test_predict_never_fits_noise_free_input(monkeypatch, template, scale):
         om, clustering, entitlements = _setup(template, scale, 1, fraction)
         predict_missing(om, clustering, EntitlementIndex(entitlements))
     assert calls["rank"] and not calls["fit"], calls
+
+
+_COMMANDS_WITHOUT_NUMPY = """
+import sys
+from abacfill import cli
+policy, ents = sys.argv[1:3]
+common = ["--policy", policy, "--entitlements", ents]
+assert cli.main(["predict", *common, "--out", "predict.json"]) == 0
+assert cli.main(["features", *common, "--user", "fac01a", "--resource", "gbk01a",
+                 "--action", "modify", "--out", "features.json"]) == 0
+assert cli.main(["evaluate", "--template", "university", "--scales", "2,4", "--percents", "6",
+                 "--runs", "2", "--jobs", "2", "--csv", "sweep.csv"]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_one_atom_rules_leave_numpy_unloaded(tmp_path):
+    """numpy is loaded only for a gram or the fallback fit.  In a fresh
+    interpreter, predict, features and evaluate --jobs 2 on noise-free
+    university input, where every ranking is a 1-atom rule, leave it
+    unloaded.  That 2-atom rules, which read a gram, give the spec's
+    answers is checked by `test_prediction_spec`."""
+    om, _, entitlements = _setup("university", 4, 1, 0.06)
+    save_policy(Policy(om, ()), str(tmp_path / "p.json"))
+    save_entitlements(entitlements, str(tmp_path / "e.csv"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(features_module.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _COMMANDS_WITHOUT_NUMPY, "p.json", "e.csv"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

@@ -20,8 +20,10 @@ from abacfill.features import (
     COEFFICIENT_FLOOR,
     Feature,
     GroupSide,
+    build_learning_data,
     constraint_features,
     is_untainted,
+    labels,
     rank_features,
     smallest_exact_rules,
 )
@@ -176,7 +178,7 @@ def _dept_cs_column(om):
     it is supported."""
     side = GroupSide(om, Group(1, Side.USER, tuple(om.users))).summarize()
     j = [f.render() for f in side.conditions].index("user.dept in {cs}")
-    return side.A[:, j].tolist(), bool(side.supported[j])
+    return [i in side.holders[j] for i in range(len(side.rows))], bool(side.supported[j])
 
 
 def test_supseteq_against_an_empty_resource_set_stays_a_candidate():
@@ -242,10 +244,15 @@ def test_learning_matrix_is_binary(campus_groups, campus_entitlements):
     args = (om, _group(clustering, 1), _group(clustering, 3), "modify", campus_entitlements)
     assert set(np.unique(dense_learning_data(*args).matrix)) <= {0.0, 1.0}
     # a column is 0/1 exactly when its sum of squares equals its sum
-    assert GroupSide(om, args[1]).summarize().A.dtype == bool
-    data = TripleCache(om, campus_entitlements).learning_data(*args[1:4])
+    users, resources = (GroupSide(om, g) for g in args[1:3])
+    granted = labels(TripleCache(om, campus_entitlements).reach(args[1], "modify"), resources)
+    data = build_learning_data(users, resources, constraint_features(om), granted)
     assert np.array_equal(np.diag(full_gram(data)), data.sums)
-    assert ((data.sums >= 0) & (data.sums <= data.row_count)).all()
+    assert users.A.dtype == bool and resources.A.dtype == bool  # built by the gram
+    A = users.A
+    full_gram(data)
+    assert users.A is A  # once per group
+    assert ((np.asarray(data.sums) >= 0) & (np.asarray(data.sums) <= data.row_count)).all()
 
 
 # --- least squares ---

@@ -6,7 +6,8 @@ walk) with the gates, the relational filter and the tie rule written out.
 `predict_missing` must give the same value, confidence and evidence, in
 the same order, on random models that exercise every constraint operator,
 on the ops fixture, whose rules use `in` and `supseteq`, and on the
-generated inputs whose triples the dense tests consult.
+generated inputs whose triples the dense tests consult, where project's
+rankings need 2-atom rules and so a gram.
 """
 
 import random
@@ -18,6 +19,7 @@ from oracles import random_small_policy, reference_predict, with_cross_side_valu
 from ops_template import ops_policy
 from test_factorized import CONSULTED, _consulted_setup
 
+from abacfill import features
 from abacfill.clustering import ClusteringConfig, cluster_objects
 from abacfill.generator import reference_entitlements
 from abacfill.harness import remove_cells
@@ -77,7 +79,18 @@ def test_ops_fixture_matches_the_spec(scale, fraction):
 
 
 @pytest.mark.parametrize("template,scale", CONSULTED)
-def test_generated_inputs_match_the_spec(template, scale):
+def test_generated_inputs_match_the_spec(monkeypatch, template, scale):
+    sizes = Counter()  # atoms of each ranking's first smallest exact rule
+    find = features.smallest_exact_rules
+
+    def counted(data):
+        rules = find(data)
+        sizes.update(len(rule) for rule in rules[:1])
+        return rules
+
+    monkeypatch.setattr(features, "smallest_exact_rules", counted)
     om, clustering, entitlements = _consulted_setup(template, scale, 0.06)
     predictions = assert_matches_spec(om, clustering, entitlements)
     assert any(p.predicted for p in predictions)
+    # project's rankings include 2-atom rules, whose search reads a gram
+    assert (2 in sizes) == (template == "project"), sizes
