@@ -12,7 +12,10 @@ lower coverage but not accuracy.
 A sweep's runs are independent and seeded, so `evaluate_matrix` splits
 them between the calling process and up to `jobs` - 1 children forked with
 `os.fork`, which read the policies they inherited and pickle only their
-results back, each down its own `os.pipe`.
+results back, each down its own `os.pipe`.  Each worker holds one CPU of
+the process's usable set for its share, since a forked child left to the
+scheduler stays on its parent's CPU, and the parent gets its own mask back
+after its share.
 """
 
 from __future__ import annotations
@@ -232,12 +235,23 @@ def interleave(shares: list) -> list:
     return out
 
 
-def _child(run, share, read_end: int, write_end: int) -> None:
-    """A forked worker: run its share and pickle the results, or the
-    exception that stopped it, into the write end of its pipe.  It ends in
-    `os._exit` whatever happens, so it never returns into the caller: with
-    code 0 once its reply is sent, 1 when anything else, `SystemExit`
-    included, stopped it."""
+def _pin(cpus) -> None:
+    """Let this process run only on the CPUs numbered in cpus.  With none,
+    or where the platform refuses the mask (a CPU went offline, the cpuset
+    changed), it runs where the scheduler places it."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
+
+def _child(run, share, cpus, read_end: int, write_end: int) -> None:
+    """A forked worker: pinned to cpus, run its share and pickle the
+    results, or the exception that stopped it, into the write end of its
+    pipe.  It ends in `os._exit` whatever happens, so it never returns into
+    the caller: with code 0 once its reply is sent, 1 when anything else,
+    `SystemExit` included, stopped it."""
     code = 1
     try:
         os.close(read_end)  # a reply to a parent that is gone fails, not blocks
@@ -245,6 +259,7 @@ def _child(run, share, read_end: int, write_end: int) -> None:
         # SIGTERM; a handler the caller installed for that must not keep one alive
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        _pin(cpus)
         try:
             reply = ("ok", [run(task) for task in share])
         except Exception as e:  # noqa: BLE001 - re-raised in the parent
@@ -263,21 +278,27 @@ def run_shared(run, tasks: list, jobs: int) -> list:
     straight into a pipe of `os.pipe`, one way; nothing is sent to a child.
     The parent runs share 0 first, then loads each child's reply and reaps
     the child with `os.waitpid`.  A child that exited before its reply was
-    whole is named with its exit code.  With one worker no process is
-    started.  On any exception, an interrupt included, the parent ends every
-    child it has not reaped with SIGTERM and reaps it.
+    whole is named with its exit code.  Worker w holds the w-th CPU of the
+    usable set (`os.sched_getaffinity`) for its share, and the parent's own
+    mask is restored when it returns or raises.  With one worker no process
+    is started and nothing is pinned.  On any exception, an interrupt
+    included, the parent ends every child it has not reaped with SIGTERM
+    and reaps it.
     """
     n = worker_count(jobs, len(tasks))
     shares = [tasks[w::n] for w in range(n)]
+    mask = os.sched_getaffinity(0) if n > 1 and hasattr(os, "sched_setaffinity") else set()
+    cpus = sorted(mask)
     children = {}  # w -> (pid, read end of its pipe), until w is reaped
     try:
         for w in range(1, n):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child(run, shares[w], read_end, write_end)
+                _child(run, shares[w], cpus[w:w + 1], read_end, write_end)
             os.close(write_end)
             children[w] = (pid, open(read_end, "rb"))
+        _pin(cpus[:1])
         results = [[run(task) for task in shares[0]]]
         for w in range(1, n):
             pid, reader = children[w]
@@ -298,6 +319,7 @@ def run_shared(run, tasks: list, jobs: int) -> list:
             results.append(payload)
         return interleave(results)
     finally:
+        _pin(mask)
         for pid, reader in children.values():
             reader.close()
             os.kill(pid, signal.SIGTERM)

@@ -291,9 +291,14 @@ def _no_child_left():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two workers at --jobs 2 whatever the host, and no child left after."""
+    """Two workers at --jobs 2 whatever the host, and no child left after.
+    The CPUs are fake, so pinning is faked too: it yields the masks this
+    process asked for, and a forked child's asks stay in the child."""
+    asked = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    yield
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: asked.append(set(cpus)),
+                        raising=False)
+    yield asked
     _no_child_left()
 
 
@@ -313,6 +318,48 @@ def test_matrix_runs_equal_at_one_and_two_jobs(two_cpus):
         (s, i) for s in (1, 2, 3) for i in range(3)
     ]
     assert [_fields(r) for r in got[0].runs] == [_fields(r) for r in got[1].runs]
+    # the parent holds CPU 0 for its share, then gets its own mask back
+    assert two_cpus == [{0}, {0, 1}]
+
+
+@forks
+@pytest.mark.parametrize("refused", [True, False], ids=["refused", "absent"])
+def test_a_host_that_refuses_pinning_runs_unpinned(two_cpus, monkeypatch, refused):
+    if refused:
+        def pin(pid, cpus):
+            raise OSError(22, "Invalid argument")
+        monkeypatch.setattr(os, "sched_setaffinity", pin)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    got = [
+        evaluate_matrix("university", scales=(1, 2), fractions=(0.06,), runs=2, base_seed=4,
+                        jobs=jobs)
+        for jobs in (1, 2)
+    ]
+    assert [_fields(r) for r in got[0].runs] == [_fields(r) for r in got[1].runs]
+    assert two_cpus == []
+
+
+@forks
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and 2 usable CPUs")
+def test_each_worker_holds_a_cpu_of_its_own():
+    before = os.sched_getaffinity(0)
+    masks = run_shared(lambda task: os.sched_getaffinity(0), [0, 1, 2, 3], 2)
+    assert all(len(mask) == 1 for mask in masks)
+    assert masks[0] == masks[2] != masks[1] == masks[3]  # shares [0, 2] and [1, 3]
+    assert masks[0] | masks[1] <= before
+    assert os.sched_getaffinity(0) == before
+
+    def run(task):
+        if task == 2:  # the parent's share, once it holds its CPU
+            raise ValueError("lost")
+        return task
+
+    with pytest.raises(ValueError):
+        run_shared(run, [0, 1, 2, 3], 2)
+    assert os.sched_getaffinity(0) == before
+    _no_child_left()
 
 
 @forks
@@ -392,6 +439,7 @@ def test_interrupt_in_the_parent_ends_its_children(two_cpus, monkeypatch, tmp_pa
     with pytest.raises(KeyboardInterrupt):
         evaluate_matrix("university", scales=(1,), fractions=(0.06,), runs=2, jobs=2)
     assert time.perf_counter() - start < 30
+    assert two_cpus == [{0}, {0, 1}]  # the parent's mask is back after the interrupt
     _no_child_left()
 
 
