@@ -35,23 +35,21 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import MISSING, NULL, ConfigError, Obj, ObjectModel, Schema, Side
+from .model import MISSING, NULL, ConfigError, Obj, ObjectModel, Record, Schema, Side
 
 
-@dataclass(frozen=True)
 class ClusteringConfig:
     """threshold: move members with mean similarity strictly below this;
     the comparison is exact, so a mean equal to the threshold stays.
     weights: per-attribute weight for the similarity mean; default 1.0.
     Both are read as the decimals they print as: 0.1 is exactly 1/10."""
 
-    threshold: float = 0.25
-    weights: dict = field(default_factory=dict)
+    __slots__ = ("threshold", "weights")
 
-    def __post_init__(self) -> None:
+    def __init__(self, threshold: float = 0.25, weights: dict = None):
+        self.threshold, self.weights = threshold, {} if weights is None else weights
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"similarity threshold must be in [0, 1]: {self.threshold}")
         for name, w in self.weights.items():
@@ -69,18 +67,21 @@ class ClusteringConfig:
         return self.weights.get(attr, 1.0)
 
 
-@dataclass(frozen=True)
-class Group:
-    gid: int
-    side: Side
-    members: tuple  # object ids, ascending
+class Group(Record):
+    __slots__ = ("gid", "side", "members")
+
+    def __init__(self, gid: int, side: Side, members: tuple):
+        self.gid, self.side = gid, side
+        self.members = members  # object ids, ascending
 
 
-@dataclass
 class Clustering:
-    groups: tuple  # all Groups, users first, gids sequential from 1
-    users: dict  # user id -> Group
-    resources: dict  # resource id -> Group
+    __slots__ = ("groups", "users", "resources")
+
+    def __init__(self, groups: tuple, users: dict, resources: dict):
+        self.groups = groups  # all Groups, users first, gids sequential from 1
+        self.users = users  # user id -> Group
+        self.resources = resources  # resource id -> Group
 
 
 def active_attributes(obj: Obj) -> frozenset:

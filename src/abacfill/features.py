@@ -80,7 +80,6 @@ cross-side link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -94,6 +93,7 @@ from .model import (
     AttrKind,
     InsufficientDataError,
     ObjectModel,
+    Record,
     Side,
 )
 
@@ -102,13 +102,19 @@ from .model import (
 RIDGE = 1e-8
 
 
-@dataclass(frozen=True)
-class Feature:
+class Feature(Record):
     """Either one condition on one side, or one user/resource constraint."""
 
-    side: object = None  # Side of the condition; None for constraints
-    condition: AtomicCondition = None
-    constraint: AtomicConstraint = None
+    __slots__ = ("side", "condition", "constraint")
+
+    def __init__(self, side: Side = None, condition: AtomicCondition = None,
+                 constraint: AtomicConstraint = None):
+        self.side = side  # Side of the condition; None for constraints
+        self.condition = condition
+        self.constraint = constraint
+
+    def __hash__(self):
+        return hash((self.side, self.condition, self.constraint))
 
     @property
     def is_constraint(self) -> bool:
@@ -213,7 +219,6 @@ def is_untainted(obj) -> bool:
     return MISSING not in obj.attrs.values()
 
 
-@dataclass
 class LearningData:
     """Sufficient statistics of one (user group, resource group, action)
     triple.  The design they summarize has one 0/1 row per untainted
@@ -225,14 +230,18 @@ class LearningData:
     lists of them, one entry per feature.  The gram is built on request,
     over the columns asked for only, as the one numpy array of a triple."""
 
-    features: tuple
-    row_count: int
-    positives: int  # rows whose pair holds the action
-    sums: list  # int per feature: column sums of the design
-    xty: list  # int per feature: design' labels
-    all_true: list  # bool per feature: true on every row
-    supported: list  # bool per feature: no member conflicts; true for constraints
-    gram: Callable  # ascending column indexes -> design' design over those columns
+    __slots__ = ("features", "row_count", "positives", "sums", "xty", "all_true", "supported",
+                 "gram")
+
+    def __init__(self, features: tuple, row_count: int, positives: int, sums: list, xty: list,
+                 all_true: list, supported: list, gram: Callable):
+        self.features, self.row_count = features, row_count
+        self.positives = positives  # rows whose pair holds the action
+        self.sums = sums  # int per feature: column sums of the design
+        self.xty = xty  # int per feature: design' labels
+        self.all_true = all_true  # bool per feature: true on every row
+        self.supported = supported  # bool per feature: no member conflicts; true for constraints
+        self.gram = gram  # ascending column indexes -> design' design over those columns
 
 
 class GroupSide:
@@ -441,11 +450,11 @@ def fit_least_squares(n, sums, gram, xty, ysum):
     return intercept, coefs
 
 
-@dataclass(frozen=True)
 class RankedFeature:
-    feature: Feature
-    coefficient: float
-    characterizing: bool
+    __slots__ = ("feature", "coefficient", "characterizing")
+
+    def __init__(self, feature: Feature, coefficient: float, characterizing: bool):
+        self.feature, self.coefficient, self.characterizing = feature, coefficient, characterizing
 
 
 #: a feature that is not characterizing ranks only with a coefficient

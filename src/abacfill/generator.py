@@ -20,7 +20,6 @@ each object gets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .evaluate import policy_meaning
 from .model import (
@@ -39,13 +38,11 @@ from .model import (
 TEMPLATES = ("university", "project")
 
 
-@dataclass(frozen=True)
 class GeneratorConfig:
-    template: str
-    scale: int = 1
-    seed: int = 0
+    __slots__ = ("template", "scale", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, template: str, scale: int = 1, seed: int = 0):
+        self.template, self.scale, self.seed = template, scale, seed
         if self.template not in TEMPLATES:
             raise ConfigError(f"unknown template {self.template!r}; choose from {TEMPLATES}")
         if self.scale < 1:

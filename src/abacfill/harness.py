@@ -15,17 +15,14 @@ them between the calling process and up to `jobs` - 1 children forked with
 results back, each down its own `os.pipe`.  Each worker holds one CPU of
 the process's usable set for its share, since a forked child left to the
 scheduler stays on its parent's CPU, and the parent gets its own mask back
-after its share.
+after its share.  `pickle` and `signal` are imported only to fork.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import random
-import signal
 import time
-from dataclasses import dataclass, field
 
 from . import generator
 from .clustering import ClusteringConfig, cluster_objects
@@ -37,6 +34,7 @@ from .model import (
     EntitlementIndex,
     ObjectModel,
     Policy,
+    Record,
     Side,
 )
 from .prediction import Confidence, PredictionConfig, predict_missing
@@ -94,25 +92,37 @@ def score_prediction(kind: AttrKind, predicted, truth, subset_ok: bool = True) -
     return predicted == truth
 
 
-@dataclass
-class CellOutcome:
-    side: Side
-    object_id: str
-    attr: str
-    truth: object
-    predicted: object
-    confidence: Confidence
-    correct: object  # bool, or None when nothing was predicted
+class CellOutcome(Record):
+    __slots__ = ("side", "object_id", "attr", "truth", "predicted", "confidence", "correct")
+
+    def __init__(self, side: Side, object_id: str, attr: str, truth: object, predicted: object,
+                 confidence: Confidence, correct: object):
+        self.side = side
+        self.object_id = object_id
+        self.attr = attr
+        self.truth = truth
+        self.predicted = predicted
+        self.confidence = confidence
+        self.correct = correct  # bool, or None when nothing was predicted
+
+    def __reduce__(self):
+        # pickled as its arguments, smaller and faster than the slots' state
+        # dict; a forked worker's reply is mostly these
+        return CellOutcome, (self.side, self.object_id, self.attr, self.truth, self.predicted,
+                             self.confidence, self.correct)
 
 
-@dataclass
 class RunResult:
-    scale: int
-    fraction: float
-    run_index: int
-    seed: int
-    cells: list
-    elapsed: float
+    __slots__ = ("scale", "fraction", "run_index", "seed", "cells", "elapsed")
+
+    def __init__(self, scale: int, fraction: float, run_index: int, seed: int, cells: list,
+                 elapsed: float):
+        self.scale, self.fraction, self.run_index = scale, fraction, run_index
+        self.seed, self.cells, self.elapsed = seed, cells, elapsed
+
+    def __reduce__(self):
+        return RunResult, (self.scale, self.fraction, self.run_index, self.seed, self.cells,
+                           self.elapsed)
 
     @property
     def removed(self) -> int:
@@ -144,18 +154,19 @@ def tally(runs) -> tuple:
     return (predicted / removed if removed else 1.0, correct / predicted if predicted else 1.0)
 
 
-@dataclass(frozen=True)
 class HarnessConfig:
-    # Removal experiments run with a lower grouping threshold than the
-    # library default: desk-scale objects carry only a handful of
-    # attributes, so a single hidden cell shifts mean similarity by
-    # roughly 1/(2n) and a 0.25 cutoff would expel exactly the objects
-    # under test from their groups.
-    clustering: ClusteringConfig = field(
-        default_factory=lambda: ClusteringConfig(threshold=0.1)
-    )
-    prediction: PredictionConfig = field(default_factory=PredictionConfig)
-    subset_ok: bool = True
+    __slots__ = ("clustering", "prediction", "subset_ok")
+
+    def __init__(self, clustering: ClusteringConfig = None, prediction: PredictionConfig = None,
+                 subset_ok: bool = True):
+        # Removal experiments run with a lower grouping threshold than the
+        # library default: desk-scale objects carry only a handful of
+        # attributes, so a single hidden cell shifts mean similarity by
+        # roughly 1/(2n) and a 0.25 cutoff would expel exactly the objects
+        # under test from their groups.
+        self.clustering = ClusteringConfig(threshold=0.1) if clustering is None else clustering
+        self.prediction = PredictionConfig() if prediction is None else prediction
+        self.subset_ok = subset_ok
 
 
 def evaluate_run(
@@ -190,11 +201,12 @@ def evaluate_run(
     return RunResult(scale, fraction, run_index, seed, outcomes, elapsed)
 
 
-@dataclass
 class MatrixResult:
-    template: str
-    runs: list
-    policies: dict  # scale -> (policy, reference entitlements)
+    __slots__ = ("template", "runs", "policies")
+
+    def __init__(self, template: str, runs: list, policies: dict):
+        self.template, self.runs = template, runs
+        self.policies = policies  # scale -> (policy, reference entitlements)
 
     def pooled(self, scale: int, fraction: float):
         """(coverage, accuracy) over all runs of one scale whose fraction
@@ -252,6 +264,9 @@ def _child(run, share, cpus, read_end: int, write_end: int) -> None:
     pipe.  It ends in `os._exit` whatever happens, so it never returns into
     the caller: with code 0 once its reply is sent, 1 when anything else,
     `SystemExit` included, stopped it."""
+    import pickle
+    import signal
+
     code = 1
     try:
         os.close(read_end)  # a reply to a parent that is gone fails, not blocks
@@ -286,6 +301,9 @@ def run_shared(run, tasks: list, jobs: int) -> list:
     and reaps it.
     """
     n = worker_count(jobs, len(tasks))
+    if n > 1:  # only a fork needs them, so one worker loads neither
+        import pickle
+        import signal
     shares = [tasks[w::n] for w in range(n)]
     mask = os.sched_getaffinity(0) if n > 1 and hasattr(os, "sched_setaffinity") else set()
     cpus = sorted(mask)

@@ -12,7 +12,7 @@ strings; either may instead hold one of the two sentinels above.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 from typing import NamedTuple, Union
 
@@ -71,14 +71,31 @@ class Side(enum.Enum):
     RESOURCE = "resource"
 
 
-@dataclass(frozen=True)
+class Record:
+    """Value equality and a readable repr for a record with __slots__: equal
+    to a record of its own class whose fields, compared as a tuple in slot
+    order, are equal.  Only the records that are compared take it on."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = attrgetter(*self.__slots__)
+        return fields(self) == fields(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class AttrSchema:
-    name: str
-    kind: AttrKind
-    applies_to: Side
+    __slots__ = ("name", "kind", "applies_to")
+
+    def __init__(self, name: str, kind: AttrKind, applies_to: Side):
+        self.name, self.kind, self.applies_to = name, kind, applies_to
 
 
-@dataclass
 class Schema:
     """Attribute declarations keyed by (side, name).
 
@@ -86,12 +103,12 @@ class Schema:
     declared for users and for resources with different kinds.
     """
 
-    attrs: dict = field(default_factory=dict)  # (Side, name) -> AttrSchema
-    # Side -> {"id": NULL, then each other declared name: NULL} in
-    # declaration order, the cells a new object starts from; kept by add
-    _blank: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("attrs", "_blank")
 
-    def __post_init__(self) -> None:
+    def __init__(self, attrs: dict = None):
+        self.attrs = {} if attrs is None else attrs  # (Side, name) -> AttrSchema
+        # Side -> {"id": NULL, then each other declared name: NULL} in
+        # declaration order, the cells a new object starts from; kept by add
         self._blank = {side: {"id": NULL} for side in Side}
         for side, name in self.attrs:
             self._blank[side][name] = NULL
@@ -148,13 +165,15 @@ def check_value(kind: AttrKind, value: AttrValue, where: str = "") -> None:
                 raise SchemaError(f"set element must be a string{ctx}: {v!r}")
 
 
-@dataclass
 class Obj:
     """One user or resource: an id, a side, and a cell per applicable attribute."""
 
-    id: str
-    side: Side
-    attrs: dict  # name -> AttrValue; always includes "id"
+    __slots__ = ("id", "side", "attrs")
+
+    def __init__(self, id: str, side: Side, attrs: dict):
+        self.id = id
+        self.side = side
+        self.attrs = attrs  # name -> AttrValue; always includes "id"
 
     def value(self, name: str) -> AttrValue:
         return self.attrs.get(name, NULL)
@@ -237,14 +256,14 @@ CONSTRAINT_KINDS = {
 }
 
 
-@dataclass(frozen=True)
 class Rule:
     """Conjunctive rule: user conditions, resource conditions, constraints, actions."""
 
-    user_conds: tuple
-    res_conds: tuple
-    constraints: tuple
-    actions: frozenset
+    __slots__ = ("user_conds", "res_conds", "constraints", "actions")
+
+    def __init__(self, user_conds: tuple, res_conds: tuple, constraints: tuple, actions: frozenset):
+        self.user_conds, self.res_conds = user_conds, res_conds
+        self.constraints, self.actions = constraints, actions
 
     def render(self) -> str:
         uc = "; ".join(c.render() for c in self.user_conds) or "true"
@@ -254,12 +273,15 @@ class Rule:
         return f"<{uc} | {rc} | {cc} | {acts}>"
 
 
-@dataclass
 class ObjectModel:
-    schema: Schema
-    users: dict = field(default_factory=dict)  # id -> Obj
-    resources: dict = field(default_factory=dict)
-    actions: tuple = ()
+    __slots__ = ("schema", "users", "resources", "actions")
+
+    def __init__(self, schema: Schema, users: dict = None, resources: dict = None,
+                 actions: tuple = ()):
+        self.schema = schema
+        self.users = {} if users is None else users  # id -> Obj
+        self.resources = {} if resources is None else resources
+        self.actions = actions
 
     def add(self, obj: Obj) -> None:
         table = self.users if obj.side is Side.USER else self.resources
@@ -340,10 +362,11 @@ class ObjectModel:
         ]
 
 
-@dataclass
 class Policy:
-    model: ObjectModel
-    rules: tuple
+    __slots__ = ("model", "rules")
+
+    def __init__(self, model: ObjectModel, rules: tuple):
+        self.model, self.rules = model, rules
 
     def validate(self) -> None:
         self.model.validate()

@@ -25,7 +25,6 @@ as its weakest one.  No candidates at all means no prediction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .clustering import Clustering, Group
 from .features import (
@@ -43,6 +42,7 @@ from .model import (
     ConfigError,
     EntitlementIndex,
     ObjectModel,
+    Record,
     Side,
 )
 
@@ -53,12 +53,11 @@ class Confidence(enum.IntEnum):
     HIGH = 2
 
 
-@dataclass(frozen=True)
 class PredictionConfig:
-    high_rank_limit: int = 3
-    medium_rank_limit: int = 5
+    __slots__ = ("high_rank_limit", "medium_rank_limit")
 
-    def __post_init__(self) -> None:
+    def __init__(self, high_rank_limit: int = 3, medium_rank_limit: int = 5):
+        self.high_rank_limit, self.medium_rank_limit = high_rank_limit, medium_rank_limit
         if not 0 < self.high_rank_limit <= self.medium_rank_limit:
             raise ConfigError(
                 "rank gates must satisfy 0 < high <= medium: "
@@ -66,24 +65,29 @@ class PredictionConfig:
             )
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(Record):
     """One feature occurrence that contributed candidates for a cell."""
 
-    feature: str  # rendered form
-    rank: int
-    confidence: Confidence
-    values: tuple
+    __slots__ = ("feature", "rank", "confidence", "values")
+
+    def __init__(self, feature: str, rank: int, confidence: Confidence, values: tuple):
+        self.feature = feature  # rendered form
+        self.rank = rank
+        self.confidence = confidence
+        self.values = values
 
 
-@dataclass
-class CellPrediction:
-    side: Side
-    object_id: str
-    attr: str
-    confidence: Confidence
-    value: object = None  # str / frozenset, or None when no prediction
-    evidence: tuple = ()
+class CellPrediction(Record):
+    __slots__ = ("side", "object_id", "attr", "confidence", "value", "evidence")
+
+    def __init__(self, side: Side, object_id: str, attr: str, confidence: Confidence,
+                 value: object = None, evidence: tuple = ()):
+        self.side = side
+        self.object_id = object_id
+        self.attr = attr
+        self.confidence = confidence
+        self.value = value  # str / frozenset, or None when no prediction
+        self.evidence = evidence
 
     @property
     def predicted(self) -> bool:

@@ -6,9 +6,9 @@ by hand: six users and nine resources, minus ids and inapplicable slots
 student, and so on).
 """
 
-import dataclasses
 import json
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -22,6 +22,7 @@ from abacfill.cli import main
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
 from abacfill.harness import (
     DESK_SCALE_CELLS,
+    CellOutcome,
     HarnessConfig,
     RunResult,
     eligible_cells,
@@ -302,8 +303,25 @@ def two_cpus(monkeypatch):
     _no_child_left()
 
 
+def _slots(record, *skip):
+    return {k: getattr(record, k) for k in type(record).__slots__ if k not in skip}
+
+
 def _fields(run):
-    return {k: v for k, v in dataclasses.asdict(run).items() if k != "elapsed"}
+    """Every field of a RunResult but its time, each cell as its fields."""
+    return {**_slots(run, "elapsed"), "cells": [_slots(c) for c in run.cells]}
+
+
+def test_run_results_round_trip_through_pickle(uni1):
+    """A forked worker pickles its RunResults, CellOutcomes inside, back to
+    the parent: every field survives, and each cell equals its original."""
+    run = evaluate_run(uni1, EntitlementIndex(reference_entitlements(uni1)), 0.1, seed=7,
+                       scale=1, run_index=1)
+    assert run.cells and all(type(c) is CellOutcome for c in run.cells)
+    back = pickle.loads(pickle.dumps(run))
+    assert type(back) is RunResult
+    assert (_fields(back), back.elapsed) == (_fields(run), run.elapsed)
+    assert back.cells == run.cells
 
 
 @forks
