@@ -4,8 +4,10 @@
 
 Each run generates a policy (`generate(GeneratorConfig(template, scale,
 seed))`, or `ops_template.ops_policy(scale, seed)` for the ops template),
-then calls `harness.evaluate_run` on it with its reference entitlements,
-the hidden percent, removal seed `seed * 1000 + draw` and the threshold.
+then calls `harness.evaluate_run` on it with the hidden percent, removal
+seed `seed * 1000 + draw` and the threshold.  Each generated policy gets
+one `harness.Baseline`, over its reference entitlements, which every
+draw, percent and threshold of it reuses.
 The grids:
 
 * design: university scales 4, 6, 8, 12, 20 and project scales 3, 5, 10,
@@ -38,7 +40,7 @@ from oracles import refuted  # noqa: E402
 
 from abacfill.clustering import ClusteringConfig  # noqa: E402
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements  # noqa: E402
-from abacfill.harness import HarnessConfig, evaluate_run  # noqa: E402
+from abacfill.harness import Baseline, HarnessConfig, evaluate_run  # noqa: E402
 from abacfill.model import EntitlementIndex  # noqa: E402
 
 BOTH_THRESHOLDS = (0.1, 0.25)
@@ -101,11 +103,11 @@ def scan(grid: Grid) -> Report:
             for seed in grid.seeds:
                 policy = make_policy(template, scale, seed)
                 reference = reference_entitlements(policy)
-                index = EntitlementIndex(reference)
+                baseline = Baseline(policy, EntitlementIndex(reference))
                 for draw in grid.draws:
                     for pct in grid.percents:
                         for st in grid.thresholds:
-                            run = evaluate_run(policy, index, pct / 100, seed * 1000 + draw,
+                            run = evaluate_run(baseline, pct / 100, seed * 1000 + draw,
                                                config=configs[st])
                             report.runs += 1
                             report.removed[template, pct, st] += run.removed

@@ -25,7 +25,7 @@ from . import __version__
 from .clustering import ClusteringConfig, active_attributes, cluster_objects, member_means
 from .features import rank_features
 from .generator import TEMPLATES, GeneratorConfig, generate, reference_entitlements
-from .harness import HarnessConfig, eligible_cells, evaluate_matrix, percent_key, tally
+from .harness import HarnessConfig, evaluate_matrix, percent_key, tally
 from .model import AbacError, InputError
 from .policy_io import (
     dump_cell,
@@ -286,7 +286,7 @@ def _matrix_csv(template, scales, percents, matrix, timing: bool) -> str:
         record = [
             f"{template}-{scale}",
             str(len(om.users) + len(om.resources)),
-            str(len(eligible_cells(om))),
+            str(len(matrix.baselines[scale].eligible)),
             str(len(ents)),
             f"{acc:.4f}",
         ]
@@ -302,38 +302,56 @@ def _matrix_csv(template, scales, percents, matrix, timing: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _run_json(r, timing: bool) -> dict:
+    """One run's detail row, its hidden cells' verdicts included."""
+    cells = []
+    for c in r.cells:
+        verdict = "NEI" if c.correct is None else ("Correct" if c.correct else "Wrong")
+        cells.append(
+            {
+                "side": c.side.value,
+                "object": c.object_id,
+                "attr": c.attr,
+                "truth": dump_cell(c.truth),
+                "predicted": dump_cell(c.predicted),
+                "confidence": _CONFIDENCE_NAMES[c.confidence],
+                "verdict": verdict,
+            }
+        )
+    row = {
+        "scale": r.scale,
+        "percent": percent_key(r.fraction),
+        "run": r.run_index,
+        "seed": r.seed,
+        "removed": r.removed,
+        "predicted": r.predicted,
+        "correct": r.correct,
+        "coverage": round(r.coverage, 6),
+        "accuracy": round(r.accuracy, 6),
+        "cells": cells,
+    }
+    if timing:
+        row["elapsed_s"] = round(r.elapsed, 6)
+    return row
+
+
+class _Detail(list):
+    """A sweep's detail rows, one per run, made one at a time as a writer
+    walks them: `write_json`, as `json.dumps`, takes it for a list, but the
+    rows of all runs are never held at once."""
+
+    def __init__(self, runs: list, timing: bool):
+        super().__init__()
+        self.runs, self.timing = runs, timing
+
+    def __len__(self):
+        return len(self.runs)
+
+    def __iter__(self):
+        return (_run_json(r, self.timing) for r in self.runs)
+
+
 def _matrix_json(template, scales, percents, runs, settings, matrix, timing: bool, subset_ok: bool):
-    detail = []
-    for r in matrix.runs:
-        cells = []
-        for c in r.cells:
-            verdict = "NEI" if c.correct is None else ("Correct" if c.correct else "Wrong")
-            cells.append(
-                {
-                    "side": c.side.value,
-                    "object": c.object_id,
-                    "attr": c.attr,
-                    "truth": dump_cell(c.truth),
-                    "predicted": dump_cell(c.predicted),
-                    "confidence": _CONFIDENCE_NAMES[c.confidence],
-                    "verdict": verdict,
-                }
-            )
-        row = {
-            "scale": r.scale,
-            "percent": percent_key(r.fraction),
-            "run": r.run_index,
-            "seed": r.seed,
-            "removed": r.removed,
-            "predicted": r.predicted,
-            "correct": r.correct,
-            "coverage": round(r.coverage, 6),
-            "accuracy": round(r.accuracy, 6),
-            "cells": cells,
-        }
-        if timing:
-            row["elapsed_s"] = round(r.elapsed, 6)
-        detail.append(row)
     return {
         "template": template,
         "scales": list(scales),
@@ -343,7 +361,7 @@ def _matrix_json(template, scales, percents, runs, settings, matrix, timing: boo
         "st": settings["st"],
         "ntcf": list(settings["ntcf"]),
         "subset_scoring": subset_ok,
-        "detail": detail,
+        "detail": _Detail(matrix.runs, timing),
     }
 
 

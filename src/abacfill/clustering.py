@@ -271,16 +271,28 @@ def refine_group(members: list, threshold: Fraction, weights: dict) -> list:
     return out
 
 
-def cluster_objects(om: ObjectModel, config: ClusteringConfig = None) -> Clustering:
+def cluster_objects(om: ObjectModel, config: ClusteringConfig = None,
+                    buckets: dict = None) -> Clustering:
     """Cluster both sides of the model, each walked in id order.  Group ids
-    run 1..n, users first."""
+    run 1..n, users first.
+
+    buckets, when given, maps each side to its signature buckets as lists
+    of object ids, as `partition_by_signature` would make them over the
+    side in id order; they are used in place of that walk.  A removal run
+    passes its intact model's: hiding a known cell leaves it applicable,
+    so no signature changes."""
     config = config or ClusteringConfig()
     threshold = _as_written(config.threshold)
     weights = {name: _as_written(config.weight(name)) for _, name in om.schema.attrs}
     groups = []
     of = {Side.USER: {}, Side.RESOURCE: {}}  # side -> object id -> Group
     for side in (Side.USER, Side.RESOURCE):
-        for bucket in partition_by_signature(om.by_id(side)):
+        if buckets is None:
+            parts = partition_by_signature(om.by_id(side))
+        else:
+            table = om.side_objects(side)
+            parts = [list(map(table.__getitem__, ids)) for ids in buckets[side]]
+        for bucket in parts:
             for part in refine_group(bucket, threshold, weights):
                 group = Group(len(groups) + 1, side, tuple(o.id for o in part))
                 groups.append(group)

@@ -56,6 +56,9 @@ with an unknown cell are counted through an index of their own.  The
 constraint candidates need no positions, only the keys each attribute of
 a side holds, so `constraint_features` reads those off the attribute's
 distinct cells and no index over a whole side is built.
+`ConstraintCandidates` also counts each shared key's holders, so that a
+removal run narrows its intact model's candidates to its damaged model's
+from the cells it hid alone.
 
 A triple's data splits into per-group pieces: one `GroupSide` per group
 holds all that depends on that group only, `labels` lists the triple's
@@ -80,6 +83,7 @@ cross-side link.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Callable
 
@@ -212,6 +216,88 @@ def constraint_features(om: ObjectModel) -> tuple:
             if shared or empty:
                 kept.append(AtomicConstraint(ua.name, op, ra.name))
     return tuple(Feature(constraint=c) for c in sorted(kept))
+
+
+def _tally(cells) -> tuple:
+    """(key -> how many of the cells hold it, how many cells are known sets,
+    how many are the empty set), where a cell's keys are its known value or
+    its set's elements."""
+    sets = [v for v in cells if isinstance(v, frozenset)]
+    counts = Counter(v for v in cells if isinstance(v, str))
+    for s in sets:
+        counts.update(s)
+    return counts, len(sets), sets.count(frozenset())
+
+
+class ConstraintCandidates:
+    """A model's constraint candidates, `constraint_features(om)`, with what
+    it takes to narrow them to those of the model with some known cells
+    made unknown, without another walk of the model: each candidate's
+    shared keys, and for each attribute of a candidate how many objects
+    hold each shared key, how many a known set and how many the empty set.
+
+    Making a cell unknown only takes holders away, so a candidate drops
+    only when every key it shares has lost its last known holder on one
+    side, and, for supseteq, no known user set or no empty resource set is
+    left either; no candidate is ever added.
+    """
+
+    __slots__ = ("candidates", "shared", "holders")
+
+    def __init__(self, om: ObjectModel):
+        self.candidates = constraint_features(om)
+        tallies = {}  # (side, attr) of a candidate -> _tally of the side's cells
+        self.shared = {}  # constraint -> the keys its two attributes share
+        for f in self.candidates:
+            c = f.constraint
+            ends = (Side.USER, c.user_attr), (Side.RESOURCE, c.res_attr)
+            for side, attr in ends:
+                if (side, attr) not in tallies:
+                    objs = om.side_objects(side).values()
+                    tallies[side, attr] = _tally([o.attrs.get(attr, NULL) for o in objs])
+            self.shared[c] = tallies[ends[0]][0].keys() & tallies[ends[1]][0].keys()
+        needed = {end: set() for end in tallies}  # (side, attr) -> keys some candidate shares
+        for f in self.candidates:
+            c = f.constraint
+            needed[Side.USER, c.user_attr] |= self.shared[c]
+            needed[Side.RESOURCE, c.res_attr] |= self.shared[c]
+        # (side, attr) -> ({shared key: holders}, known sets, empty sets)
+        self.holders = {end: ({k: counts[k] for k in needed[end]}, sets, empty)
+                        for end, (counts, sets, empty) in tallies.items()}
+
+    def narrowed(self, removed) -> tuple:
+        """`constraint_features` of the model with the removed cells, as
+        (side, id, attr, value) tuples of known cells, made unknown.  The
+        removed values of each candidate's attributes are tallied; where no
+        tally takes away every holder of a shared key, every known set or
+        every empty set, the candidates are unchanged."""
+        taken = {}  # (side, attr) -> the removed cells' values
+        for side, _, attr, value in removed:
+            if (side, attr) in self.holders:
+                taken.setdefault((side, attr), []).append(value)
+        # (side, attr) -> (shared keys with no holder left, any known set left, any empty)
+        left = {}
+        for end, values in taken.items():
+            counts, sets, empty = self.holders[end]
+            lost, lost_sets, lost_empty = _tally(values)
+            gone = {k for k, n in lost.items() if n == counts.get(k)}
+            if gone or (sets and sets == lost_sets) or (empty and empty == lost_empty):
+                left[end] = (gone, sets > lost_sets, empty > lost_empty)
+        if not left:
+            return self.candidates
+        return tuple(f for f in self.candidates if self._holds(f.constraint, left))
+
+    def _holds(self, c: AtomicConstraint, left: dict) -> bool:
+        def state(end):
+            if end in left:
+                return left[end]
+            _, sets, empty = self.holders[end]
+            return (), sets > 0, empty > 0
+
+        gone_u, user_sets, _ = state((Side.USER, c.user_attr))
+        gone_r, _, res_empty = state((Side.RESOURCE, c.res_attr))
+        return (any(k not in gone_u and k not in gone_r for k in self.shared[c])
+                or (c.op == "supseteq" and user_sets and res_empty))
 
 
 def is_untainted(obj) -> bool:

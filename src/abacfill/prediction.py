@@ -107,12 +107,14 @@ class TripleCache:
     takes one disjointness test of the reach map's keys with the resource
     rows, so a group that only settled triples touch is never summarized;
     `labels` reads the same map.  `predict_cell` reads the model off `om`.
+    constraints, when given, must equal `constraint_features(om)`; a
+    removal run passes its own, narrowed from its intact model's.
     """
 
-    def __init__(self, om: ObjectModel, entitlements: EntitlementIndex):
+    def __init__(self, om: ObjectModel, entitlements: EntitlementIndex, constraints: tuple = None):
         self.om = om
         self.entitlements = entitlements
-        self._constraints = constraint_features(om)
+        self._constraints = constraint_features(om) if constraints is None else constraints
         self._sides = {}
         self._reach = {}
         self._store = {}
@@ -265,8 +267,15 @@ def predict_missing(
     clustering: Clustering,
     entitlements: EntitlementIndex,
     prediction_config: PredictionConfig = None,
+    cells: list = None,
+    constraints: tuple = None,
 ) -> list:
-    """Predict every unknown cell, ordered by side, object id, attribute."""
-    cache = TripleCache(om, entitlements)
+    """Predict every unknown cell, ordered by side, object id, attribute.
+
+    A caller that knows them passes the (side, id, attr) cells to predict,
+    in that order, and the model's constraint candidates (see
+    `TripleCache`), so that neither is found by a walk of the model; a
+    cell's prediction does not depend on which others are predicted."""
+    cache = TripleCache(om, entitlements, constraints)
     return [predict_cell(clustering, cache, side, oid, attr, prediction_config)
-            for side, oid, attr in om.missing_cells()]
+            for side, oid, attr in (om.missing_cells() if cells is None else cells)]

@@ -21,13 +21,18 @@ the counterpart group, and an object's relevant triples, with their
 counterparts, from a scan of every entitlement for its own.  The
 prediction spec composes the dense learning reference and the walk
 references into whole answers, with prediction's gates, relational filter
-and tie rule written out.
+and tie rule written out.  The reference removal run is the harness as it
+was before a run started from its scale's `harness.Baseline`: cells hidden
+in a whole model copy, both sides clustered from their own signature walk,
+and every unknown cell, with the constraint candidates, found by a walk of
+the damaged model.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
@@ -35,6 +40,7 @@ from unittest import mock
 import numpy as np
 
 from abacfill import features as features_module
+from abacfill.clustering import cluster_objects
 from abacfill.evaluate import (
     Tri,
     ValueIndex,
@@ -62,7 +68,14 @@ from abacfill.model import (
     Policy,
     Side,
 )
-from abacfill.prediction import CellPrediction, Confidence, Evidence, PredictionConfig
+from abacfill.harness import CellOutcome, HarnessConfig, remove_cells, score_prediction
+from abacfill.prediction import (
+    CellPrediction,
+    Confidence,
+    Evidence,
+    PredictionConfig,
+    predict_missing,
+)
 
 T, F, U = "T", "F", "U"
 
@@ -732,3 +745,29 @@ def reference_predict(om, clustering, entitlements, config=None) -> list:
             confidence = min((c for c, _ in best.values()), key=lambda c: c.value)
         out.append(CellPrediction(side, oid, attr, confidence, value, tuple(evidence)))
     return out
+
+
+# --- a removal run without a baseline ---
+
+
+def reference_removal_run(policy, entitlements, fraction, seed, config=None) -> tuple:
+    """(damaged model, outcomes) of one removal run made the slow way: the
+    cells `remove_cells` draws with `Random(seed)` hidden in a whole copy
+    of the policy's model, `cluster_objects(om)` walking both sides for
+    their signatures, and `predict_missing(om, ...)` finding every unknown
+    cell and the constraint candidates by walks of the damaged model.  The
+    outcomes are `CellOutcome`s in the order the cells were drawn."""
+    config = config or HarnessConfig()
+    om = policy.model.copy()
+    removed = remove_cells(om, fraction, random.Random(seed))
+    clustering = cluster_objects(om, config.clustering)
+    predictions = predict_missing(om, clustering, entitlements, config.prediction)
+    by_cell = {(p.side, p.object_id, p.attr): p for p in predictions}
+    outcomes = []
+    for side, oid, attr, truth in removed:
+        p = by_cell[side, oid, attr]
+        ok = None
+        if p.predicted:
+            ok = score_prediction(om.schema.kind(side, attr), p.value, truth, config.subset_ok)
+        outcomes.append(CellOutcome(side, oid, attr, truth, p.value, p.confidence, ok))
+    return om, outcomes

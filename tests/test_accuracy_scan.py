@@ -14,7 +14,7 @@ import pathlib
 
 from abacfill.clustering import ClusteringConfig
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
-from abacfill.harness import HarnessConfig, evaluate_run
+from abacfill.harness import Baseline, HarnessConfig, evaluate_run
 from abacfill.model import EntitlementIndex
 
 
@@ -27,9 +27,9 @@ def test_fill_dense_scan_makes_no_wrong_prediction():
     wrong, predicted = [], 0
     for seed in range(1, 21):
         policy = generate(GeneratorConfig(template="university", scale=20, seed=seed))
-        entitlements = EntitlementIndex(reference_entitlements(policy))
+        baseline = Baseline(policy, EntitlementIndex(reference_entitlements(policy)))
         for draw in range(6):
-            run = evaluate_run(policy, entitlements, 0.06, seed * 1000 + draw, config=config)
+            run = evaluate_run(baseline, 0.06, seed * 1000 + draw, config=config)
             predicted += run.predicted
             wrong += [
                 (seed, draw, c.object_id, c.attr, c.truth, c.predicted)

@@ -22,6 +22,7 @@ from abacfill.cli import main
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
 from abacfill.harness import (
     DESK_SCALE_CELLS,
+    Baseline,
     CellOutcome,
     HarnessConfig,
     RunResult,
@@ -146,7 +147,7 @@ def test_run_seeds_unique_across_grid():
 def test_evaluate_run_restores_model(uni1):
     before = policy_to_dict(uni1)
     ents = EntitlementIndex(reference_entitlements(uni1))
-    result = evaluate_run(uni1, ents, 0.09, seed=123)
+    result = evaluate_run(Baseline(uni1, ents), 0.09, seed=123)
     assert policy_to_dict(uni1) == before
     assert result.removed == 4
     assert result.elapsed >= 0.0
@@ -155,9 +156,9 @@ def test_evaluate_run_restores_model(uni1):
 
 
 def test_evaluate_run_deterministic(uni1):
-    ents = EntitlementIndex(reference_entitlements(uni1))
-    a = evaluate_run(uni1, ents, 0.06, seed=55)
-    b = evaluate_run(uni1, ents, 0.06, seed=55)
+    baseline = Baseline(uni1, EntitlementIndex(reference_entitlements(uni1)))
+    a = evaluate_run(baseline, 0.06, seed=55)
+    b = evaluate_run(baseline, 0.06, seed=55)
     assert a.cells == b.cells
     assert (a.coverage, a.accuracy) == (b.coverage, b.accuracy)
 
@@ -166,7 +167,7 @@ def test_evaluate_run_zero_plan_on_large_model():
     policy = generate(GeneratorConfig(template="university", scale=3, seed=0))
     assert len(eligible_cells(policy.model)) > DESK_SCALE_CELLS
     ents = EntitlementIndex(reference_entitlements(policy))
-    result = evaluate_run(policy, ents, 0.0, seed=9)
+    result = evaluate_run(Baseline(policy, ents), 0.0, seed=9)
     assert result.removed == 0
     assert result.coverage == 1.0
     assert result.accuracy == 1.0
@@ -315,8 +316,8 @@ def _fields(run):
 def test_run_results_round_trip_through_pickle(uni1):
     """A forked worker pickles its RunResults, CellOutcomes inside, back to
     the parent: every field survives, and each cell equals its original."""
-    run = evaluate_run(uni1, EntitlementIndex(reference_entitlements(uni1)), 0.1, seed=7,
-                       scale=1, run_index=1)
+    run = evaluate_run(Baseline(uni1, EntitlementIndex(reference_entitlements(uni1))), 0.1,
+                       seed=7, scale=1, run_index=1)
     assert run.cells and all(type(c) is CellOutcome for c in run.cells)
     back = pickle.loads(pickle.dumps(run))
     assert type(back) is RunResult
@@ -399,11 +400,11 @@ def _failing_run(monkeypatch, tmp_path, fail):
     that failed."""
     real = harness.evaluate_run
 
-    def run(policy, ents, fraction, seed, scale, run_index, config):
+    def run(baseline, fraction, seed, scale, run_index, config):
         if run_index == 1:
             (tmp_path / "failed_in").write_text(str(os.getpid()))
             fail()
-        return real(policy, ents, fraction, seed, scale, run_index, config)
+        return real(baseline, fraction, seed, scale, run_index, config)
 
     monkeypatch.setattr(harness, "evaluate_run", run)
 
@@ -447,7 +448,7 @@ def test_child_that_dies_without_sending_exits_2(two_cpus, monkeypatch, tmp_path
 
 @forks
 def test_interrupt_in_the_parent_ends_its_children(two_cpus, monkeypatch, tmp_path):
-    def run(policy, ents, fraction, seed, scale, run_index, config):
+    def run(baseline, fraction, seed, scale, run_index, config):
         if run_index == 0:  # the parent's share
             raise KeyboardInterrupt
         time.sleep(60)  # the child's share, until the parent ends it

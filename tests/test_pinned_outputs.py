@@ -78,6 +78,14 @@ EVALUATE = {
         "fd890c36d7aa939981877291506192be40a18814f2f0a6e782f70e05804b3f58",
         "0fd88d2d6ab241774f5cb65591c094539804433721d2877e0f0cb8a0f04ffc6b",
     ),
+    # 60% hidden: run 3 of project-3 hides every known holder of the keys
+    # that `agency` and `vendor` share, so its constraint candidates lose
+    # `agency equal vendor`; pinned as the removal runs hid cells in a whole
+    # model copy and found the candidates by a walk of it
+    ("project", "2,3", "60", 4): (
+        "bc7ca541495507f6642dc7b3a7952375c1ad073a910d50978324a928e140e214",
+        "bcb4c124df7e1e323d42dcd9261a09b072eaf11bc00abe57e6812c036d632841",
+    ),
 }
 
 

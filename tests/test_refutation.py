@@ -14,7 +14,7 @@ from ops_template import ops_document, ops_policy
 from abacfill.clustering import ClusteringConfig
 from abacfill.evaluate import policy_meaning
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
-from abacfill.harness import HarnessConfig, evaluate_run
+from abacfill.harness import Baseline, HarnessConfig, evaluate_run
 from abacfill.model import EntitlementIndex, Side
 
 
@@ -26,7 +26,8 @@ def test_refuted_flags_each_wrong_answer_and_no_truth():
     policy = generate(GeneratorConfig(template="university", scale=4, seed=14))
     entitlements = reference_entitlements(policy)
     config = HarnessConfig(clustering=ClusteringConfig(threshold=0.1))
-    run = evaluate_run(policy, EntitlementIndex(entitlements), 0.3, 14001, config=config)
+    run = evaluate_run(Baseline(policy, EntitlementIndex(entitlements)), 0.3, 14001,
+                       config=config)
     wrong = [c for c in run.cells if c.correct is False]
     assert {(c.object_id, c.attr) for c in wrong} == {
         (oid, "coursesTaken")
