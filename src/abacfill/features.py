@@ -55,10 +55,11 @@ the group's rows for its conditions and its constraint joins; the members
 with an unknown cell are counted through an index of their own.  The
 constraint candidates need no positions, only the keys each attribute of
 a side holds, so `constraint_features` reads those off the attribute's
-distinct cells and no index over a whole side is built.
-`ConstraintCandidates` also counts each shared key's holders, so that a
-removal run narrows its intact model's candidates to its damaged model's
-from the cells it hid alone.
+distinct cells and no index over a whole side is built.  A removal run
+learns with its intact model's candidates: hiding cells only takes
+holders away, so one its damaged model lacks holds on no pair of it.  Its
+column has zero sum and X'y, so it is never all-true on a non-empty
+triple nor necessary, in no exact rule and fitted at exactly 0.
 
 A triple's data splits into per-group pieces: one `GroupSide` per group
 holds all that depends on that group only, `labels` lists the triple's
@@ -83,7 +84,6 @@ cross-side link.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 from typing import Callable
 
@@ -216,88 +216,6 @@ def constraint_features(om: ObjectModel) -> tuple:
             if shared or empty:
                 kept.append(AtomicConstraint(ua.name, op, ra.name))
     return tuple(Feature(constraint=c) for c in sorted(kept))
-
-
-def _tally(cells) -> tuple:
-    """(key -> how many of the cells hold it, how many cells are known sets,
-    how many are the empty set), where a cell's keys are its known value or
-    its set's elements."""
-    sets = [v for v in cells if isinstance(v, frozenset)]
-    counts = Counter(v for v in cells if isinstance(v, str))
-    for s in sets:
-        counts.update(s)
-    return counts, len(sets), sets.count(frozenset())
-
-
-class ConstraintCandidates:
-    """A model's constraint candidates, `constraint_features(om)`, with what
-    it takes to narrow them to those of the model with some known cells
-    made unknown, without another walk of the model: each candidate's
-    shared keys, and for each attribute of a candidate how many objects
-    hold each shared key, how many a known set and how many the empty set.
-
-    Making a cell unknown only takes holders away, so a candidate drops
-    only when every key it shares has lost its last known holder on one
-    side, and, for supseteq, no known user set or no empty resource set is
-    left either; no candidate is ever added.
-    """
-
-    __slots__ = ("candidates", "shared", "holders")
-
-    def __init__(self, om: ObjectModel):
-        self.candidates = constraint_features(om)
-        tallies = {}  # (side, attr) of a candidate -> _tally of the side's cells
-        self.shared = {}  # constraint -> the keys its two attributes share
-        for f in self.candidates:
-            c = f.constraint
-            ends = (Side.USER, c.user_attr), (Side.RESOURCE, c.res_attr)
-            for side, attr in ends:
-                if (side, attr) not in tallies:
-                    objs = om.side_objects(side).values()
-                    tallies[side, attr] = _tally([o.attrs.get(attr, NULL) for o in objs])
-            self.shared[c] = tallies[ends[0]][0].keys() & tallies[ends[1]][0].keys()
-        needed = {end: set() for end in tallies}  # (side, attr) -> keys some candidate shares
-        for f in self.candidates:
-            c = f.constraint
-            needed[Side.USER, c.user_attr] |= self.shared[c]
-            needed[Side.RESOURCE, c.res_attr] |= self.shared[c]
-        # (side, attr) -> ({shared key: holders}, known sets, empty sets)
-        self.holders = {end: ({k: counts[k] for k in needed[end]}, sets, empty)
-                        for end, (counts, sets, empty) in tallies.items()}
-
-    def narrowed(self, removed) -> tuple:
-        """`constraint_features` of the model with the removed cells, as
-        (side, id, attr, value) tuples of known cells, made unknown.  The
-        removed values of each candidate's attributes are tallied; where no
-        tally takes away every holder of a shared key, every known set or
-        every empty set, the candidates are unchanged."""
-        taken = {}  # (side, attr) -> the removed cells' values
-        for side, _, attr, value in removed:
-            if (side, attr) in self.holders:
-                taken.setdefault((side, attr), []).append(value)
-        # (side, attr) -> (shared keys with no holder left, any known set left, any empty)
-        left = {}
-        for end, values in taken.items():
-            counts, sets, empty = self.holders[end]
-            lost, lost_sets, lost_empty = _tally(values)
-            gone = {k for k, n in lost.items() if n == counts.get(k)}
-            if gone or (sets and sets == lost_sets) or (empty and empty == lost_empty):
-                left[end] = (gone, sets > lost_sets, empty > lost_empty)
-        if not left:
-            return self.candidates
-        return tuple(f for f in self.candidates if self._holds(f.constraint, left))
-
-    def _holds(self, c: AtomicConstraint, left: dict) -> bool:
-        def state(end):
-            if end in left:
-                return left[end]
-            _, sets, empty = self.holders[end]
-            return (), sets > 0, empty > 0
-
-        gone_u, user_sets, _ = state((Side.USER, c.user_attr))
-        gone_r, _, res_empty = state((Side.RESOURCE, c.res_attr))
-        return (any(k not in gone_u and k not in gone_r for k in self.shared[c])
-                or (c.op == "supseteq" and user_sets and res_empty))
 
 
 def is_untainted(obj) -> bool:
@@ -447,16 +365,16 @@ def build_learning_data(users: GroupSide, resources: GroupSide, constraints,
         all_true=[t or nu * nr == 0
                   for t in users.all_true + resources.all_true + [n == nu * nr for n in counts]],
         supported=users.supported + resources.supported + [True] * len(pairs),
-        gram=partial(design_gram, users, resources, pairs, {}),
+        gram=partial(design_gram, users, resources, pairs),
     )
 
 
-def design_gram(users: GroupSide, resources: GroupSide, pairs, arrays: dict, columns):
+def design_gram(users: GroupSide, resources: GroupSide, pairs, columns):
     """design' design over the given ascending columns of a triple whose
     design `build_learning_data` summarizes from its two summarized sides
-    and its constraints' true pairs.  arrays keeps, per constraint
-    position, the pairs as a numpy array, made by the triple's first gram
-    that reads them.
+    and its constraints' true pairs.  Each asked constraint's pairs are
+    made a numpy array here: a triple asks for a second gram only when its
+    rule search finds no rule, so nothing is kept between grams.
 
     The columns fall into the blocks of the canonical order: user
     conditions, resource conditions, constraints.  A condition column
@@ -480,11 +398,8 @@ def design_gram(users: GroupSide, resources: GroupSide, pairs, arrays: dict, col
     columns = np.asarray(columns, dtype=np.int64)
     Au = users.matrix()[:, columns[columns < du]]
     Ar = resources.matrix()[:, columns[(columns >= du) & (columns < c0)] - du]
-    held = []
-    for j in (columns[columns >= c0] - c0).tolist():
-        if j not in arrays:
-            arrays[j] = np.fromiter(pairs[j], dtype=np.int64, count=len(pairs[j]))
-        held.append(arrays[j])
+    held = [np.fromiter(pairs[j], dtype=np.int64, count=len(pairs[j]))
+            for j in (columns[columns >= c0] - c0).tolist()]
     U, R = slice(0, Au.shape[1]), slice(Au.shape[1], Au.shape[1] + Ar.shape[1])
     gram = np.zeros((len(columns), len(columns)), dtype=np.int64)
     np.multiply(product(Au.T, Au), nr, out=gram[U, U])

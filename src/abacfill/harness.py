@@ -16,11 +16,9 @@ walking the whole model, each part exact for any damaged model:
   `random.Random(seed).sample` exactly as `remove_cells` does;
 * each side's signature buckets: a hidden cell is MISSING, which still
   applies, so no object's signature and no bucket changes;
-* the constraint candidates with, per attribute, the holder count of each
-  shared key and the counts of known and empty sets: hiding cells only
-  takes holders away, so a run's candidates are the intact ones less
-  those that lost every shared key, or, for supseteq, every known user
-  set or empty resource set (`features.ConstraintCandidates`).
+* the intact model's constraint candidates: hiding cells only takes
+  holders away, so one the damaged model lacks holds on no pair of it, a
+  zero column in every triple that never ranks (see `features`).
 
 A run's damaged model shares the schema and every object it hides no cell
 of with the policy; only the objects it hides a cell of are copied, so the
@@ -47,7 +45,7 @@ import time
 
 from . import generator
 from .clustering import ClusteringConfig, cluster_objects, partition_by_signature
-from .features import ConstraintCandidates
+from .features import constraint_features
 from .model import (
     MISSING,
     NULL,
@@ -197,8 +195,8 @@ class Baseline:
     policy and the `EntitlementIndex` of its reference entitlements, its
     eligible cells in `cells()` order, each side's signature buckets as
     lists of object ids (`partition_by_signature` over the side in id
-    order), and its constraint candidates with the key, set and empty-set
-    counts that narrow them (`features.ConstraintCandidates`)."""
+    order), and its constraint candidates, which every run learns with as
+    they are: one the damage empties is a zero column that never ranks."""
 
     __slots__ = ("policy", "entitlements", "eligible", "buckets", "constraints")
 
@@ -210,7 +208,7 @@ class Baseline:
             side: [[o.id for o in bucket] for bucket in partition_by_signature(om.by_id(side))]
             for side in Side
         }
-        self.constraints = ConstraintCandidates(om)
+        self.constraints = constraint_features(om)
 
     def damage(self, fraction: float, rng: random.Random) -> tuple:
         """(damaged model, removed, hidden): a seeded sample of the eligible
@@ -246,15 +244,15 @@ def evaluate_run(
 ) -> RunResult:
     """One removal run of the baseline's policy, which is never modified.
     It predicts exactly the cells it hid, clustered from the baseline's
-    signature buckets (a hidden cell still applies), with the baseline's
-    constraint candidates narrowed to those of the damaged model, against
-    the reference entitlements of the intact policy."""
+    signature buckets (a hidden cell still applies) and with its constraint
+    candidates (one the damage empties never ranks), against the reference
+    entitlements of the intact policy."""
     config = config or HarnessConfig()
     start = time.perf_counter()
     om, removed, hidden = baseline.damage(fraction, random.Random(seed))
     clustering = cluster_objects(om, config.clustering, baseline.buckets)
     predictions = predict_missing(om, clustering, baseline.entitlements, config.prediction, hidden,
-                                  baseline.constraints.narrowed(removed))
+                                  baseline.constraints)
     by_cell = {(p.side, p.object_id, p.attr): p for p in predictions}
     outcomes = []
     for side, oid, attr, truth in removed:

@@ -20,6 +20,10 @@ naming the path.  `write_json` writes every JSON file and output: the text
 of `json.dumps(doc, indent=2, sort_keys=...)`, without `json`'s
 pure-Python encoder, passed piece by piece to a `write` callable as it is
 encoded, so no output is ever held whole as one string.
+
+`save_policy` and `save_entitlements`, the loaders' inverses, are public
+API: the benchmark's fill set-up (`perfbench/workloads.py`) and
+`scripts/rss_ceiling.py` write their inputs with them.
 """
 
 from __future__ import annotations

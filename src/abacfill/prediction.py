@@ -107,8 +107,10 @@ class TripleCache:
     takes one disjointness test of the reach map's keys with the resource
     rows, so a group that only settled triples touch is never summarized;
     `labels` reads the same map.  `predict_cell` reads the model off `om`.
-    constraints, when given, must equal `constraint_features(om)`; a
-    removal run passes its own, narrowed from its intact model's.
+    constraints, when given, must contain `constraint_features(om)`, and
+    every other one must hold on no pair of `om`: its zero column is in no
+    exact rule, is fitted at exactly 0 and never ranks.  A removal run
+    passes its intact model's.
     """
 
     def __init__(self, om: ObjectModel, entitlements: EntitlementIndex, constraints: tuple = None):

@@ -3,11 +3,13 @@ reference run of `tests/oracles.py`.
 
 The baseline holds what its runs share: the eligible cells, each side's
 signature buckets and the intact model's constraint candidates, which a
-run narrows to those of its damaged model.  Each run here is checked piece
-by piece against a whole-model copy with the same cells hidden, and its
-outcomes against the reference's.  60% hidden is included because only
-high percents take the last known holder of every key a candidate shares:
-at 3-9% no candidate ever drops.
+run learns with unchanged.  Each run here is checked piece by piece
+against a whole-model copy with the same cells hidden, and its outcomes
+against the reference's, which learns with the damaged model's own
+candidates.  Those are always among the intact ones; 60% hidden is
+included because only high percents take the last known holder of every
+key a candidate shares, leaving a candidate that holds on no pair of the
+damaged model: at 3-9% no candidate ever drops.
 """
 
 import random
@@ -46,17 +48,18 @@ def test_runs_from_a_baseline_equal_the_reference(template):
                 fraction, run_seed = percent / 100, seed * 1000 + percent
                 damaged, outcomes = reference_removal_run(policy, baseline.entitlements,
                                                           fraction, run_seed)
-                om, removed, hidden = baseline.damage(fraction, random.Random(run_seed))
+                om, _, hidden = baseline.damage(fraction, random.Random(run_seed))
                 assert list(om.cells()) == list(damaged.cells())
                 assert hidden == damaged.missing_cells()
                 for side in Side:
                     walked = partition_by_signature(damaged.by_id(side))
                     assert baseline.buckets[side] == [[o.id for o in b] for b in walked]
-                narrowed = baseline.constraints.narrowed(removed)
-                assert narrowed == constraint_features(damaged)
-                shrunk += narrowed != baseline.constraints.candidates
+                own = constraint_features(damaged)
+                assert set(own) <= set(baseline.constraints)
+                shrunk += own != baseline.constraints
                 assert evaluate_run(baseline, fraction, run_seed).cells == outcomes
             assert policy_to_dict(policy) == intact
-    # not vacuous: some runs lose a candidate (at this writing 2 university,
-    # 6 project and 1 ops run, the ops one a supseteq candidate)
+    # not vacuous: some runs learn with a candidate their damaged model
+    # lacks (2 university, 6 project and 1 ops run, the ops one a supseteq
+    # candidate, with the generator and seeds of this file)
     assert shrunk
