@@ -15,7 +15,13 @@ PYTHONPYCACHEPREFIX, and PYTHONDONTWRITEBYTECODE is removed from its
 environment, so that its first set-up compiles and writes the bytecode its
 later set-ups read, on both sides alike.  Otherwise `setup_s` would compare
 a working tree that may hold `__pycache__` directories with a fresh copy
-that holds none.
+that holds none.  It follows that the `setup_s` printed here is lower than
+one measured with PYTHONDONTWRITEBYTECODE=1, where every fresh set-up
+process compiles `src/` again: `perfbench/run.py --setup-only` on
+fill-dense read 0.070-0.082 s with the variable set against 0.038-0.060 s
+without it once the bytecode was written (5 runs each, twice, 2 vCPUs),
+and `compile()` of `src/abacfill/*.py` alone takes 29-47 ms.  Compare
+`setup_s` only between runs made in the same environment.
 
 Prints one line per pair, then for every end-to-end metric that
 BENCHMARK.json lists: each side's median and quartiles, and how many pairs

@@ -19,20 +19,23 @@ overlaps), where set overlaps counts the pairs of distinct sets in an
 attribute that share an element.  The movers get a fresh tally; the
 stayers keep their group's, with the movers' counts and overlaps
 subtracted, so a stayers' round costs O(stayers x attributes + the
-movers' set overlaps).
+movers' set overlaps).  A removal run's first round copies its intact
+model's tally (`signature_tallies`) and takes out only the hidden cells,
+so it counts no value and finds the overlaps of the hidden sets only.
 
 The threshold comparison is exact, in integers.  Each attribute's summed
 similarities are integers in a unit of their own: halves for strings and
 MISSING cells, twice the lcm of the union sizes that occur for sets.  The
 id adds only its weight, since no two members share an id.  The weights and
-the threshold are read once per `cluster_objects` call as the decimals they
-print as, and bring every attribute onto one integer scale, so a member
-whose mean equals the threshold stays.  `member_means` reads the same exact
-sums, as Fractions, for reports.
+the threshold are read as the decimals they print as, each number parsed
+once per process, and bring every attribute onto one integer scale, so a
+member whose mean equals the threshold stays.  `member_means` reads the
+same exact sums, as Fractions, for reports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -128,9 +131,11 @@ def partition_by_signature(objects) -> list:
     return list(buckets.values())
 
 
+@functools.lru_cache(maxsize=256)
 def _as_written(x) -> Fraction:
-    """The number as the decimal it prints as.  The binary float nearest
-    0.1 lies above 1/10, so a mean of exactly 1/10 would fall below it."""
+    """The number as the decimal it prints as: the float nearest 0.1 lies
+    above 1/10, so a mean of exactly 1/10 would fall below it.  Cached, as
+    a Fraction is immutable and every clustering reads the same numbers."""
     return Fraction(str(float(x)))
 
 
@@ -186,6 +191,13 @@ class _Column:
         sums[MISSING] = factor * (len(self.cells) - 1) * unit // 2
         return sums
 
+    def _take(self, v, c: int) -> None:
+        """Take c cells of the known value v out of counts, overlaps and all."""
+        self.counts[v] -= c  # a count may reach 0; no cell reads it then
+        if self.agree is not None:
+            for d, (i, u) in self._overlaps(v).items():
+                self.agree[d] -= c * i * self.unit // u
+
     def drop(self, keep: list, gone: list) -> None:
         """Keep the cells at the positions `keep`; take the cells `gone`
         out of the counts, and each one's overlaps out of agree."""
@@ -193,10 +205,15 @@ class _Column:
         out = Counter(gone)
         self.missing -= out.pop(MISSING, 0)
         for v, c in out.items():
-            self.counts[v] -= c  # a count may reach 0; no cell reads it then
-            if self.agree is not None:
-                for d, (i, u) in self._overlaps(v).items():
-                    self.agree[d] -= c * i * self.unit // u
+            self._take(v, c)
+
+    def copy(self) -> _Column:
+        """A copy that changes apart from this column; the element index,
+        which nothing changes, is shared."""
+        new = object.__new__(_Column)
+        new.__dict__ = {**self.__dict__, "cells": self.cells[:], "counts": dict(self.counts),
+                        "agree": None if self.agree is None else dict(self.agree)}
+        return new
 
 
 class _Tally:
@@ -207,10 +224,11 @@ class _Tally:
     share an id."""
 
     def __init__(self, members: list, weights: dict):
-        self.members = members
+        self.members, self.weights = members, weights
         names = sorted(active_attributes(members[0]))
         weight_sum = sum((weights[name] for name in names), Fraction(0))
-        columns = [(weights[n], _Column([o.attrs[n] for o in members])) for n in names if n != "id"]
+        self.names = [n for n in names if n != "id"]  # the columns' attributes
+        columns = [(weights[n], _Column([o.attrs[n] for o in members])) for n in self.names]
         scale = math.lcm(weight_sum.denominator, *(w.denominator * c.unit for w, c in columns))
         self.columns = [(w.numerator * (scale // (w.denominator * c.unit)), c) for w, c in columns]
         self.unit = weight_sum.numerator * (scale // weight_sum.denominator)
@@ -238,6 +256,22 @@ class _Tally:
         for _, column in self.columns:
             column.drop(keep, [column.cells[i] for i in gone])
 
+    def damaged(self, table: dict) -> _Tally:
+        """A copy for a damaged copy of the model, given as its id -> object
+        table: each cell that is MISSING in a fresh object there but known
+        here is taken out and counted MISSING.  The unit stays, since taking
+        a value out never adds a union size."""
+        new = object.__new__(_Tally)
+        new.weights, new.names, new.unit = self.weights, self.names, self.unit
+        new.members = [table[o.id] for o in self.members]
+        new.columns = [(factor, column.copy()) for factor, column in self.columns]
+        for i in [i for i, was in enumerate(self.members) if new.members[i] is not was]:
+            for name, (_, c) in zip(self.names, new.columns):
+                if new.members[i].attrs[name] is MISSING and c.cells[i] is not MISSING:
+                    c._take(c.cells[i], 1)
+                    c.cells[i], c.missing = MISSING, c.missing + 1
+        return new
+
 
 def member_means(members: list, config: ClusteringConfig) -> list:
     """Each member's exact mean similarity to the other members, as a
@@ -249,8 +283,8 @@ def member_means(members: list, config: ClusteringConfig) -> list:
     return [Fraction(t, others) for t in tally.totals()]
 
 
-def refine_group(members: list, threshold: Fraction, weights: dict) -> list:
-    """Split out poorly matching members until stable.
+def refine_group(first: _Tally, threshold: Fraction) -> list:
+    """Split out poorly matching members until stable, from a bucket's tally.
 
     All members below the threshold leave together as one new group, and
     both halves are refined again, the stayers first.  A split that would
@@ -258,43 +292,48 @@ def refine_group(members: list, threshold: Fraction, weights: dict) -> list:
     their own; the stayers keep the group's, with the movers taken out.
     """
     out = []
-    work = [_Tally(members, weights)]
+    work = [first]
     while work:
         tally = work.pop()
         moved = tally.below(threshold) if len(tally.members) > 1 else [False]
         if all(moved) or not any(moved):
             out.append(tally.members)
             continue
-        movers = _Tally([o for o, m in zip(tally.members, moved) if m], weights)
+        movers = _Tally([o for o, m in zip(tally.members, moved) if m], tally.weights)
         tally.drop(moved)
         work += [movers, tally]  # stay pops first: its subtree ends before movers
     return out
 
 
+def signature_tallies(om: ObjectModel, side: Side, config: ClusteringConfig) -> list:
+    """The side's signature buckets (`partition_by_signature` over it in id
+    order), each as its first round's tally under config's weights."""
+    weights = {name: _as_written(config.weight(name)) for _, name in om.schema.attrs}
+    return [_Tally(bucket, weights) for bucket in partition_by_signature(om.by_id(side))]
+
+
 def cluster_objects(om: ObjectModel, config: ClusteringConfig = None,
-                    buckets: dict = None) -> Clustering:
+                    tallies: dict = None) -> Clustering:
     """Cluster both sides of the model, each walked in id order.  Group ids
     run 1..n, users first.
 
-    buckets, when given, maps each side to its signature buckets as lists
-    of object ids, as `partition_by_signature` would make them over the
-    side in id order; they are used in place of that walk.  A removal run
-    passes its intact model's: hiding a known cell leaves it applicable,
-    so no signature changes."""
+    tallies, when given, maps each side to its `signature_tallies` in an
+    intact model under config's weights, om being a damaged copy of that
+    model: the same objects but for fresh ones with hidden cells MISSING.
+    Each bucket starts from a copy of its intact tally with those cells
+    taken out: a hidden cell still applies, so no signature changes."""
     config = config or ClusteringConfig()
     threshold = _as_written(config.threshold)
-    weights = {name: _as_written(config.weight(name)) for _, name in om.schema.attrs}
     groups = []
     of = {Side.USER: {}, Side.RESOURCE: {}}  # side -> object id -> Group
     for side in (Side.USER, Side.RESOURCE):
-        if buckets is None:
-            parts = partition_by_signature(om.by_id(side))
+        if tallies is None:
+            firsts = signature_tallies(om, side, config)
         else:
-            table = om.side_objects(side)
-            parts = [list(map(table.__getitem__, ids)) for ids in buckets[side]]
-        for bucket in parts:
-            for part in refine_group(bucket, threshold, weights):
-                group = Group(len(groups) + 1, side, tuple(o.id for o in part))
+            firsts = [intact.damaged(om.side_objects(side)) for intact in tallies[side]]
+        for first in firsts:
+            for part in refine_group(first, threshold):
+                group = Group(len(groups) + 1, side, tuple([o.id for o in part]))
                 groups.append(group)
-                of[side].update((o.id, group) for o in part)
+                of[side].update(dict.fromkeys(group.members, group))
     return Clustering(tuple(groups), of[Side.USER], of[Side.RESOURCE])

@@ -14,8 +14,9 @@ walking the whole model, each part exact for any damaged model:
 
 * the eligible cells in `cells()` order, which a run samples with
   `random.Random(seed).sample` exactly as `remove_cells` does;
-* each side's signature buckets: a hidden cell is MISSING, which still
-  applies, so no object's signature and no bucket changes;
+* each side's signature buckets as first-round tallies, per weights: a
+  hidden cell is MISSING, which still applies, so no bucket changes, and
+  a run copies each tally and takes out only the cells it hid;
 * the intact model's constraint candidates: hiding cells only takes
   holders away, so one the damaged model lacks holds on no pair of it, a
   zero column in every triple that never ranks (see `features`).
@@ -27,6 +28,8 @@ four walks (eligible cells, buckets, candidates, and a whole model copy
 with a search for its MISSING cells) took about a fifth of a run in a
 cProfile of `--jobs 1` sweeps; without them the benchmark's sweep pass
 went from 0.075 to 0.066 s (medians of 10 alternating pairs, 2 vCPUs).
+Tallying each bucket from its members made clustering 26% of a run over
+`--jobs 1` sweeps; from the intact tallies it is 13%.
 
 A sweep's runs are independent and seeded, so `evaluate_matrix` splits
 them between the calling process and up to `jobs` - 1 children forked with
@@ -44,7 +47,7 @@ import random
 import time
 
 from . import generator
-from .clustering import ClusteringConfig, cluster_objects, partition_by_signature
+from .clustering import ClusteringConfig, cluster_objects, signature_tallies
 from .features import constraint_features
 from .model import (
     MISSING,
@@ -193,22 +196,28 @@ class HarnessConfig:
 class Baseline:
     """What every removal run of one intact policy shares, built once: the
     policy and the `EntitlementIndex` of its reference entitlements, its
-    eligible cells in `cells()` order, each side's signature buckets as
-    lists of object ids (`partition_by_signature` over the side in id
-    order), and its constraint candidates, which every run learns with as
-    they are: one the damage empties is a zero column that never ranks."""
+    eligible cells in `cells()` order, each side's `signature_tallies`
+    per weights, and its constraint candidates, which every run learns
+    with as they are: one the damage empties is a zero column that never
+    ranks."""
 
-    __slots__ = ("policy", "entitlements", "eligible", "buckets", "constraints")
+    __slots__ = ("policy", "entitlements", "eligible", "tallies", "constraints")
 
     def __init__(self, policy: Policy, entitlements: EntitlementIndex):
         om = policy.model
         self.policy, self.entitlements = policy, entitlements
         self.eligible = eligible_cells(om)
-        self.buckets = {
-            side: [[o.id for o in bucket] for bucket in partition_by_signature(om.by_id(side))]
-            for side in Side
-        }
+        self.tallies = {}  # frozenset of config.weights items -> side -> tallies
         self.constraints = constraint_features(om)
+
+    def tallies_for(self, config: ClusteringConfig) -> dict:
+        """Side -> `signature_tallies` under config's weights, built once
+        and kept by those weights, never by the threshold."""
+        key = frozenset(config.weights.items())
+        if key not in self.tallies:
+            om = self.policy.model
+            self.tallies[key] = {side: signature_tallies(om, side, config) for side in Side}
+        return self.tallies[key]
 
     def damage(self, fraction: float, rng: random.Random) -> tuple:
         """(damaged model, removed, hidden): a seeded sample of the eligible
@@ -244,13 +253,13 @@ def evaluate_run(
 ) -> RunResult:
     """One removal run of the baseline's policy, which is never modified.
     It predicts exactly the cells it hid, clustered from the baseline's
-    signature buckets (a hidden cell still applies) and with its constraint
-    candidates (one the damage empties never ranks), against the reference
-    entitlements of the intact policy."""
+    signature tallies for its weights (a hidden cell still applies) and
+    with its constraint candidates (one the damage empties never ranks),
+    against the reference entitlements of the intact policy."""
     config = config or HarnessConfig()
     start = time.perf_counter()
     om, removed, hidden = baseline.damage(fraction, random.Random(seed))
-    clustering = cluster_objects(om, config.clustering, baseline.buckets)
+    clustering = cluster_objects(om, config.clustering, baseline.tallies_for(config.clustering))
     predictions = predict_missing(om, clustering, baseline.entitlements, config.prediction, hidden,
                                   baseline.constraints)
     by_cell = {(p.side, p.object_id, p.attr): p for p in predictions}
@@ -423,12 +432,13 @@ def evaluate_matrix(
     """Removal sweep over scales x fractions x run indices.
 
     Each scale's policy is generated from the named template with seed
-    base_seed + scale, and its reference entitlements and its `Baseline`
-    are built once and shared by the scale's runs.  Runs never modify the
-    policy, so `run_shared` splits them between up to `jobs` processes,
-    which inherit the baselines; each run is seeded, so results, which
-    come back in grid order, are the same whatever `jobs` is.
+    base_seed + scale, and its reference entitlements and its `Baseline`,
+    tallies included, are built once and shared by the scale's runs.  Runs
+    never modify the policy, so `run_shared` splits them between up to
+    `jobs` processes, which inherit the baselines; each run is seeded, so
+    results, which come back in grid order, are the same whatever `jobs` is.
     """
+    config = config or HarnessConfig()
     policies, baselines = {}, {}
     for scale in scales:
         policy = generator.generate(
@@ -437,6 +447,7 @@ def evaluate_matrix(
         ents = generator.reference_entitlements(policy)
         policies[scale] = (policy, ents)
         baselines[scale] = Baseline(policy, EntitlementIndex(ents))
+        baselines[scale].tallies_for(config.clustering)  # before any worker is forked
 
     def one(task):
         scale, fraction, run_index = task

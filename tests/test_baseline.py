@@ -2,14 +2,15 @@
 reference run of `tests/oracles.py`.
 
 The baseline holds what its runs share: the eligible cells, each side's
-signature buckets and the intact model's constraint candidates, which a
-run learns with unchanged.  Each run here is checked piece by piece
-against a whole-model copy with the same cells hidden, and its outcomes
-against the reference's, which learns with the damaged model's own
-candidates.  Those are always among the intact ones; 60% hidden is
-included because only high percents take the last known holder of every
-key a candidate shares, leaving a candidate that holds on no pair of the
-damaged model: at 3-9% no candidate ever drops.
+signature buckets as the tallies a run's clustering starts from, and the
+intact model's constraint candidates, which a run learns with unchanged.
+Each run here is checked piece by piece against a whole-model copy with
+the same cells hidden, and its outcomes against the reference's, which
+learns with the damaged model's own candidates.  Those are always among
+the intact ones; 60% hidden is included because only high percents take
+the last known holder of every key a candidate shares, leaving a
+candidate that holds on no pair of the damaged model: at 3-9% no
+candidate ever drops.
 """
 
 import random
@@ -18,7 +19,7 @@ import pytest
 from ops_template import ops_policy
 from oracles import reference_removal_run
 
-from abacfill.clustering import partition_by_signature
+from abacfill.clustering import ClusteringConfig, partition_by_signature
 from abacfill.features import constraint_features
 from abacfill.generator import GeneratorConfig, generate, reference_entitlements
 from abacfill.harness import Baseline, evaluate_run
@@ -51,9 +52,11 @@ def test_runs_from_a_baseline_equal_the_reference(template):
                 om, _, hidden = baseline.damage(fraction, random.Random(run_seed))
                 assert list(om.cells()) == list(damaged.cells())
                 assert hidden == damaged.missing_cells()
+                tallies = baseline.tallies_for(ClusteringConfig())
                 for side in Side:
                     walked = partition_by_signature(damaged.by_id(side))
-                    assert baseline.buckets[side] == [[o.id for o in b] for b in walked]
+                    assert ([[o.id for o in t.members] for t in tallies[side]]
+                            == [[o.id for o in b] for b in walked])
                 own = constraint_features(damaged)
                 assert set(own) <= set(baseline.constraints)
                 shrunk += own != baseline.constraints

@@ -23,7 +23,8 @@ The predict and cluster inputs follow the benchmark's fill scheme:
 `generate` with seed S, then cells hidden in a model copy with
 `Random(S * 1000 + draw)`, at the CLI's default threshold.  Cluster is
 pinned at a second setting too, threshold 0.1 with decimal weights, whose
-report prints each group's exact member means rounded once.
+report prints each group's exact member means rounded once, and evaluate
+at threshold 0.25 with the same weights, where refinement splits buckets.
 """
 
 import hashlib
@@ -89,6 +90,22 @@ EVALUATE = {
 }
 
 
+# --st 0.25 with decimal weights (see `weights_flag`): refinement splits
+# buckets in 14 of these 16 runs, where the st 0.1 pins above split none,
+# so the movers' tallies after a run's copied first-round tally are pinned
+# too; pinned as the removal runs tallied every bucket from its members
+EVALUATE_WEIGHTED = {
+    ("university", "4,6", "6,30", 2): (
+        "ea83d0833614afc15300d203f939d7370db3c5aaecff37fe97901515b0577d15",
+        "7fd686ab8dcf23c128ce78e42a9e72125e497c8e44f3ec0e581cb464cccba4af",
+    ),
+    ("project", "3,10", "6,30", 2): (
+        "f95f055e530e1561ef49446982bcec23171e8056d101ae2b3c6d954e29fffb12",
+        "c1d62e90e1418e397003f307a009d872a6a07d99c050ae22e49a9d90d2b4317d",
+    ),
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -126,25 +143,30 @@ def predict_digest(tmp_path, template, scale, percent, seed, draw) -> str:
     return _sha256(out)
 
 
+def weights_flag(schema) -> str:
+    """Weights 0.1, 0.3 and 2.5 cycled over the declared attribute names in
+    sorted order, as `--weights` takes them (0.1 and 0.3 have no exact
+    binary form)."""
+    names = sorted({name for _, name in schema.attrs})
+    return ",".join(f"{n}={(0.1, 0.3, 2.5)[i % 3]}" for i, n in enumerate(names))
+
+
 def cluster_digest(tmp_path, template, scale, percent, seed, draw, weighted) -> str:
     """`abacfill cluster` at the default threshold, or weighted: threshold
-    0.1 and weights 0.1, 0.3 and 2.5 cycled over the declared attribute
-    names in sorted order (0.1 and 0.3 have no exact binary form)."""
+    0.1 and `weights_flag` weights."""
     policy, damaged = _damaged(tmp_path, template, scale, percent, seed, draw)
     flags = []
     if weighted:
-        names = sorted({name for _, name in policy.model.schema.attrs})
-        weights = ",".join(f"{n}={(0.1, 0.3, 2.5)[i % 3]}" for i, n in enumerate(names))
-        flags = ["--st", "0.1", "--weights", weights]
+        flags = ["--st", "0.1", "--weights", weights_flag(policy.model.schema)]
     out = tmp_path / "cluster.json"
     assert main(["cluster", "--policy", str(damaged), "--out", str(out), *flags]) == 0
     return _sha256(out)
 
 
-def evaluate_digests(tmp_path, template, scales, percents, runs) -> tuple:
+def evaluate_digests(tmp_path, template, scales, percents, runs, flags=()) -> tuple:
     csv_path, json_path = tmp_path / "summary.csv", tmp_path / "detail.json"
     argv = ["evaluate", "--template", template, "--scales", scales, "--percents", percents,
-            "--runs", str(runs), "--csv", str(csv_path), "--json", str(json_path)]
+            "--runs", str(runs), "--csv", str(csv_path), "--json", str(json_path), *flags]
     assert main(argv) == 0
     return _sha256(csv_path), _sha256(json_path)
 
@@ -162,6 +184,13 @@ def test_predict_output_is_pinned(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(EVALUATE), ids=lambda c: "-".join(map(str, c)))
 def test_evaluate_output_is_pinned(tmp_path, case):
     assert evaluate_digests(tmp_path, *case) == EVALUATE[case]
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE_WEIGHTED), ids=lambda c: "-".join(map(str, c)))
+def test_weighted_evaluate_output_is_pinned(tmp_path, case):
+    schema = generate(GeneratorConfig(template=case[0], scale=1, seed=0)).model.schema
+    flags = ["--st", "0.25", "--weights", weights_flag(schema)]
+    assert evaluate_digests(tmp_path, *case, flags) == EVALUATE_WEIGHTED[case]
 
 
 @pytest.mark.parametrize("case", sorted(CLUSTER), ids=lambda c: "-".join(map(str, c)))
